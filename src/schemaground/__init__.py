@@ -6,174 +6,4 @@ visual questions under a five-mode prompting ladder, and score predictions
 with exact-match and graded accuracy.
 """
 
-from .dsl import (
-    ComponentNode,
-    SchemaProgram,
-    parse_schema,
-    render_schema,
-    to_dot,
-    topological_order,
-    validate_program,
-)
-from .errors import (
-    BackendConfigError,
-    BackendUnavailableError,
-    ConceptMismatchError,
-    CyclicDependencyError,
-    DuplicateComponentError,
-    ExtractionFailedError,
-    FixtureMissError,
-    GatewayError,
-    IncompletePredictionsError,
-    MalformedReplyError,
-    ManifestInvalidError,
-    MissingDependencyBindingError,
-    MissingImageError,
-    MissingResolvedSchemaError,
-    MissingSchemaError,
-    MixedMetricKindsError,
-    PipelineError,
-    SchemaError,
-    SchemaSyntaxError,
-    TooManyComponentsError,
-    UnknownConceptError,
-    UnknownDependencyError,
-    exit_code_for,
-)
-from .evaluate import (
-    CellStats,
-    DatasetManifest,
-    EvalReport,
-    TextSimilarityScorer,
-    aggregate_runs,
-    exact_match_accuracy,
-    format_report_table,
-    graded_accuracy,
-    human_leave_one_out,
-    load_manifest,
-    report_to_json,
-    score_free_responses,
-)
-from .extraction import (
-    CONCEPT_CATEGORIES,
-    ExtractionPolicy,
-    ExtractionResult,
-    build_extraction_prompt,
-    canonical_concepts,
-    extract_schema,
-    load_canonical_schema,
-)
-from .gateway import (
-    BackendConfig,
-    HttpBackend,
-    ImageRef,
-    Message,
-    ModelGateway,
-    ModelRequest,
-    ModelResponse,
-    ResponseCache,
-    ScriptedBackend,
-    cache_key,
-    load_backend_config,
-)
-from .grounding import (
-    GroundingResult,
-    GroundingTemplate,
-    ResolvedSchema,
-    build_grounding_query,
-    ground_hierarchical,
-    ground_sequential,
-)
-from .qa import (
-    NO_MATCH,
-    AnswerMode,
-    Prediction,
-    VqaInstance,
-    answer,
-    build_augmented_prompt,
-    normalize_answer,
-    prompt_blocks,
-)
-from .runner import RunConfig, evaluate_mode, run_predictions
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnswerMode",
-    "BackendConfig",
-    "BackendConfigError",
-    "BackendUnavailableError",
-    "CONCEPT_CATEGORIES",
-    "CellStats",
-    "ComponentNode",
-    "ConceptMismatchError",
-    "CyclicDependencyError",
-    "DatasetManifest",
-    "DuplicateComponentError",
-    "EvalReport",
-    "ExtractionFailedError",
-    "ExtractionPolicy",
-    "ExtractionResult",
-    "FixtureMissError",
-    "GatewayError",
-    "GroundingResult",
-    "GroundingTemplate",
-    "HttpBackend",
-    "ImageRef",
-    "IncompletePredictionsError",
-    "MalformedReplyError",
-    "ManifestInvalidError",
-    "Message",
-    "MissingDependencyBindingError",
-    "MissingImageError",
-    "MissingResolvedSchemaError",
-    "MissingSchemaError",
-    "MixedMetricKindsError",
-    "ModelGateway",
-    "ModelRequest",
-    "ModelResponse",
-    "NO_MATCH",
-    "PipelineError",
-    "Prediction",
-    "ResolvedSchema",
-    "ResponseCache",
-    "RunConfig",
-    "SchemaError",
-    "SchemaProgram",
-    "SchemaSyntaxError",
-    "ScriptedBackend",
-    "TextSimilarityScorer",
-    "TooManyComponentsError",
-    "UnknownConceptError",
-    "UnknownDependencyError",
-    "VqaInstance",
-    "aggregate_runs",
-    "answer",
-    "build_augmented_prompt",
-    "build_extraction_prompt",
-    "build_grounding_query",
-    "cache_key",
-    "canonical_concepts",
-    "evaluate_mode",
-    "exact_match_accuracy",
-    "exit_code_for",
-    "extract_schema",
-    "format_report_table",
-    "graded_accuracy",
-    "ground_hierarchical",
-    "ground_sequential",
-    "human_leave_one_out",
-    "load_backend_config",
-    "load_canonical_schema",
-    "load_manifest",
-    "normalize_answer",
-    "parse_schema",
-    "prompt_blocks",
-    "render_schema",
-    "report_to_json",
-    "run_predictions",
-    "score_free_responses",
-    "to_dot",
-    "topological_order",
-    "validate_program",
-]

@@ -18,11 +18,18 @@ from .evaluate import format_report_table, load_manifest, report_to_json
 from .extraction import ExtractionPolicy, extract_schema, load_canonical_schema
 from .gateway import ImageRef, ModelGateway
 from .grounding import ground_hierarchical, ground_sequential
-from .qa import AnswerMode, write_predictions_jsonl
-from .runner import evaluate_mode, load_schemas, run_predictions
+from .qa import AnswerMode, Prediction, write_predictions_jsonl
+from .runner import load_schemas, run_predictions, score_predictions
 
 MODE_CHOICES = [mode.value for mode in AnswerMode]
 METRIC_CHOICES = {"exact": "exact_match", "graded": "graded"}
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -98,20 +105,31 @@ def cmd_ground(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_answer(args: argparse.Namespace) -> int:
+def _predictor(args: argparse.Namespace):
+    """Load the manifest, gateway and schemas once; return the manifest and a
+    function from a mode to its predictions over them."""
     manifest = load_manifest(args.manifest, multiple_choice=args.multiple_choice)
     gateway = _gateway(args)
     schemas = load_schemas(manifest, args.schema_dir)
+
+    def predict(mode: AnswerMode) -> list[Prediction]:
+        return run_predictions(
+            manifest,
+            mode,
+            gateway,
+            runs=args.runs,
+            concurrency=args.concurrency,
+            seed_hint=args.seed_hint,
+            schemas=schemas,
+        )
+
+    return manifest, predict
+
+
+def cmd_answer(args: argparse.Namespace) -> int:
+    _, predict = _predictor(args)
     mode = AnswerMode(args.mode)
-    predictions = run_predictions(
-        manifest,
-        mode,
-        gateway,
-        runs=args.runs,
-        concurrency=args.concurrency,
-        seed_hint=args.seed_hint,
-        schemas=schemas,
-    )
+    predictions = predict(mode)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{mode.value}.predictions.jsonl"
     write_predictions_jsonl(predictions, path)
@@ -120,24 +138,15 @@ def cmd_answer(args: argparse.Namespace) -> int:
 
 
 def _evaluate_modes(args: argparse.Namespace, modes: list[AnswerMode]) -> int:
-    manifest = load_manifest(args.manifest, multiple_choice=args.multiple_choice)
-    gateway = _gateway(args)
-    schemas = load_schemas(manifest, args.schema_dir)
+    manifest, predict = _predictor(args)
     metric = METRIC_CHOICES[args.metric]
     args.out.mkdir(parents=True, exist_ok=True)
     rows = []
     summary: dict[str, object] = {"metric": metric, "runs": args.runs, "modes": {}}
     for mode in modes:
-        predictions, report = evaluate_mode(
-            manifest,
-            mode,
-            gateway,
-            runs=args.runs,
-            concurrency=args.concurrency,
-            seed_hint=args.seed_hint,
-            metric=metric,
-            include_human_row=args.human_row,
-            schemas=schemas,
+        predictions = predict(mode)
+        report = score_predictions(
+            predictions, manifest, metric=metric, include_human_row=args.human_row
         )
         write_predictions_jsonl(predictions, args.out / f"{mode.value}.predictions.jsonl")
         report_json = report_to_json(report)
@@ -198,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_answer = sub.add_parser("answer", help="produce predictions for a manifest")
     p_answer.add_argument("--manifest", type=Path, required=True)
     p_answer.add_argument("--mode", choices=MODE_CHOICES, default=AnswerMode.FULL_DSG.value)
-    p_answer.add_argument("--runs", type=int, default=1)
-    p_answer.add_argument("--concurrency", type=int, default=4)
+    p_answer.add_argument("--runs", type=_positive_int, default=1)
+    p_answer.add_argument("--concurrency", type=_positive_int, default=4)
     p_answer.add_argument("--schema-dir", type=Path, default=None)
     p_answer.add_argument("--out", type=Path, default=Path("out"))
     _add_choice_flags(p_answer)
@@ -219,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
                 action="append",
                 help="repeatable; default full_dsg",
             )
-        p_eval.add_argument("--runs", type=int, default=1)
+        p_eval.add_argument("--runs", type=_positive_int, default=1)
         p_eval.add_argument("--metric", choices=sorted(METRIC_CHOICES), default="exact")
-        p_eval.add_argument("--concurrency", type=int, default=4)
+        p_eval.add_argument("--concurrency", type=_positive_int, default=4)
         p_eval.add_argument("--schema-dir", type=Path, default=None)
         p_eval.add_argument(
             "--human-row",

@@ -10,7 +10,7 @@ concepts with explicit dependencies, e.g.::
 
 The dependency lists define a DAG over the components; dependencies must be
 declared before the components that use them, which rules out cycles by
-construction (acyclicity is still checked independently in validation).
+construction; topological_order still refuses a hand-built cyclic program.
 """
 
 from __future__ import annotations
@@ -224,8 +224,8 @@ def validate_program(program: SchemaProgram) -> None:
     """Check every program invariant; raise the matching SchemaError if violated.
 
     Covers: identifier shape, component cap, unique ids, concept agreement,
-    deps declared earlier (no forward/self references), no duplicate deps,
-    and an independent acyclicity check.
+    deps declared earlier (no forward/self references, hence no cycles), and
+    no duplicate deps.
     """
     if not IDENT_RE.match(program.concept):
         raise SchemaSyntaxError(f"invalid concept name {program.concept!r}")
@@ -263,23 +263,6 @@ def validate_program(program: SchemaProgram) -> None:
                     f"component {node.id!r} depends on {dep!r}, which is not declared earlier"
                 )
         declared.add(node.id)
-
-    _check_acyclic(program)
-
-
-def _check_acyclic(program: SchemaProgram) -> None:
-    # Kahn's algorithm; any leftover node sits on a cycle.
-    remaining = {node.id: set(node.deps) for node in program.nodes}
-    resolved: set[str] = set()
-    while remaining:
-        ready = [cid for cid, deps in remaining.items() if deps <= resolved]
-        if not ready:
-            raise CyclicDependencyError(
-                f"cycle among components: {sorted(remaining)}"
-            )
-        for cid in ready:
-            resolved.add(cid)
-            del remaining[cid]
 
 
 def topological_order(program: SchemaProgram) -> list[str]:

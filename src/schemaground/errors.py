@@ -46,7 +46,7 @@ class TooManyComponentsError(SchemaError):
 
 
 class CyclicDependencyError(SchemaError):
-    """Dependency graph contains a cycle (independent structural check)."""
+    """Dependency graph contains a cycle (raised by topological_order)."""
 
 
 # ------------------------------------------------------------- model gateway
@@ -116,10 +116,6 @@ class IncompletePredictionsError(PipelineError):
     """Prediction set does not cover the manifest exactly once per run."""
 
 
-class MixedMetricKindsError(PipelineError):
-    """Attempted to aggregate reports with different metric kinds."""
-
-
 # Exit codes partition error classes 1:1. Code 1 is reserved for unexpected
 # exceptions, 2 for argparse usage errors.
 EXIT_CODES: dict[type[PipelineError], int] = {
@@ -141,7 +137,6 @@ EXIT_CODES: dict[type[PipelineError], int] = {
     ManifestInvalidError: 50,
     MissingImageError: 51,
     IncompletePredictionsError: 52,
-    MixedMetricKindsError: 53,
 }
 
 

@@ -1,5 +1,5 @@
 """Evaluation harness: manifest loading, exact-match and graded scoring,
-per-question-type and per-category breakdowns, and aggregation over runs.
+and per-question-type and per-category breakdowns over one or more runs.
 
 Scoring is pure: the same predictions and manifest always produce the same
 report bytes. Uncertainty is population standard deviation over runs.
@@ -12,14 +12,9 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable
 
-from .errors import (
-    IncompletePredictionsError,
-    ManifestInvalidError,
-    MissingImageError,
-    MixedMetricKindsError,
-)
+from .errors import IncompletePredictionsError, ManifestInvalidError, MissingImageError
 from .extraction import CATEGORIES
 from .gateway import ImageRef
 from .qa import NO_MATCH, QUESTION_TYPES, Prediction, VqaInstance, normalize_answer
@@ -274,43 +269,6 @@ def graded_accuracy(predictions: list[Prediction], manifest: DatasetManifest) ->
     return _score_report(predictions, manifest, _graded_score, "graded")
 
 
-def aggregate_runs(reports: list[EvalReport]) -> EvalReport:
-    """Merge per-run reports into one, recomputing mean/std per cell."""
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    kinds = {report.metric for report in reports}
-    if len(kinds) != 1:
-        raise MixedMetricKindsError(
-            "cannot aggregate reports with different metrics: " + ", ".join(sorted(kinds))
-        )
-
-    def merge(cells: list[CellStats]) -> CellStats:
-        counts = {cell.count for cell in cells}
-        if len(counts) != 1:
-            raise ValueError(f"cell counts differ across reports: {sorted(counts)}")
-        combined = tuple(value for cell in cells for value in cell.per_run)
-        return CellStats.from_per_run(cells[0].count, combined)
-
-    def merge_breakdown(key: str) -> dict[str, CellStats]:
-        keysets = {tuple(getattr(report, key)) for report in reports}
-        if len(keysets) != 1:
-            raise ValueError(f"reports disagree on {key} breakdown keys")
-        return {
-            name: merge([getattr(report, key)[name] for report in reports])
-            for name in getattr(reports[0], key)
-        }
-
-    human_cells = [report.human for report in reports if report.human is not None]
-    return EvalReport(
-        metric=reports[0].metric,
-        runs=sum(report.runs for report in reports),
-        overall=merge([report.overall for report in reports]),
-        by_question_type=merge_breakdown("by_question_type"),
-        by_category=merge_breakdown("by_category"),
-        human=human_cells[0] if human_cells else None,
-    )
-
-
 def _modal(answers: list[str]) -> str:
     counts = Counter(answers)
     best = max(counts.values())
@@ -340,35 +298,6 @@ def human_leave_one_out(manifest: DatasetManifest) -> CellStats:
             scores.append(1.0 if held == reference and held != NO_MATCH else 0.0)
         per_position.append(statistics.fmean(scores))
     return CellStats.from_per_run(len(manifest.instances), tuple(per_position))
-
-
-class TextSimilarityScorer(Protocol):
-    """Pluggable scorer for free-response answers; no default implementation."""
-
-    def score(self, prediction: str, reference: str) -> float:
-        """Similarity in [0, 1] between a predicted and a reference answer."""
-        ...
-
-
-def score_free_responses(
-    predictions: list[Prediction],
-    manifest: DatasetManifest,
-    scorer: TextSimilarityScorer,
-) -> dict[tuple[int, str], float]:
-    """Similarity of each normalized prediction to the normalized modal
-    answer, keyed by (run_index, instance_id)."""
-    by_run = _group_by_run(predictions, manifest)
-    scores: dict[tuple[int, str], float] = {}
-    for run_index in sorted(by_run):
-        for instance in manifest.instances:
-            prediction = by_run[run_index][instance.id]
-            value = scorer.score(
-                prediction.normalized, normalize_answer(instance.modal_answer, instance.options)
-            )
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"scorer returned {value!r}, outside [0, 1]")
-            scores[(run_index, instance.id)] = value
-    return scores
 
 
 def _cell_to_dict(cell: CellStats | None) -> dict | None:

@@ -132,11 +132,6 @@ class ModelResponse:
     latency_ms: int = 0
 
 
-@dataclass(frozen=True)
-class CacheKey:
-    digest: str  # sha256 hex of the canonical request serialization
-
-
 def cache_key_material(backend_id: str, request: ModelRequest) -> str:
     """Canonical serialization hashed into the cache key.
 
@@ -164,35 +159,43 @@ def cache_key_material(backend_id: str, request: ModelRequest) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def cache_key(backend_id: str, request: ModelRequest) -> CacheKey:
+def cache_key(backend_id: str, request: ModelRequest) -> str:
+    """SHA-256 hex digest of the request's canonical serialization."""
     material = cache_key_material(backend_id, request)
-    return CacheKey(hashlib.sha256(material.encode("utf-8")).hexdigest())
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
 class ResponseCache:
     """Content-addressed on-disk store: one JSON file per key, write-once.
 
-    Concurrent writers of the same key are safe; the first atomic rename wins
-    and later writes are no-ops with identical content.
+    A file that does not hold JSON with a string "text" reads as a miss, and
+    the next put replaces it; a readable entry is never overwritten. Writes
+    land through an atomic rename, so concurrent writers of one key never
+    leave a torn file.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, key: CacheKey) -> Path:
-        return self.root / f"{key.digest}.json"
+    def _path(self, key: str) -> Path:
+        return self.root / f"{key}.json"
 
-    def get(self, key: CacheKey) -> str | None:
+    def get(self, key: str) -> str | None:
         path = self._path(key)
         if not path.exists():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))["text"]
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError:
+            return None
+        text = payload.get("text") if isinstance(payload, dict) else None
+        return text if isinstance(text, str) else None
 
-    def put(self, key: CacheKey, text: str) -> None:
-        path = self._path(key)
-        if path.exists():
+    def put(self, key: str, text: str) -> None:
+        if self.get(key) is not None:
             return
+        path = self._path(key)
         payload = json.dumps({"text": text}, ensure_ascii=False)
         fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
@@ -442,7 +445,7 @@ class ModelGateway:
         if self.cache is not None:
             hit = self.cache.get(key)
             if hit is not None:
-                log.debug("cache hit %s model=%s", key.digest[:12], request.model_id)
+                log.debug("cache hit %s model=%s", key[:12], request.model_id)
                 return ModelResponse(
                     text=hit, backend_id=self.backend.backend_id, cached=True, latency_ms=0
                 )
@@ -454,7 +457,7 @@ class ModelGateway:
         if self.cache is not None:
             self.cache.put(key, text)
         log.debug(
-            "completed %s model=%s latency_ms=%d", key.digest[:12], request.model_id, latency_ms
+            "completed %s model=%s latency_ms=%d", key[:12], request.model_id, latency_ms
         )
         return ModelResponse(
             text=text, backend_id=self.backend.backend_id, cached=False, latency_ms=latency_ms

@@ -21,28 +21,18 @@ from .phrasing import concept_phrase, copula, display_name
 MAX_DESCRIPTION_CHARS = 200
 
 
-@dataclass(frozen=True)
-class GroundingTemplate:
-    """Query wording with named placeholders; override fields to re-style.
-
-    The rendered query is `intro + dep_clause*|deps| + query`, e.g.
-    "Imagine that the image represents a maze, and the layout is
-    rectangular. What are the entry and exit? Answer with a short phrase."
-    """
-
-    intro: str = "Imagine that the image represents {concept_phrase}"
-    dep_clause: str = ", and the {dep} {copula} {description}"
-    query: str = ". What {copula} the {component}? Answer with a short phrase."
-
-
-DEFAULT_TEMPLATE = GroundingTemplate()
+# The rendered query is `QUERY_INTRO + QUERY_DEP_CLAUSE*|deps| + QUERY_ASK`,
+# e.g. "Imagine that the image represents a maze, and the layout is
+# rectangular. What are the entry and exit? Answer with a short phrase."
+QUERY_INTRO = "Imagine that the image represents {concept_phrase}"
+QUERY_DEP_CLAUSE = ", and the {dep} {copula} {description}"
+QUERY_ASK = ". What {copula} the {component}? Answer with a short phrase."
 
 
 def build_grounding_query(
     concept: str,
     node: ComponentNode,
     resolved_deps: dict[str, str],
-    template: GroundingTemplate = DEFAULT_TEMPLATE,
 ) -> str:
     """Render the grounding question for one component.
 
@@ -59,18 +49,16 @@ def build_grounding_query(
         raise MissingDependencyBindingError(
             f"component {node.id!r} got bindings for non-dependencies: " + ", ".join(extra)
         )
-    parts = [template.intro.format(concept_phrase=concept_phrase(concept))]
+    parts = [QUERY_INTRO.format(concept_phrase=concept_phrase(concept))]
     for dep in node.deps:
         parts.append(
-            template.dep_clause.format(
+            QUERY_DEP_CLAUSE.format(
                 dep=display_name(dep),
                 copula=copula(dep),
                 description=resolved_deps[dep],
             )
         )
-    parts.append(
-        template.query.format(copula=copula(node.id), component=display_name(node.id))
-    )
+    parts.append(QUERY_ASK.format(copula=copula(node.id), component=display_name(node.id)))
     return "".join(parts)
 
 
@@ -144,7 +132,6 @@ def _ground(
     image: ImageRef,
     gateway: ModelGateway,
     include_deps: bool,
-    template: GroundingTemplate,
     seed_hint: int | None,
 ) -> ResolvedSchema:
     order = topological_order(schema)
@@ -157,7 +144,7 @@ def _ground(
         else:
             node = dataclasses.replace(node, deps=())
             resolved = {}
-        query_text = build_grounding_query(schema.concept, node, resolved, template)
+        query_text = build_grounding_query(schema.concept, node, resolved)
         query = Message("user", query_text, images=(image,))
         try:
             response = gateway.chat([query], seed_hint=seed_hint)
@@ -188,24 +175,22 @@ def ground_hierarchical(
     schema: SchemaProgram,
     image: ImageRef,
     gateway: ModelGateway,
-    template: GroundingTemplate = DEFAULT_TEMPLATE,
     seed_hint: int | None = None,
 ) -> ResolvedSchema:
     """Ground components in dependency order, conditioning each query on the
     descriptions already bound to its dependencies."""
-    return _ground(schema, image, gateway, True, template, seed_hint)
+    return _ground(schema, image, gateway, True, seed_hint)
 
 
 def ground_sequential(
     schema: SchemaProgram,
     image: ImageRef,
     gateway: ModelGateway,
-    template: GroundingTemplate = DEFAULT_TEMPLATE,
     seed_hint: int | None = None,
 ) -> ResolvedSchema:
     """Ground components in the same order but without dependency clauses:
     every component is queried in isolation."""
-    return _ground(schema, image, gateway, False, template, seed_hint)
+    return _ground(schema, image, gateway, False, seed_hint)
 
 
 def load_resolved_schema(path: str | Path, image: ImageRef | None = None) -> ResolvedSchema:

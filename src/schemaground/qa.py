@@ -152,21 +152,35 @@ def _clean(text: str) -> str:
     return text.strip(_EDGE_CHARS)
 
 
+def _contains_words(text: str, phrase: str) -> bool:
+    """Whether phrase occurs in text with no word character on either side."""
+    return re.search(r"(?<!\w)" + re.escape(phrase) + r"(?!\w)", text) is not None
+
+
 def normalize_answer(raw: str, options: tuple[str, ...] | list[str] | None = None) -> str:
     """Canonicalize a free-text answer, optionally resolving it to an option.
 
     Lowercases, strips surrounding punctuation and leading articles, and maps
-    the number words zero through twenty to digits. With options, the unique
-    option whose cleaned form occurs in the cleaned reply is returned
-    verbatim; zero or several matching options yield the NO_MATCH sentinel.
+    the number words zero through twenty to digits. With options, an option
+    matches when its cleaned form occurs in the cleaned reply on word
+    boundaries ("10" does not match "1", "not" does not match "no"). One
+    matching option is returned verbatim; among several, the one whose cleaned
+    form contains all the others wins; otherwise the NO_MATCH sentinel.
     """
     cleaned = _clean(raw)
     if options is None:
         return cleaned
-    matched = [option for option in options if _clean(option) and _clean(option) in cleaned]
-    if len(matched) == 1:
-        return matched[0]
-    return NO_MATCH
+    matches = [
+        (option, form)
+        for option in options
+        if (form := _clean(option)) and _contains_words(cleaned, form)
+    ]
+    best = [
+        option
+        for option, form in matches
+        if all(_contains_words(form, other) for _, other in matches)
+    ]
+    return best[0] if len(best) == 1 else NO_MATCH
 
 
 def _bindings_sentence(concept: str, resolved: ResolvedSchema, order: tuple[str, ...]) -> str:

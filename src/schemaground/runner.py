@@ -1,17 +1,19 @@
 """Orchestration: schemas + grounding + answering over a manifest, with
 bounded concurrency, per-run seed offsets, and deterministic output order.
 
-Each run grounds every distinct (concept, image) pair once (grounded modes
-only), then answers all instances. Per-run requests carry seed_hint =
-base seed + run_index so repeated runs against a live backend are distinct
-cache entries rather than replays of run 0.
+One thread pool serves every run of a mode. Instances are grouped by
+(concept, image digest) once per call, so each image is hashed once. Each
+(run, group) task grounds its image once (grounded modes only) and then
+submits its instances' answers to the same pool, so answering starts as soon
+as that image is grounded rather than after every image is. Per-run requests
+carry seed_hint = base seed + run_index so repeated runs against a live
+backend are distinct cache entries rather than replays of run 0.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from .dsl import SchemaProgram, parse_schema
@@ -24,32 +26,8 @@ from .evaluate import (
 )
 from .extraction import load_canonical_schema
 from .gateway import ModelGateway
-from .grounding import ResolvedSchema, ground_hierarchical, ground_sequential
-from .qa import GROUNDED_MODES, AnswerMode, Prediction, answer
-
-
-@dataclass
-class RunConfig:
-    backend_config: Path
-    manifest: Path
-    out_dir: Path
-    mode: AnswerMode = AnswerMode.FULL_DSG
-    runs: int = 1
-    concurrency: int = 4
-    multiple_choice: bool = True
-    cache_dir: Path | None = None
-    seed_hint: int | None = None
-    metric: str = "exact_match"
-    include_human_row: bool = False
-    schema_dir: Path | None = None
-    temperature: float = 0.0
-    max_tokens: int = 512
-
-    def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
+from .grounding import ground_hierarchical, ground_sequential
+from .qa import GROUNDED_MODES, AnswerMode, Prediction, VqaInstance, answer
 
 
 def load_schemas(
@@ -67,10 +45,6 @@ def load_schemas(
     return schemas
 
 
-def _effective_seed(base: int | None, run_index: int) -> int:
-    return (base or 0) + run_index
-
-
 def run_predictions(
     manifest: DatasetManifest,
     mode: AnswerMode,
@@ -84,40 +58,49 @@ def run_predictions(
     mode = AnswerMode(mode)
     if schemas is None:
         schemas = load_schemas(manifest)
-    predictions: list[Prediction] = []
-    for run_index in range(runs):
-        seed = _effective_seed(seed_hint, run_index)
-        resolved: dict[tuple[str, str], ResolvedSchema] = {}
-        if mode in GROUNDED_MODES:
-            ground = (
-                ground_sequential
-                if mode is AnswerMode.GROUNDING_SEQUENTIAL
-                else ground_hierarchical
-            )
-            pairs: dict[tuple[str, str], object] = {}
-            for instance in manifest.instances:
-                pairs.setdefault((instance.concept, instance.image.digest()), instance.image)
-            with ThreadPoolExecutor(max_workers=concurrency) as pool:
-                futures = {
-                    key: pool.submit(ground, schemas[key[0]], image, gateway, seed_hint=seed)
-                    for key, image in pairs.items()
-                }
-                resolved = {key: future.result() for key, future in futures.items()}
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            futures_list = [
+    ground = None
+    if mode in GROUNDED_MODES:
+        ground = (
+            ground_sequential if mode is AnswerMode.GROUNDING_SEQUENTIAL else ground_hierarchical
+        )
+    groups: dict[tuple[str, str], list[VqaInstance]] = {}
+    for instance in manifest.instances:
+        groups.setdefault((instance.concept, instance.image.digest()), []).append(instance)
+
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+
+        def ground_then_answer(run_index: int, instances: list[VqaInstance]):
+            seed = (seed_hint or 0) + run_index
+            schema = None if mode is AnswerMode.BASELINE else schemas[instances[0].concept]
+            resolved = None
+            if ground is not None:
+                resolved = ground(schema, instances[0].image, gateway, seed_hint=seed)
+            return [
                 pool.submit(
                     answer,
                     instance,
                     mode,
                     gateway,
-                    schema=schemas[instance.concept] if mode is not AnswerMode.BASELINE else None,
-                    resolved=resolved.get((instance.concept, instance.image.digest())),
+                    schema=schema,
+                    resolved=resolved,
                     run_index=run_index,
                     seed_hint=seed,
                 )
-                for instance in manifest.instances
+                for instance in instances
             ]
-            predictions.extend(future.result() for future in futures_list)
+
+        tasks = [
+            pool.submit(ground_then_answer, run_index, instances)
+            for run_index in range(runs)
+            for instances in groups.values()
+        ]
+        try:
+            answers = [future for task in tasks for future in task.result()]
+            predictions = [future.result() for future in answers]
+        except BaseException:
+            # Drop queued work so one failure does not wait for every other run.
+            pool.shutdown(cancel_futures=True)
+            raise
     predictions.sort(key=lambda p: (p.run_index, p.instance_id))
     return predictions
 
@@ -137,29 +120,3 @@ def score_predictions(
     if include_human_row:
         report = dataclasses.replace(report, human=human_leave_one_out(manifest))
     return report
-
-
-def evaluate_mode(
-    manifest: DatasetManifest,
-    mode: AnswerMode,
-    gateway: ModelGateway,
-    runs: int = 1,
-    concurrency: int = 4,
-    seed_hint: int | None = None,
-    metric: str = "exact_match",
-    include_human_row: bool = False,
-    schemas: dict[str, SchemaProgram] | None = None,
-) -> tuple[list[Prediction], EvalReport]:
-    predictions = run_predictions(
-        manifest,
-        mode,
-        gateway,
-        runs=runs,
-        concurrency=concurrency,
-        seed_hint=seed_hint,
-        schemas=schemas,
-    )
-    report = score_predictions(
-        predictions, manifest, metric=metric, include_human_row=include_human_row
-    )
-    return predictions, report

@@ -17,8 +17,6 @@ from schemaground.dsl import parse_schema, render_schema, topological_order
 from schemaground.evaluate import (
     CellStats,
     DatasetManifest,
-    EvalReport,
-    aggregate_runs,
     exact_match_accuracy,
     graded_accuracy,
     load_manifest,
@@ -32,7 +30,7 @@ from schemaground.qa import (
     VqaInstance,
     prompt_blocks,
 )
-from schemaground.runner import evaluate_mode
+from schemaground.runner import run_predictions, score_predictions
 from schemaground.toydata import tiny_png
 
 from helpers import (
@@ -202,19 +200,10 @@ def test_c5_metric_oracles_match_hand_computation():
     exact = exact_match_accuracy(predictions, manifest)
     assert exact.overall.mean == pytest.approx(0.6, abs=1e-9)
 
-    def run_report(value):
-        return EvalReport(
-            metric="exact_match",
-            runs=1,
-            overall=CellStats.from_per_run(10, (value,)),
-            by_question_type={},
-            by_category={},
-        )
-
-    merged = aggregate_runs([run_report(v) for v in (0.6, 0.6, 0.7, 0.7, 0.65)])
-    assert merged.overall.mean == pytest.approx(0.65, abs=1e-6)
-    assert merged.overall.std == pytest.approx(math.sqrt(0.002), abs=1e-6)
-    assert round(merged.overall.std, 4) == 0.0447
+    merged = CellStats.from_per_run(10, (0.6, 0.6, 0.7, 0.7, 0.65))
+    assert merged.mean == pytest.approx(0.65, abs=1e-6)
+    assert merged.std == pytest.approx(math.sqrt(0.002), abs=1e-6)
+    assert round(merged.std, 4) == 0.0447
     print(
         "PASS: C5 metric oracles — K/5 {0,2,4,5} -> {0.0,0.4,0.8,1.0}, exact 6/10, "
         "5-run aggregate 0.65 ± 0.0447"
@@ -329,7 +318,8 @@ def test_c7_live_five_instance_smoke(toy, tmp_path):
     manifest = load_manifest(manifest_path)
     started = time.perf_counter()
     gateway = ModelGateway.from_config(config_path, cache_dir=cache_dir)
-    predictions, report = evaluate_mode(manifest, AnswerMode.FULL_DSG, gateway)
+    predictions = run_predictions(manifest, AnswerMode.FULL_DSG, gateway)
+    report = score_predictions(predictions, manifest)
     elapsed = time.perf_counter() - started
     assert elapsed < 180.0, f"live smoke took {elapsed:.1f}s"
     assert len(predictions) == 5
@@ -338,6 +328,6 @@ def test_c7_live_five_instance_smoke(toy, tmp_path):
     cached_files = len(ResponseCache(cache_dir))
     assert cached_files > 0
     gateway2 = ModelGateway.from_config(config_path, cache_dir=cache_dir)
-    evaluate_mode(manifest, AnswerMode.FULL_DSG, gateway2)
+    run_predictions(manifest, AnswerMode.FULL_DSG, gateway2)
     assert len(ResponseCache(cache_dir)) == cached_files
     print(f"PASS: C7 live 5-instance smoke finished in {elapsed:.1f}s with all responses cached")

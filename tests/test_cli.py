@@ -346,3 +346,8 @@ def test_usage_errors_exit_two(tmp_path):
     assert run_cli("evaporate", cwd=tmp_path).returncode == 2
     assert run_cli("evaluate", "--manifest", "m.json", "--mode", "psychic",
                    "--backend-config", "b.json", cwd=tmp_path).returncode == 2
+    for command, flag in (("evaluate", "--concurrency"), ("answer", "--runs")):
+        result = run_cli(command, "--manifest", "m.json", flag, "0",
+                         "--backend-config", "b.json", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "must be at least 1" in result.stderr

@@ -9,7 +9,6 @@ import pytest
 from schemaground.dsl import (
     ComponentNode,
     SchemaProgram,
-    _check_acyclic,
     parse_schema,
     render_schema,
     to_dot,
@@ -226,7 +225,7 @@ def test_validate_rejects_declaration_index_mismatch():
 
 def test_independent_acyclicity_check():
     # Unreachable through parse_schema (forward references are rejected
-    # first), but the structural check must still catch a handcrafted cycle.
+    # first), but ordering must still refuse a handcrafted cycle.
     cyclic = SchemaProgram(
         concept="x",
         nodes=(
@@ -235,7 +234,7 @@ def test_independent_acyclicity_check():
         ),
     )
     with pytest.raises(CyclicDependencyError):
-        _check_acyclic(cyclic)
+        topological_order(cyclic)
 
 
 def test_to_dot_lists_nodes_then_edges():

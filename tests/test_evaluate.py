@@ -14,20 +14,17 @@ from schemaground.errors import (
     IncompletePredictionsError,
     ManifestInvalidError,
     MissingImageError,
-    MixedMetricKindsError,
 )
 from schemaground.evaluate import (
     CellStats,
     DatasetManifest,
     EvalReport,
-    aggregate_runs,
     exact_match_accuracy,
     format_report_table,
     graded_accuracy,
     human_leave_one_out,
     load_manifest,
     report_to_json,
-    score_free_responses,
 )
 from schemaground.gateway import ImageRef
 from schemaground.qa import NO_MATCH, AnswerMode, Prediction, VqaInstance, normalize_answer
@@ -188,42 +185,32 @@ def test_breakdowns_partition_the_overall_cell():
 # ------------------------------------------------------------- aggregation
 
 
-def _report_with(values, metric="exact_match", count=20):
+def _report_with(values):
     return EvalReport(
-        metric=metric,
+        metric="exact_match",
         runs=len(values),
-        overall=CellStats.from_per_run(count, tuple(values)),
+        overall=CellStats.from_per_run(20, tuple(values)),
         by_question_type={},
         by_category={},
     )
 
 
 def test_aggregate_five_runs_population_std():
-    reports = [_report_with([v]) for v in (0.6, 0.6, 0.7, 0.7, 0.65)]
-    merged = aggregate_runs(reports)
-    assert merged.runs == 5
-    assert merged.overall.mean == pytest.approx(0.65, abs=1e-9)
-    assert merged.overall.std == pytest.approx(math.sqrt(0.002), abs=1e-6)
-    assert merged.overall.per_run == (0.6, 0.6, 0.7, 0.7, 0.65)
+    report = _report_with([0.6, 0.6, 0.7, 0.7, 0.65])
+    assert report.runs == 5
+    assert report.overall.mean == pytest.approx(0.65, abs=1e-9)
+    assert report.overall.std == pytest.approx(math.sqrt(0.002), abs=1e-6)
+    assert report.overall.per_run == (0.6, 0.6, 0.7, 0.7, 0.65)
 
 
 def test_aggregate_two_runs_half_spread():
-    merged = aggregate_runs([_report_with([1.0]), _report_with([0.0])])
-    assert merged.overall.mean == pytest.approx(0.5, abs=1e-9)
-    assert merged.overall.std == pytest.approx(0.5, abs=1e-9)
+    report = _report_with([1.0, 0.0])
+    assert report.overall.mean == pytest.approx(0.5, abs=1e-9)
+    assert report.overall.std == pytest.approx(0.5, abs=1e-9)
 
 
 def test_single_run_has_zero_std():
     assert _report_with([0.25]).overall.std == 0.0
-
-
-def test_aggregate_rejects_mixed_metrics_and_mismatched_cells():
-    with pytest.raises(MixedMetricKindsError, match="exact_match, graded"):
-        aggregate_runs([_report_with([0.5]), _report_with([0.5], metric="graded")])
-    with pytest.raises(ValueError, match="cell counts differ"):
-        aggregate_runs([_report_with([0.5], count=20), _report_with([0.5], count=12)])
-    with pytest.raises(ValueError, match="no reports"):
-        aggregate_runs([])
 
 
 def test_multi_run_scoring_via_run_index():
@@ -442,38 +429,3 @@ def test_format_report_table_layout():
     assert by_category.splitlines()[0].split() == ["mode", "all", "strategic", "scientific"]
     with pytest.raises(ValueError, match="question_type"):
         format_report_table([("m", right)], by="nope")
-
-
-# ------------------------------------------------------- similarity hooks
-
-
-class _EqualityScorer:
-    def score(self, prediction: str, reference: str) -> float:
-        return 1.0 if prediction == reference else 0.25
-
-
-class _BrokenScorer:
-    def score(self, prediction: str, reference: str) -> float:
-        return 2.0
-
-
-def test_score_free_responses_keys_and_values():
-    manifest = _manifest(
-        _instance("a", ["blue"] * 5, "blue", options=None, question_type="open"),
-        _instance("b", ["red"] * 5, "red", options=None, question_type="open"),
-    )
-    predictions = [
-        _pred("a", "blue", run_index=0),
-        _pred("b", "blue", run_index=0),
-        _pred("a", "blue", run_index=1),
-        _pred("b", "red", run_index=1),
-    ]
-    scores = score_free_responses(predictions, manifest, _EqualityScorer())
-    assert scores == {
-        (0, "a"): 1.0,
-        (0, "b"): 0.25,
-        (1, "a"): 1.0,
-        (1, "b"): 1.0,
-    }
-    with pytest.raises(ValueError, match="outside"):
-        score_free_responses(predictions, manifest, _BrokenScorer())

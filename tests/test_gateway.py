@@ -406,6 +406,26 @@ def test_gateway_caches_and_marks_hits(tmp_path):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("corrupt", ['{"text": "r', "", "[1]", '{"text": 3}', b"\xff\xfe"])
+def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, corrupt):
+    backend = ScriptedBackend([{"match": {"contains": "q"}, "reply": "r"}])
+    calls = []
+    original = backend.complete
+    backend.complete = lambda req: (calls.append(1), original(req))[1]
+    gateway = ModelGateway(backend, cache=ResponseCache(tmp_path / "c"))
+    gateway.complete(_request("q1"))
+    (entry,) = (tmp_path / "c").glob("*.json")
+    if isinstance(corrupt, bytes):
+        entry.write_bytes(corrupt)
+    else:
+        entry.write_text(corrupt)
+    again = gateway.complete(_request("q1"))
+    assert again.text == "r" and not again.cached
+    assert len(calls) == 2
+    assert json.loads(entry.read_text()) == {"text": "r"}
+    assert gateway.complete(_request("q1")).cached
+
+
 def test_gateway_rejects_empty_reply():
     gateway = ModelGateway(ScriptedBackend([{"match": {"contains": "q"}, "reply": "  \n"}]))
     with pytest.raises(MalformedReplyError, match="empty"):

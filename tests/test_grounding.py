@@ -12,7 +12,6 @@ from schemaground.extraction import load_canonical_schema
 from schemaground.gateway import ImageRef
 from schemaground.grounding import (
     GroundingResult,
-    GroundingTemplate,
     ResolvedSchema,
     build_grounding_query,
     ground_hierarchical,
@@ -73,19 +72,6 @@ def test_query_requires_exact_dependency_bindings():
         build_grounding_query(
             "maze", node, {"layout": "rectangular", "walls": "hedges"}
         )
-
-
-def test_query_template_is_overridable():
-    template = GroundingTemplate(
-        intro="The picture shows {concept_phrase}",
-        dep_clause="; its {dep} {copula} {description}",
-        query=". Describe the {component}.",
-    )
-    node = MAZE.node("entry-exit")
-    text = build_grounding_query("maze", node, {"layout": "square"}, template)
-    assert text == (
-        "The picture shows a maze; its layout is square. Describe the entry and exit."
-    )
 
 
 # ------------------------------------------------------- hierarchical pass

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from schemaground.errors import (
@@ -66,6 +66,9 @@ def maze_resolved(maze_binary, toy_gateway):
         ("", None, ""),
         ("", ("yes", "no"), NO_MATCH),
         ("the", None, "the"),
+        ("10", ("1", "10"), "10"),
+        ("I do not know", ("yes", "no"), NO_MATCH),
+        ("dark red", ("red", "dark red"), "dark red"),
     ],
 )
 def test_normalize_answer_battery(raw, options, expected):
@@ -89,6 +92,14 @@ def test_normalize_without_options_is_idempotent(raw):
 def test_normalize_with_options_is_closed(raw, options):
     result = normalize_answer(raw, tuple(options))
     assert result == NO_MATCH or result in options
+
+
+@given(st.lists(st.text(min_size=1, max_size=10), min_size=1, max_size=4), st.data())
+def test_reply_equal_to_an_option_resolves_to_it(options, data):
+    forms = [normalize_answer(option) for option in options]
+    assume(all(forms) and len(set(forms)) == len(forms))
+    option = data.draw(st.sampled_from(options))
+    assert normalize_answer(option, tuple(options)) == option
 
 
 # ------------------------------------------------------------ prompt ladder
