@@ -15,7 +15,7 @@ from pathlib import Path
 from .dsl import parse_schema, render_schema
 from .errors import BackendConfigError, MissingImageError, PipelineError, exit_code_for
 from .evaluate import format_report_table, load_manifest, report_to_json
-from .extraction import ExtractionPolicy, extract_schema, load_canonical_schema
+from .extraction import extract_schema, load_canonical_schema
 from .gateway import ImageRef, ModelGateway
 from .grounding import ground_hierarchical, ground_sequential
 from .qa import AnswerMode, Prediction, write_predictions_jsonl
@@ -25,11 +25,22 @@ MODE_CHOICES = [mode.value for mode in AnswerMode]
 METRIC_CHOICES = {"exact": "exact_match", "graded": "graded"}
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(kind, minimum):
+    """An argparse type: parse with kind and reject values below minimum."""
+
+    def parse(text: str):
+        value = kind(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_positive_int = _at_least(int, 1)
+_non_negative_int = _at_least(int, 0)
+_non_negative_float = _at_least(float, 0.0)
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -40,8 +51,8 @@ def _add_backend_flags(parser: argparse.ArgumentParser, required: bool = True) -
         help="JSON backend description (kind, model_id, ...)",
     )
     parser.add_argument("--cache-dir", type=Path, default=None, help="response cache directory")
-    parser.add_argument("--temperature", type=float, default=0.0)
-    parser.add_argument("--max-tokens", type=int, default=512)
+    parser.add_argument("--temperature", type=_non_negative_float, default=0.0)
+    parser.add_argument("--max-tokens", type=_positive_int, default=512)
     parser.add_argument("--seed-hint", type=int, default=None)
 
 
@@ -79,12 +90,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
             raise BackendConfigError(
                 "extract requires --backend-config unless --canonical is given"
             )
-        policy = ExtractionPolicy(
-            gateway=_gateway(args),
+        program = extract_schema(
+            args.concept,
+            _gateway(args),
             max_retries=args.max_retries,
             fallback_to_canonical=args.fallback_to_canonical,
-        )
-        program = extract_schema(args.concept, policy).program
+        ).program
     out = args.out or Path(f"{args.concept}.schema")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(render_schema(program), encoding="utf-8")
@@ -101,7 +112,7 @@ def cmd_ground(args: argparse.Namespace) -> int:
     resolved = ground(schema, image, _gateway(args), seed_hint=args.seed_hint)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(resolved.to_json(), encoding="utf-8")
-    print(f"wrote {args.out} ({len(resolved.bindings)} bindings)")
+    print(f"wrote {args.out} ({len(resolved.descriptions)} bindings)")
     return 0
 
 
@@ -186,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument(
         "--canonical", action="store_true", help="copy the stored fixture, no backend call"
     )
-    p_extract.add_argument("--max-retries", type=int, default=2)
+    p_extract.add_argument("--max-retries", type=_non_negative_int, default=2)
     p_extract.add_argument("--fallback-to-canonical", action="store_true")
     p_extract.add_argument("--out", type=Path, default=None)
     _add_backend_flags(p_extract, required=False)

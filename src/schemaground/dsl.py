@@ -46,7 +46,6 @@ class ComponentNode:
     id: str
     concept: str
     deps: tuple[str, ...] = ()
-    declaration_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -93,9 +92,8 @@ class _LineParser:
         self.pos = 0
         self.end_column = len(line) + 1
 
-    def peek(self, offset: int = 0) -> _Token | None:
-        index = self.pos + offset
-        return self.tokens[index] if index < len(self.tokens) else None
+    def peek(self) -> _Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self, expected: str) -> _Token:
         token = self.peek()
@@ -127,17 +125,6 @@ class _LineParser:
             raise SchemaSyntaxError(
                 f"unexpected trailing {token.value!r}", self.lineno, token.column
             )
-
-    def looks_like_header(self) -> bool:
-        # `gen ( concept =` opens a header; `gen ( <id> |` opens a node.
-        second = self.peek(2)
-        third = self.peek(3)
-        return (
-            second is not None
-            and second.value == "concept"
-            and third is not None
-            and third.value == "="
-        )
 
 
 def _parse_header(line: str, lineno: int) -> str:
@@ -212,8 +199,8 @@ def parse_schema(text: str) -> SchemaProgram:
         raise SchemaSyntaxError("program declares no components", lineno, 1)
 
     nodes = tuple(
-        ComponentNode(id=cid, concept=node_concept, deps=deps, declaration_index=index)
-        for index, (cid, node_concept, deps) in enumerate(raw_nodes)
+        ComponentNode(id=cid, concept=node_concept, deps=deps)
+        for cid, node_concept, deps in raw_nodes
     )
     program = SchemaProgram(concept=concept, nodes=nodes)
     validate_program(program)
@@ -237,11 +224,7 @@ def validate_program(program: SchemaProgram) -> None:
         )
 
     declared: set[str] = set()
-    for index, node in enumerate(program.nodes):
-        if node.declaration_index != index:
-            raise ValueError(
-                f"declaration_index {node.declaration_index} != position {index} for {node.id!r}"
-            )
+    for node in program.nodes:
         if not IDENT_RE.match(node.id):
             raise SchemaSyntaxError(f"invalid component id {node.id!r}")
         if node.id in declared:
@@ -268,11 +251,11 @@ def validate_program(program: SchemaProgram) -> None:
 def topological_order(program: SchemaProgram) -> list[str]:
     """Return component ids with every dependency before its dependents.
 
-    Ties are broken by declaration order, so the result is deterministic and,
-    for programs whose declarations already respect dependencies, equals the
-    declaration order.
+    Ties are broken by position in program.nodes (declaration order), so the
+    result is deterministic and, for programs whose declarations already
+    respect dependencies, equals the declaration order.
     """
-    index_of = {node.id: node.declaration_index for node in program.nodes}
+    index_of = {node.id: index for index, node in enumerate(program.nodes)}
     pending = {node.id: set(node.deps) for node in program.nodes}
     order: list[str] = []
     resolved: set[str] = set()
@@ -295,14 +278,3 @@ def render_schema(program: SchemaProgram) -> str:
         lines.append(f"    gen({node.id} | concept={node.concept}{deps})")
     return "\n".join(lines) + "\n"
 
-
-def to_dot(program: SchemaProgram) -> str:
-    """Emit the dependency DAG in DOT format, one edge per dependency."""
-    lines = [f'digraph "{program.concept}" {{']
-    for node in program.nodes:
-        lines.append(f'    "{node.id}";')
-    for node in program.nodes:
-        for dep in node.deps:
-            lines.append(f'    "{dep}" -> "{node.id}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

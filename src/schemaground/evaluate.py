@@ -75,8 +75,13 @@ def load_manifest(path: str | Path, multiple_choice: bool = True) -> DatasetMani
     subset = bool(payload.get("subset", False))
     instances: list[VqaInstance] = []
     seen_ids: set[str] = set()
-    for raw in payload["instances"]:
-        instance_id = raw.get("id", "<missing id>") if isinstance(raw, dict) else "<bad entry>"
+    for index, raw in enumerate(payload["instances"]):
+        if not isinstance(raw, dict):
+            raise ManifestInvalidError(
+                f"manifest {path}: instance entry {index} must be an object, "
+                f"got {type(raw).__name__}"
+            )
+        instance_id = raw.get("id", "<missing id>")
         try:
             if instance_id in seen_ids:
                 raise ValueError("duplicate instance id")

@@ -84,19 +84,6 @@ def scrape_schema_block(reply: str) -> str:
     raise SchemaError("reply contains no schema header line")
 
 
-@dataclass
-class ExtractionPolicy:
-    """Controls the retry/fallback behaviour of extract_schema."""
-
-    gateway: ModelGateway
-    max_retries: int = 2
-    fallback_to_canonical: bool = False
-
-    def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-
-
 @dataclass(frozen=True)
 class ExtractionResult:
     program: SchemaProgram
@@ -105,21 +92,29 @@ class ExtractionResult:
     used_fallback: bool
 
 
-def extract_schema(concept: str, policy: ExtractionPolicy) -> ExtractionResult:
+def extract_schema(
+    concept: str,
+    gateway: ModelGateway,
+    max_retries: int = 2,
+    fallback_to_canonical: bool = False,
+) -> ExtractionResult:
     """Ask the backend for a schema program and validate the reply.
 
     On a parse/validation failure the validator's message is appended as a
     corrective user turn and the exchange retried, up to max_retries extra
-    rounds. Exhausted retries fall back to the canonical fixture when the
-    policy allows it, else raise ExtractionFailed carrying the last reason.
+    rounds. Exhausted retries fall back to the canonical fixture when
+    fallback_to_canonical is set, else raise ExtractionFailed carrying the
+    last reason.
     """
+    if max_retries < 0:
+        raise ValueError("max_retries must be >= 0")
     messages: list[Message] = [Message("user", build_extraction_prompt(concept))]
     last_reason: Exception | None = None
     attempts = 0
-    for _ in range(policy.max_retries + 1):
+    for _ in range(max_retries + 1):
         attempts += 1
         try:
-            response = policy.gateway.chat(messages)
+            response = gateway.chat(messages)
         except GatewayError as err:
             last_reason = err
             break
@@ -145,7 +140,7 @@ def extract_schema(concept: str, policy: ExtractionPolicy) -> ExtractionResult:
                     "Please reply with a corrected program in the same format.",
                 )
             )
-    if policy.fallback_to_canonical:
+    if fallback_to_canonical:
         program = load_canonical_schema(concept)
         return ExtractionResult(
             program=program, raw_reply="", attempts=attempts, used_fallback=True

@@ -17,7 +17,7 @@ import os
 import re
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import requests
@@ -240,7 +240,10 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str | Path, backend_id: str = "scripted") -> ScriptedBackend:
-        rules = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            rules = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as err:
+            raise BackendConfigError(f"cannot read fixture file {path}: {err}") from err
         if not isinstance(rules, list):
             raise BackendConfigError(f"fixture file {path} must hold a JSON list of rules")
         return cls(rules, backend_id=backend_id)
@@ -467,14 +470,12 @@ class ModelGateway:
         self,
         messages: list[Message] | tuple[Message, ...],
         seed_hint: int | None = None,
-        temperature: float | None = None,
-        max_tokens: int | None = None,
     ) -> ModelResponse:
         request = ModelRequest(
             model_id=self.model_id,
             messages=tuple(messages),
-            temperature=self.temperature if temperature is None else temperature,
-            max_tokens=self.max_tokens if max_tokens is None else max_tokens,
+            temperature=self.temperature,
+            max_tokens=self.max_tokens,
             seed_hint=seed_hint,
         )
         return self.complete(request)

@@ -1,9 +1,11 @@
 """Grounding engine: bind each schema component to a short description of
 what realizes it in an image, querying a vision backend in dependency order.
 
-Hierarchical grounding inlines already-resolved ancestor descriptions into
+Hierarchical grounding inlines already-resolved dependency descriptions into
 each query; sequential grounding asks about every component in isolation.
-Either way the full exchange is kept as a transcript for downstream prompts.
+The result is plain data: the descriptions in grounding order and the full
+exchange as a transcript, whose query for the i-th component is
+``transcript[2 * i]`` and whose reply is ``transcript[2 * i + 1]``.
 """
 
 from __future__ import annotations
@@ -11,21 +13,17 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .dsl import ComponentNode, SchemaProgram, topological_order
 from .errors import GatewayError, MissingDependencyBindingError
 from .gateway import ImageRef, Message, ModelGateway
-from .phrasing import concept_phrase, copula, display_name
+from .phrasing import copula, display_name, framing_sentence
 
 MAX_DESCRIPTION_CHARS = 200
 
-
-# The rendered query is `QUERY_INTRO + QUERY_DEP_CLAUSE*|deps| + QUERY_ASK`,
-# e.g. "Imagine that the image represents a maze, and the layout is
-# rectangular. What are the entry and exit? Answer with a short phrase."
-QUERY_INTRO = "Imagine that the image represents {concept_phrase}"
-QUERY_DEP_CLAUSE = ", and the {dep} {copula} {description}"
+# Appended to the framing sentence, e.g. "Imagine that the image represents a
+# maze, and the layout is rectangular. What are the entry and exit? Answer
+# with a short phrase."
 QUERY_ASK = ". What {copula} the {component}? Answer with a short phrase."
 
 
@@ -49,82 +47,36 @@ def build_grounding_query(
         raise MissingDependencyBindingError(
             f"component {node.id!r} got bindings for non-dependencies: " + ", ".join(extra)
         )
-    parts = [QUERY_INTRO.format(concept_phrase=concept_phrase(concept))]
-    for dep in node.deps:
-        parts.append(
-            QUERY_DEP_CLAUSE.format(
-                dep=display_name(dep),
-                copula=copula(dep),
-                description=resolved_deps[dep],
-            )
-        )
-    parts.append(QUERY_ASK.format(copula=copula(node.id), component=display_name(node.id)))
-    return "".join(parts)
-
-
-@dataclass(frozen=True)
-class GroundingResult:
-    component: str
-    description: str
-    query_text: str
-    transcript_span: tuple[int, int]
-
-    def __post_init__(self):
-        if not self.description:
-            raise ValueError("description must be non-empty")
+    framing = framing_sentence(concept, {dep: resolved_deps[dep] for dep in node.deps})
+    return framing + QUERY_ASK.format(copula=copula(node.id), component=display_name(node.id))
 
 
 @dataclass(frozen=True)
 class ResolvedSchema:
+    """One schema grounded on one image.
+
+    descriptions maps component id to its (truncated) description, in
+    grounding order; transcript alternates each query with its full reply.
+    """
+
     concept: str
     image_digest: str
-    bindings: dict[str, GroundingResult]
+    descriptions: dict[str, str]
     transcript: tuple[Message, ...]
-    image: ImageRef | None = None
-
-    def descriptions(self) -> dict[str, str]:
-        return {cid: result.description for cid, result in self.bindings.items()}
 
     def to_json(self) -> str:
         payload = {
             "concept": self.concept,
             "image_digest": self.image_digest,
             "bindings": [
-                {"component": result.component, "description": result.description}
-                for result in self.bindings.values()
+                {"component": component, "description": description}
+                for component, description in self.descriptions.items()
             ],
             "transcript": [
                 {"role": message.role, "text": message.text} for message in self.transcript
             ],
         }
         return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str, image: ImageRef | None = None) -> ResolvedSchema:
-        payload = json.loads(text)
-        if image is not None and image.digest() != payload["image_digest"]:
-            raise ValueError(
-                "image digest mismatch: resolved schema was grounded on a different image"
-            )
-        transcript = tuple(
-            Message(role=entry["role"], text=entry["text"]) for entry in payload["transcript"]
-        )
-        bindings: dict[str, GroundingResult] = {}
-        for index, entry in enumerate(payload["bindings"]):
-            span = (2 * index, 2 * index + 2)
-            bindings[entry["component"]] = GroundingResult(
-                component=entry["component"],
-                description=entry["description"],
-                query_text=transcript[span[0]].text,
-                transcript_span=span,
-            )
-        return cls(
-            concept=payload["concept"],
-            image_digest=payload["image_digest"],
-            bindings=bindings,
-            transcript=transcript,
-            image=image,
-        )
 
 
 def _ground(
@@ -134,40 +86,32 @@ def _ground(
     include_deps: bool,
     seed_hint: int | None,
 ) -> ResolvedSchema:
-    order = topological_order(schema)
-    bindings: dict[str, GroundingResult] = {}
+    descriptions: dict[str, str] = {}
     transcript: list[Message] = []
-    for component_id in order:
+    for component_id in topological_order(schema):
         node = schema.node(component_id)
         if include_deps:
-            resolved = {dep: bindings[dep].description for dep in node.deps}
+            resolved = {dep: descriptions[dep] for dep in node.deps}
         else:
             node = dataclasses.replace(node, deps=())
             resolved = {}
-        query_text = build_grounding_query(schema.concept, node, resolved)
-        query = Message("user", query_text, images=(image,))
+        query = Message(
+            "user", build_grounding_query(schema.concept, node, resolved), images=(image,)
+        )
         try:
             response = gateway.chat([query], seed_hint=seed_hint)
         except GatewayError as err:
             raise type(err)(
                 f"while grounding component {component_id!r}: {err}"
             ) from err
-        description = response.text.strip()[:MAX_DESCRIPTION_CHARS]
-        span = (len(transcript), len(transcript) + 2)
         transcript.append(query)
         transcript.append(Message("assistant", response.text))
-        bindings[component_id] = GroundingResult(
-            component=component_id,
-            description=description,
-            query_text=query_text,
-            transcript_span=span,
-        )
+        descriptions[component_id] = response.text.strip()[:MAX_DESCRIPTION_CHARS]
     return ResolvedSchema(
         concept=schema.concept,
         image_digest=image.digest(),
-        bindings=bindings,
+        descriptions=descriptions,
         transcript=tuple(transcript),
-        image=image,
     )
 
 
@@ -192,6 +136,3 @@ def ground_sequential(
     every component is queried in isolation."""
     return _ground(schema, image, gateway, False, seed_hint)
 
-
-def load_resolved_schema(path: str | Path, image: ImageRef | None = None) -> ResolvedSchema:
-    return ResolvedSchema.from_json(Path(path).read_text(encoding="utf-8"), image=image)

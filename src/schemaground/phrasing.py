@@ -11,9 +11,6 @@ DISPLAY_OVERRIDES: dict[str, str] = {
     "entry-exit": "entry and exit",
 }
 
-# Copula decisions that the suffix heuristic would get wrong.
-COPULA_OVERRIDES: dict[str, str] = {}
-
 _VOWELS = "aeiou"
 
 
@@ -27,8 +24,6 @@ def display_name(identifier: str) -> str:
 def copula(identifier: str) -> str:
     """Pick ``is``/``are`` for a component: plural-looking ids and compound
     subjects ("entry and exit") take ``are``."""
-    if identifier in COPULA_OVERRIDES:
-        return COPULA_OVERRIDES[identifier]
     name = display_name(identifier)
     if " and " in name:
         return "are"
@@ -50,3 +45,17 @@ def concept_phrase(concept: str) -> str:
         return name
     article = "an" if name[0] in _VOWELS else "a"
     return f"{article} {name}"
+
+
+def framing_sentence(concept: str, descriptions: dict[str, str]) -> str:
+    """The sentence that frames every prompt, without its closing period:
+    "Imagine that the image represents a maze, and the layout is rectangular".
+
+    One clause per (component, description) pair, in the dict's order.
+    """
+    clauses = [f"Imagine that the image represents {concept_phrase(concept)}"]
+    for component_id, description in descriptions.items():
+        clauses.append(
+            f", and the {display_name(component_id)} {copula(component_id)} {description}"
+        )
+    return "".join(clauses)

@@ -1,8 +1,10 @@
 """Question answering under the five-mode prompting ladder.
 
 Modes are cumulative: the plain concept framing, plus the schema program
-text, plus grounded component descriptions woven into the framing sentence,
-plus (in the final mode) the whole grounding conversation as prior turns.
+text, plus grounded component descriptions woven into the framing sentence
+(in grounding order, one clause each, worded by phrasing.framing_sentence
+exactly as the grounding queries are), plus (in the final mode) the whole
+grounding conversation as prior turns.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .dsl import SchemaProgram, render_schema, topological_order
+from .dsl import SchemaProgram, render_schema
 from .errors import (
     GatewayError,
     MissingResolvedSchemaError,
@@ -24,7 +26,7 @@ from .errors import (
 from .extraction import CATEGORIES
 from .gateway import ImageRef, Message, ModelGateway
 from .grounding import ResolvedSchema
-from .phrasing import concept_phrase, copula, display_name
+from .phrasing import framing_sentence
 
 QUESTION_TYPES = ("counting", "binary", "open")
 
@@ -110,24 +112,6 @@ def write_predictions_jsonl(predictions, path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def read_predictions_jsonl(path) -> list[Prediction]:
-    predictions = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        payload = json.loads(line)
-        predictions.append(
-            Prediction(
-                instance_id=payload["instance_id"],
-                mode=AnswerMode(payload["mode"]),
-                raw_text=payload["raw_text"],
-                normalized=payload["normalized"],
-                run_index=payload["run_index"],
-            )
-        )
-    return predictions
-
-
 _NUMBER_WORDS = {
     "zero": "0", "one": "1", "two": "2", "three": "3", "four": "4",
     "five": "5", "six": "6", "seven": "7", "eight": "8", "nine": "9",
@@ -183,17 +167,6 @@ def normalize_answer(raw: str, options: tuple[str, ...] | list[str] | None = Non
     return best[0] if len(best) == 1 else NO_MATCH
 
 
-def _bindings_sentence(concept: str, resolved: ResolvedSchema, order: tuple[str, ...]) -> str:
-    clauses = [f"Imagine that the image represents {concept_phrase(concept)}"]
-    descriptions = resolved.descriptions()
-    for component_id in order:
-        clauses.append(
-            f", and the {display_name(component_id)} {copula(component_id)} "
-            f"{descriptions[component_id]}"
-        )
-    return "".join(clauses) + "."
-
-
 def prompt_blocks(
     instance: VqaInstance,
     mode: AnswerMode,
@@ -211,11 +184,8 @@ def prompt_blocks(
         raise MissingSchemaError(f"mode {mode.value} requires a schema")
     if mode in GROUNDED_MODES and resolved is None:
         raise MissingResolvedSchemaError(f"mode {mode.value} requires a resolved schema")
-    blocks: list[str] = []
-    if mode in GROUNDED_MODES:
-        blocks.append(_bindings_sentence(instance.concept, resolved, topological_order(schema)))
-    else:
-        blocks.append(f"Imagine that the image represents {concept_phrase(instance.concept)}.")
+    descriptions = resolved.descriptions if mode in GROUNDED_MODES else {}
+    blocks = [framing_sentence(instance.concept, descriptions) + "."]
     if mode is not AnswerMode.BASELINE:
         blocks.append(render_schema(schema).rstrip("\n"))
     blocks.append(instance.question)

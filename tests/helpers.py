@@ -24,8 +24,8 @@ from schemaground.phrasing import concept_phrase, copula, display_name
 
 def brute_force_topological_order(program: SchemaProgram) -> list[str]:
     """Among all permutations satisfying deps-before-node, the one whose
-    declaration-index sequence is lexicographically smallest."""
-    index = {node.id: node.declaration_index for node in program.nodes}
+    sequence of positions in program.nodes is lexicographically smallest."""
+    index = {node.id: position for position, node in enumerate(program.nodes)}
     deps = {node.id: set(node.deps) for node in program.nodes}
     best_key, best = None, None
     for perm in permutations(program.component_ids):

@@ -110,9 +110,10 @@ def test_c3_hierarchical_queries_contain_ancestor_descriptions_verbatim():
             node.id: f"{concept}--{node.id}--essence" for node in schema.nodes
         }
         hier = ground_hierarchical(schema, image, gateway)
-        assert hier.descriptions() == description_of
+        assert hier.descriptions == description_of
+        hier_queries = dict(zip(hier.descriptions, (m.text for m in hier.transcript[::2])))
         for node in schema.nodes:
-            query = hier.bindings[node.id].query_text
+            query = hier_queries[node.id]
             for dep in node.deps:
                 assert description_of[dep] in query
                 checked_dependent += 1
@@ -120,8 +121,7 @@ def test_c3_hierarchical_queries_contain_ancestor_descriptions_verbatim():
                 if other.id not in node.deps:
                     assert description_of[other.id] not in query
         seq = ground_sequential(schema, image, gateway)
-        for node in schema.nodes:
-            query = seq.bindings[node.id].query_text
+        for query in (m.text for m in seq.transcript[::2]):
             for other_description in description_of.values():
                 assert other_description not in query
     assert checked_dependent >= 12

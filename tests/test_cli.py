@@ -351,3 +351,16 @@ def test_usage_errors_exit_two(tmp_path):
                          "--backend-config", "b.json", cwd=tmp_path)
         assert result.returncode == 2
         assert "must be at least 1" in result.stderr
+    for command, flag, value, floor in (
+        ("answer", "--max-tokens", "0", "1"),
+        ("ablate", "--max-tokens", "0", "1"),
+        ("answer", "--temperature", "-1", "0.0"),
+    ):
+        result = run_cli(command, "--manifest", "m.json", flag, value,
+                         "--backend-config", "b.json", cwd=tmp_path)
+        assert result.returncode == 2
+        assert f"must be at least {floor}" in result.stderr
+    result = run_cli("extract", "maze", "--max-retries", "-1",
+                     "--backend-config", "b.json", cwd=tmp_path)
+    assert result.returncode == 2
+    assert "must be at least 0" in result.stderr

@@ -11,7 +11,6 @@ from schemaground.dsl import (
     SchemaProgram,
     parse_schema,
     render_schema,
-    to_dot,
     topological_order,
     validate_program,
 )
@@ -92,8 +91,8 @@ def test_topological_order_on_out_of_order_declarations():
     program = SchemaProgram(
         concept="x",
         nodes=(
-            ComponentNode("a", "x", ("b",), 0),
-            ComponentNode("b", "x", (), 1),
+            ComponentNode("a", "x", ("b",)),
+            ComponentNode("b", "x", ()),
         ),
     )
     assert topological_order(program) == ["b", "a"]
@@ -214,36 +213,18 @@ def test_syntax_error_carries_line_and_column():
     assert f"line 3, column {err.column}:" in str(err)
 
 
-def test_validate_rejects_declaration_index_mismatch():
-    program = SchemaProgram(
-        concept="x",
-        nodes=(ComponentNode("a", "x", (), 1),),
-    )
-    with pytest.raises(ValueError, match="declaration_index"):
-        validate_program(program)
-
-
 def test_independent_acyclicity_check():
     # Unreachable through parse_schema (forward references are rejected
     # first), but ordering must still refuse a handcrafted cycle.
     cyclic = SchemaProgram(
         concept="x",
         nodes=(
-            ComponentNode("a", "x", ("b",), 0),
-            ComponentNode("b", "x", ("a",), 1),
+            ComponentNode("a", "x", ("b",)),
+            ComponentNode("b", "x", ("a",)),
         ),
     )
     with pytest.raises(CyclicDependencyError):
         topological_order(cyclic)
-
-
-def test_to_dot_lists_nodes_then_edges():
-    dot = to_dot(load_canonical_schema("maze"))
-    assert dot.splitlines()[0] == 'digraph "maze" {'
-    assert '    "layout";' in dot
-    assert '    "layout" -> "entry-exit";' in dot
-    assert dot.index('"walls";') < dot.index('"layout" -> "entry-exit";')
-    assert dot.rstrip().endswith("}")
 
 
 def test_node_lookup():

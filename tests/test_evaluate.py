@@ -14,6 +14,7 @@ from schemaground.errors import (
     IncompletePredictionsError,
     ManifestInvalidError,
     MissingImageError,
+    exit_code_for,
 )
 from schemaground.evaluate import (
     CellStats,
@@ -392,6 +393,13 @@ def test_manifest_unreadable_or_malformed(tmp_path):
     bad.write_text("[1, 2]")
     with pytest.raises(ManifestInvalidError, match="'instances' list"):
         load_manifest(bad)
+
+
+def test_manifest_entry_that_is_not_an_object(tmp_path):
+    path = _write_manifest(tmp_path, [_raw_instance(), "oops"])
+    with pytest.raises(ManifestInvalidError, match="entry 1 must be an object, got str") as info:
+        load_manifest(path)
+    assert exit_code_for(info.value) == 50
 
 
 # ------------------------------------------------------- report rendering

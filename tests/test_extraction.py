@@ -16,7 +16,6 @@ from schemaground.errors import (
 from schemaground.extraction import (
     CATEGORIES,
     CONCEPT_CATEGORIES,
-    ExtractionPolicy,
     build_extraction_prompt,
     canonical_concepts,
     extract_schema,
@@ -107,8 +106,7 @@ def test_scrape_requires_a_header_line():
 
 
 def test_scraped_block_with_trailing_prose_still_parses(toy_gateway):
-    policy = ExtractionPolicy(gateway=toy_gateway)
-    result = extract_schema("maze", policy)
+    result = extract_schema("maze", toy_gateway)
     assert render_schema(result.program) == MAZE_TEXT
     assert result.attempts == 1
     assert not result.used_fallback
@@ -119,7 +117,7 @@ def test_scraped_block_with_trailing_prose_still_parses(toy_gateway):
 
 def test_extract_happy_path(tmp_path):
     gateway = scripted_gateway(_happy_rules())
-    result = extract_schema("maze", ExtractionPolicy(gateway=gateway))
+    result = extract_schema("maze", gateway)
     assert result.program.component_ids == ("layout", "walls", "entry-exit")
     assert result.attempts == 1
     assert result.raw_reply == MAZE_TEXT
@@ -132,7 +130,7 @@ def test_extract_corrective_retry_repairs_bad_reply():
         *_happy_rules(reply=FIVE_COMPONENT_REPLY),
     ]
     gateway = scripted_gateway(rules)
-    result = extract_schema("maze", ExtractionPolicy(gateway=gateway, max_retries=2))
+    result = extract_schema("maze", gateway, max_retries=2)
     assert result.attempts == 2
     assert render_schema(result.program) == MAZE_TEXT
 
@@ -140,7 +138,7 @@ def test_extract_corrective_retry_repairs_bad_reply():
 def test_extract_exhausted_retries_without_fallback():
     gateway = scripted_gateway(_happy_rules(reply=FIVE_COMPONENT_REPLY))
     with pytest.raises(ExtractionFailedError) as info:
-        extract_schema("maze", ExtractionPolicy(gateway=gateway, max_retries=0))
+        extract_schema("maze", gateway, max_retries=0)
     assert info.value.concept == "maze"
     assert isinstance(info.value.reason, TooManyComponentsError)
     assert "TooManyComponentsError" in str(info.value)
@@ -148,8 +146,7 @@ def test_extract_exhausted_retries_without_fallback():
 
 def test_extract_garbage_reply_with_fallback_uses_canonical(tmp_path):
     gateway = scripted_gateway(_happy_rules(reply="no program here, sorry"))
-    policy = ExtractionPolicy(gateway=gateway, max_retries=0, fallback_to_canonical=True)
-    result = extract_schema("maze", policy)
+    result = extract_schema("maze", gateway, max_retries=0, fallback_to_canonical=True)
     assert result.used_fallback
     assert result.raw_reply == ""
     assert render_schema(result.program) == MAZE_TEXT
@@ -159,7 +156,7 @@ def test_extract_detects_concept_mismatch():
     atom_text = render_schema(load_canonical_schema("atom"))
     gateway = scripted_gateway(_happy_rules(reply=atom_text))
     with pytest.raises(ExtractionFailedError) as info:
-        extract_schema("maze", ExtractionPolicy(gateway=gateway, max_retries=0))
+        extract_schema("maze", gateway, max_retries=0)
     assert isinstance(info.value.reason, ConceptMismatchError)
 
 
@@ -174,11 +171,11 @@ def test_extract_gateway_error_skips_corrective_retries():
 
     gateway.backend.complete = counting
     with pytest.raises(ExtractionFailedError) as info:
-        extract_schema("maze", ExtractionPolicy(gateway=gateway, max_retries=2))
+        extract_schema("maze", gateway, max_retries=2)
     assert isinstance(info.value.reason, FixtureMissError)
     assert len(calls) == 1
 
 
 def test_policy_rejects_negative_retries(toy_gateway):
     with pytest.raises(ValueError):
-        ExtractionPolicy(gateway=toy_gateway, max_retries=-1)
+        extract_schema("maze", toy_gateway, max_retries=-1)

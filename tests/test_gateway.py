@@ -218,6 +218,15 @@ def test_scripted_backend_from_file_is_deterministic_across_instances(tmp_path):
         ScriptedBackend.from_file(bad)
 
 
+def test_scripted_backend_fixture_file_missing_or_not_json(tmp_path):
+    with pytest.raises(BackendConfigError, match="cannot read fixture file"):
+        ScriptedBackend.from_file(tmp_path / "missing.json")
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    with pytest.raises(BackendConfigError, match="cannot read fixture file"):
+        ScriptedBackend.from_file(broken)
+
+
 # ------------------------------------------------------------- http backend
 
 

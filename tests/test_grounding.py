@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -10,15 +11,8 @@ from schemaground.dsl import ComponentNode
 from schemaground.errors import FixtureMissError, MissingDependencyBindingError
 from schemaground.extraction import load_canonical_schema
 from schemaground.gateway import ImageRef
-from schemaground.grounding import (
-    GroundingResult,
-    ResolvedSchema,
-    build_grounding_query,
-    ground_hierarchical,
-    ground_sequential,
-    load_resolved_schema,
-)
-from schemaground.toydata import TOY_BINDINGS, TOY_SEQUENTIAL_DRIFT, tiny_png
+from schemaground.grounding import build_grounding_query, ground_hierarchical, ground_sequential
+from schemaground.toydata import TOY_BINDINGS, TOY_SEQUENTIAL_DRIFT
 
 from helpers import scripted_gateway
 
@@ -79,7 +73,7 @@ def test_query_requires_exact_dependency_bindings():
 
 def test_hierarchical_grounding_binds_dependent_components(toy, toy_gateway):
     resolved = ground_hierarchical(MAZE, _maze_image(toy), toy_gateway)
-    assert resolved.descriptions() == TOY_BINDINGS["maze"]
+    assert resolved.descriptions == TOY_BINDINGS["maze"]
     assert resolved.concept == "maze"
     assert resolved.image_digest == _maze_image(toy).digest()
 
@@ -95,11 +89,10 @@ def test_hierarchical_transcript_shape(toy, toy_gateway):
         else:
             assert message.role == "assistant"
             assert not message.images
-    for component, result in resolved.bindings.items():
-        start, stop = result.transcript_span
-        assert stop - start == 2
-        assert resolved.transcript[start].text == result.query_text
-        assert component.split("-")[0] in result.query_text.replace("-", " ")
+    queries = [message.text for message in resolved.transcript[::2]]
+    assert len(queries) == len(resolved.descriptions)
+    for component, query in zip(resolved.descriptions, queries):
+        assert component.split("-")[0] in query.replace("-", " ")
 
 
 def test_grounding_requests_are_single_turn(toy, toy_gateway):
@@ -122,10 +115,10 @@ def test_grounding_requests_are_single_turn(toy, toy_gateway):
 
 def test_sequential_grounding_drops_dependency_clauses(toy, toy_gateway):
     resolved = ground_sequential(MAZE, _maze_image(toy), toy_gateway)
-    for result in resolved.bindings.values():
-        assert ", and the" not in result.query_text
+    for query in resolved.transcript[::2]:
+        assert ", and the" not in query.text
     drifted = TOY_SEQUENTIAL_DRIFT[("maze", "entry-exit")]
-    assert resolved.descriptions() == {
+    assert resolved.descriptions == {
         "layout": TOY_BINDINGS["maze"]["layout"],
         "walls": TOY_BINDINGS["maze"]["walls"],
         "entry-exit": drifted,
@@ -136,35 +129,30 @@ def test_modes_agree_on_dependency_free_schema(toy, toy_gateway):
     image = ImageRef.from_file(toy.image_paths["cell"])
     hier = ground_hierarchical(CELL, image, toy_gateway)
     seq = ground_sequential(CELL, image, toy_gateway)
-    assert hier.descriptions() == seq.descriptions() == TOY_BINDINGS["cell"]
+    assert hier.descriptions == seq.descriptions == TOY_BINDINGS["cell"]
     assert [m.text for m in hier.transcript] == [m.text for m in seq.transcript]
 
 
 # ------------------------------------------------------------- persistence
 
 
-def test_resolved_schema_json_roundtrip(toy, toy_gateway, tmp_path):
+def test_resolved_schema_json_roundtrip(toy, toy_gateway):
     image = _maze_image(toy)
     resolved = ground_hierarchical(MAZE, image, toy_gateway)
-    path = tmp_path / "resolved.json"
-    path.write_text(resolved.to_json(), encoding="utf-8")
-    loaded = load_resolved_schema(path, image=image)
-    assert loaded.concept == resolved.concept
-    assert loaded.image_digest == resolved.image_digest
-    assert loaded.descriptions() == resolved.descriptions()
-    assert [m.text for m in loaded.transcript] == [m.text for m in resolved.transcript]
-    for component, result in loaded.bindings.items():
-        assert result.query_text == resolved.bindings[component].query_text
-        assert result.transcript_span == resolved.bindings[component].transcript_span
-
-
-def test_resolved_schema_rejects_wrong_image(toy, toy_gateway):
-    resolved = ground_hierarchical(MAZE, _maze_image(toy), toy_gateway)
-    other = ImageRef.from_bytes(tiny_png((1, 2, 3)))
-    with pytest.raises(ValueError, match="digest mismatch"):
-        ResolvedSchema.from_json(resolved.to_json(), image=other)
-    reloaded = ResolvedSchema.from_json(resolved.to_json())
-    assert reloaded.image is None
+    text = resolved.to_json()
+    assert text.endswith("}\n")
+    payload = json.loads(text)
+    assert sorted(payload) == ["bindings", "concept", "image_digest", "transcript"]
+    assert payload["concept"] == resolved.concept == "maze"
+    assert payload["image_digest"] == resolved.image_digest == image.digest()
+    assert payload["bindings"] == [
+        {"component": component, "description": description}
+        for component, description in resolved.descriptions.items()
+    ]
+    assert payload["transcript"] == [
+        {"role": m.role, "text": m.text} for m in resolved.transcript
+    ]
+    assert text == json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 # ------------------------------------------------------------ edge behavior
@@ -185,15 +173,8 @@ def test_long_reply_truncated_in_binding_but_kept_in_transcript(toy):
         [{"match": {"equals": LAYOUT_QUERY}, "reply": long_reply}]
     )
     resolved = ground_hierarchical(layout_only, _maze_image(toy), gateway)
-    assert resolved.bindings["layout"].description == "x" * 200
+    assert resolved.descriptions["layout"] == "x" * 200
     assert resolved.transcript[1].text == long_reply
-
-
-def test_grounding_result_requires_description():
-    with pytest.raises(ValueError, match="non-empty"):
-        GroundingResult(
-            component="layout", description="", query_text="q", transcript_span=(0, 2)
-        )
 
 
 def test_node_lookup_used_by_queries():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -24,7 +26,6 @@ from schemaground.qa import (
     build_augmented_prompt,
     normalize_answer,
     prompt_blocks,
-    read_predictions_jsonl,
     write_predictions_jsonl,
 )
 from schemaground.toydata import tiny_png
@@ -288,10 +289,10 @@ def test_predictions_jsonl_roundtrip_and_ordering(tmp_path):
     ]
     path = tmp_path / "preds.jsonl"
     write_predictions_jsonl(predictions, path)
-    loaded = read_predictions_jsonl(path)
-    assert [(p.run_index, p.instance_id) for p in loaded] == [(0, "b"), (1, "a"), (1, "b")]
-    assert loaded[1].mode is AnswerMode.FULL_DSG
-    assert loaded[1].normalized == NO_MATCH
-    assert loaded[2].raw_text == "Raw B"
+    loaded = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [(p["run_index"], p["instance_id"]) for p in loaded] == [(0, "b"), (1, "a"), (1, "b")]
+    assert loaded[1]["mode"] == AnswerMode.FULL_DSG.value
+    assert loaded[1]["normalized"] == NO_MATCH
+    assert loaded[2]["raw_text"] == "Raw B"
     write_predictions_jsonl([], tmp_path / "empty.jsonl")
-    assert read_predictions_jsonl(tmp_path / "empty.jsonl") == []
+    assert (tmp_path / "empty.jsonl").read_text(encoding="utf-8") == ""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 
 import pytest
@@ -35,6 +37,29 @@ def test_backend_calls_per_mode_in_ablation_order(toy, toy_manifest, tmp_path, c
         assert len(predictions) == len(toy_manifest.instances) == 12
         counts.append(len(calls) - before)
     assert counts == expected
+
+
+# Every prompt byte the five modes send, pinned: the SHA-256 of the sorted
+# per-request records (role, text and image count of each message). Image
+# bytes do not enter it, so it moves only when prompt wording or turn
+# structure does.
+def test_prompt_fingerprint_of_the_five_modes(toy, toy_manifest):
+    gateway = ModelGateway.from_config(toy.backend_config_path)
+    records = []
+    complete = gateway.backend.complete
+
+    def record(request):
+        records.append(
+            json.dumps([[m.role, m.text, len(m.images)] for m in request.messages])
+        )
+        return complete(request)
+
+    gateway.backend.complete = record
+    for mode in AnswerMode:
+        run_predictions(toy_manifest, mode, gateway)
+    digest = hashlib.sha256("\n".join(sorted(records)).encode("utf-8")).hexdigest()
+    assert (len(records), len(set(records))) == (96, 72)
+    assert digest == "7853374eaaeb1a6bef6620f165f0333530ebbafcb22b813e21d6327ac05622db"
 
 
 def test_more_workers_than_cores_answer_each_instance_once_per_run(toy, toy_manifest):
