@@ -8,21 +8,29 @@ distinct exit code via the error taxonomy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .dsl import parse_schema, render_schema
 from .errors import BackendConfigError, MissingImageError, PipelineError, exit_code_for
-from .evaluate import format_report_table, load_manifest, report_to_json
+from .evaluate import (
+    exact_match_accuracy,
+    format_report_table,
+    graded_accuracy,
+    human_leave_one_out,
+    load_manifest,
+    report_to_json,
+)
 from .extraction import extract_schema, load_canonical_schema
 from .gateway import ImageRef, ModelGateway
 from .grounding import ground_hierarchical, ground_sequential
 from .qa import AnswerMode, Prediction, write_predictions_jsonl
-from .runner import load_schemas, run_predictions, score_predictions
+from .runner import load_schemas, run_predictions
 
 MODE_CHOICES = [mode.value for mode in AnswerMode]
-METRIC_CHOICES = {"exact": "exact_match", "graded": "graded"}
+METRIC_CHOICES = ("exact", "graded")
 
 
 def _at_least(kind, minimum):
@@ -41,6 +49,22 @@ def _at_least(kind, minimum):
 _positive_int = _at_least(int, 1)
 _non_negative_int = _at_least(int, 0)
 _non_negative_float = _at_least(float, 0.0)
+
+
+def _file_text(text: str) -> str:
+    """An argparse type: the UTF-8 contents of the named file."""
+    try:
+        return Path(text).read_text(encoding="utf-8")
+    except (OSError, ValueError) as err:
+        raise argparse.ArgumentTypeError(f"cannot read {text}: {err}") from err
+
+
+def _image(text: str) -> ImageRef:
+    """An argparse type: an image path whose extension gives its media type."""
+    try:
+        return ImageRef.from_file(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from err
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -95,7 +119,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             _gateway(args),
             max_retries=args.max_retries,
             fallback_to_canonical=args.fallback_to_canonical,
-        ).program
+        )
     out = args.out or Path(f"{args.concept}.schema")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(render_schema(program), encoding="utf-8")
@@ -104,12 +128,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_ground(args: argparse.Namespace) -> int:
-    schema = parse_schema(Path(args.schema).read_text(encoding="utf-8"))
-    if not args.image.is_file():
-        raise MissingImageError(f"image not found: {args.image}")
-    image = ImageRef.from_file(args.image)
+    schema = parse_schema(args.schema)
+    if not args.image.path.is_file():
+        raise MissingImageError(f"image not found: {args.image.path}")
     ground = ground_sequential if args.sequential else ground_hierarchical
-    resolved = ground(schema, image, _gateway(args), seed_hint=args.seed_hint)
+    resolved = ground(schema, args.image, _gateway(args), seed_hint=args.seed_hint)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(resolved.to_json(), encoding="utf-8")
     print(f"wrote {args.out} ({len(resolved.descriptions)} bindings)")
@@ -150,20 +173,20 @@ def cmd_answer(args: argparse.Namespace) -> int:
 
 def _evaluate_modes(args: argparse.Namespace, modes: list[AnswerMode]) -> int:
     manifest, predict = _predictor(args)
-    metric = METRIC_CHOICES[args.metric]
+    score = graded_accuracy if args.metric == "graded" else exact_match_accuracy
+    human = human_leave_one_out(manifest) if args.human_row else None
     args.out.mkdir(parents=True, exist_ok=True)
     rows = []
-    summary: dict[str, object] = {"metric": metric, "runs": args.runs, "modes": {}}
+    reports_json: dict[str, object] = {}
     for mode in modes:
         predictions = predict(mode)
-        report = score_predictions(
-            predictions, manifest, metric=metric, include_human_row=args.human_row
-        )
+        report = dataclasses.replace(score(predictions, manifest), human=human)
         write_predictions_jsonl(predictions, args.out / f"{mode.value}.predictions.jsonl")
         report_json = report_to_json(report)
         (args.out / f"{mode.value}.report.json").write_text(report_json, encoding="utf-8")
-        summary["modes"][mode.value] = json.loads(report_json)
+        reports_json[mode.value] = json.loads(report_json)
         rows.append((mode.value, report))
+    summary = {"metric": report.metric, "runs": args.runs, "modes": reports_json}
     summary_path = args.out / "summary.json"
     summary_path.write_text(
         json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
@@ -204,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.set_defaults(func=cmd_extract)
 
     p_ground = sub.add_parser("ground", help="resolve a schema's components on an image")
-    p_ground.add_argument("--schema", type=Path, required=True)
-    p_ground.add_argument("--image", type=Path, required=True)
+    p_ground.add_argument("--schema", type=_file_text, required=True)
+    p_ground.add_argument("--image", type=_image, required=True)
     p_ground.add_argument(
         "--sequential",
         action="store_true",
@@ -240,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="repeatable; default full_dsg",
             )
         p_eval.add_argument("--runs", type=_positive_int, default=1)
-        p_eval.add_argument("--metric", choices=sorted(METRIC_CHOICES), default="exact")
+        p_eval.add_argument("--metric", choices=METRIC_CHOICES, default="exact")
         p_eval.add_argument("--concurrency", type=_positive_int, default=4)
         p_eval.add_argument("--schema-dir", type=Path, default=None)
         p_eval.add_argument(

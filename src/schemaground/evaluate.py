@@ -26,6 +26,8 @@ COMPLETE_CONCEPT_COUNT = 12
 COMPLETE_CATEGORY_COUNT = 4
 COMPLETE_PER_CONCEPT = COMPLETE_INSTANCE_COUNT // COMPLETE_CONCEPT_COUNT
 
+_TEXT_FIELDS = ("id", "concept", "category", "image", "question", "question_type", "modal_answer")
+
 
 @dataclass(frozen=True)
 class DatasetManifest:
@@ -57,6 +59,18 @@ class DatasetManifest:
         raise KeyError(instance_id)
 
 
+def _check_field_types(raw: dict) -> None:
+    """Reject a present field of the wrong JSON type; an absent one fails later."""
+    for field in _TEXT_FIELDS:
+        if field in raw and not isinstance(raw[field], str):
+            raise ValueError(f"field {field!r} must be a string, got {type(raw[field]).__name__}")
+    for field in ("options", "annotator_answers"):
+        if raw.get(field) is not None and not isinstance(raw[field], list):
+            raise ValueError(f"field {field!r} must be a list, got {type(raw[field]).__name__}")
+    if any(not isinstance(answer, str) for answer in raw.get("annotator_answers") or ()):
+        raise ValueError("field 'annotator_answers' must hold strings")
+
+
 def load_manifest(path: str | Path, multiple_choice: bool = True) -> DatasetManifest:
     """Load and validate a benchmark manifest.
 
@@ -83,6 +97,7 @@ def load_manifest(path: str | Path, multiple_choice: bool = True) -> DatasetMani
             )
         instance_id = raw.get("id", "<missing id>")
         try:
+            _check_field_types(raw)
             if instance_id in seen_ids:
                 raise ValueError("duplicate instance id")
             options = raw.get("options")

@@ -8,7 +8,6 @@ one per benchmark concept, grouped into four categories.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
 
 from .dsl import SchemaProgram, parse_schema
 from .errors import (
@@ -84,20 +83,12 @@ def scrape_schema_block(reply: str) -> str:
     raise SchemaError("reply contains no schema header line")
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
-    program: SchemaProgram
-    raw_reply: str
-    attempts: int
-    used_fallback: bool
-
-
 def extract_schema(
     concept: str,
     gateway: ModelGateway,
     max_retries: int = 2,
     fallback_to_canonical: bool = False,
-) -> ExtractionResult:
+) -> SchemaProgram:
     """Ask the backend for a schema program and validate the reply.
 
     On a parse/validation failure the validator's message is appended as a
@@ -110,29 +101,22 @@ def extract_schema(
         raise ValueError("max_retries must be >= 0")
     messages: list[Message] = [Message("user", build_extraction_prompt(concept))]
     last_reason: Exception | None = None
-    attempts = 0
     for _ in range(max_retries + 1):
-        attempts += 1
         try:
-            response = gateway.chat(messages)
+            reply = gateway.chat(messages)
         except GatewayError as err:
             last_reason = err
             break
         try:
-            program = parse_schema(scrape_schema_block(response.text))
+            program = parse_schema(scrape_schema_block(reply))
             if program.concept != concept:
                 raise ConceptMismatchError(
                     f"program declares concept {program.concept!r}, expected {concept!r}"
                 )
-            return ExtractionResult(
-                program=program,
-                raw_reply=response.text,
-                attempts=attempts,
-                used_fallback=False,
-            )
+            return program
         except SchemaError as err:
             last_reason = err
-            messages.append(Message("assistant", response.text))
+            messages.append(Message("assistant", reply))
             messages.append(
                 Message(
                     "user",
@@ -141,8 +125,5 @@ def extract_schema(
                 )
             )
     if fallback_to_canonical:
-        program = load_canonical_schema(concept)
-        return ExtractionResult(
-            program=program, raw_reply="", attempts=attempts, used_fallback=True
-        )
+        return load_canonical_schema(concept)
     raise ExtractionFailedError(concept, last_reason)

@@ -40,7 +40,7 @@ _EXTENSION_MEDIA_TYPES = {
     ".webp": "image/webp",
 }
 
-ROLES = ("system", "user", "assistant")
+ROLES = ("user", "assistant")
 
 
 @dataclass(frozen=True)
@@ -109,34 +109,19 @@ class ModelRequest:
             raise ValueError("temperature must be >= 0")
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
-        first_body = 0
-        while first_body < len(self.messages) and self.messages[first_body].role == "system":
-            first_body += 1
-        body = self.messages[first_body:]
-        if any(m.role == "system" for m in body):
-            raise ValueError("system messages only allowed as a prefix")
-        for index, message in enumerate(body):
+        for index, message in enumerate(self.messages):
             expected = "user" if index % 2 == 0 else "assistant"
             if message.role != expected:
                 raise ValueError(
-                    f"roles must alternate user/assistant after the system prefix; "
+                    f"roles must alternate user/assistant from a user message; "
                     f"message {index} is {message.role!r}"
                 )
-
-
-@dataclass(frozen=True)
-class ModelResponse:
-    text: str
-    backend_id: str
-    cached: bool = False
-    latency_ms: int = 0
 
 
 def cache_key_material(backend_id: str, request: ModelRequest) -> str:
     """Canonical serialization hashed into the cache key.
 
-    Image bytes contribute only through their content digest; response-side
-    metadata (latency, timestamps) never appears here.
+    Image bytes contribute only through their content digest.
     """
     payload = {
         "backend_id": backend_id,
@@ -403,7 +388,7 @@ def build_backend(config: BackendConfig, base_dir: str | Path = "."):
 
 
 class ModelGateway:
-    """Front door for model calls: caching, timing, and reply validation.
+    """Front door for model calls: caching and reply validation.
 
     Safe for concurrent use: backends are read-only after construction and
     the cache is write-once per key.
@@ -443,34 +428,27 @@ class ModelGateway:
             max_tokens=max_tokens,
         )
 
-    def complete(self, request: ModelRequest) -> ModelResponse:
+    def complete(self, request: ModelRequest) -> str:
+        """The reply text: from the cache when present, else from the backend."""
         key = cache_key(self.backend.backend_id, request)
         if self.cache is not None:
             hit = self.cache.get(key)
             if hit is not None:
                 log.debug("cache hit %s model=%s", key[:12], request.model_id)
-                return ModelResponse(
-                    text=hit, backend_id=self.backend.backend_id, cached=True, latency_ms=0
-                )
-        start = time.perf_counter()
+                return hit
         text = self.backend.complete(request)
-        latency_ms = int((time.perf_counter() - start) * 1000)
         if not text.strip():
             raise MalformedReplyError("backend returned an empty reply")
         if self.cache is not None:
             self.cache.put(key, text)
-        log.debug(
-            "completed %s model=%s latency_ms=%d", key[:12], request.model_id, latency_ms
-        )
-        return ModelResponse(
-            text=text, backend_id=self.backend.backend_id, cached=False, latency_ms=latency_ms
-        )
+        log.debug("completed %s model=%s", key[:12], request.model_id)
+        return text
 
     def chat(
         self,
         messages: list[Message] | tuple[Message, ...],
         seed_hint: int | None = None,
-    ) -> ModelResponse:
+    ) -> str:
         request = ModelRequest(
             model_id=self.model_id,
             messages=tuple(messages),

@@ -99,14 +99,14 @@ def _ground(
             "user", build_grounding_query(schema.concept, node, resolved), images=(image,)
         )
         try:
-            response = gateway.chat([query], seed_hint=seed_hint)
+            reply = gateway.chat([query], seed_hint=seed_hint)
         except GatewayError as err:
             raise type(err)(
                 f"while grounding component {component_id!r}: {err}"
             ) from err
         transcript.append(query)
-        transcript.append(Message("assistant", response.text))
-        descriptions[component_id] = response.text.strip()[:MAX_DESCRIPTION_CHARS]
+        transcript.append(Message("assistant", reply))
+        descriptions[component_id] = reply.strip()[:MAX_DESCRIPTION_CHARS]
     return ResolvedSchema(
         concept=schema.concept,
         image_digest=image.digest(),

@@ -227,13 +227,13 @@ def answer(
     """Issue the prompt for one instance and normalize the reply."""
     messages = build_augmented_prompt(instance, mode, schema=schema, resolved=resolved)
     try:
-        response = gateway.chat(messages, seed_hint=seed_hint)
+        reply = gateway.chat(messages, seed_hint=seed_hint)
     except GatewayError as err:
         raise type(err)(f"while answering instance {instance.id!r}: {err}") from err
     return Prediction(
         instance_id=instance.id,
         mode=AnswerMode(mode),
-        raw_text=response.text,
-        normalized=normalize_answer(response.text, instance.options),
+        raw_text=reply,
+        normalized=normalize_answer(reply, instance.options),
         run_index=run_index,
     )

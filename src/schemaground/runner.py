@@ -12,18 +12,12 @@ backend are distinct cache entries rather than replays of run 0.
 
 from __future__ import annotations
 
-import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .dsl import SchemaProgram, parse_schema
-from .evaluate import (
-    DatasetManifest,
-    EvalReport,
-    exact_match_accuracy,
-    graded_accuracy,
-    human_leave_one_out,
-)
+from .errors import ConceptMismatchError
+from .evaluate import DatasetManifest
 from .extraction import load_canonical_schema
 from .gateway import ModelGateway
 from .grounding import ground_hierarchical, ground_sequential
@@ -34,14 +28,19 @@ def load_schemas(
     manifest: DatasetManifest, schema_dir: Path | None = None
 ) -> dict[str, SchemaProgram]:
     """One schema per concept: a `<concept>.schema` file from schema_dir when
-    present, the canonical store otherwise."""
+    present, which must declare that concept, the canonical store otherwise."""
     schemas: dict[str, SchemaProgram] = {}
     for concept in manifest.concepts:
         override = None if schema_dir is None else Path(schema_dir) / f"{concept}.schema"
         if override is not None and override.is_file():
-            schemas[concept] = parse_schema(override.read_text(encoding="utf-8"))
+            program = parse_schema(override.read_text(encoding="utf-8"))
+            if program.concept != concept:
+                raise ConceptMismatchError(
+                    f"{override} declares concept {program.concept!r}, expected {concept!r}"
+                )
         else:
-            schemas[concept] = load_canonical_schema(concept)
+            program = load_canonical_schema(concept)
+        schemas[concept] = program
     return schemas
 
 
@@ -103,20 +102,3 @@ def run_predictions(
             raise
     predictions.sort(key=lambda p: (p.run_index, p.instance_id))
     return predictions
-
-
-def score_predictions(
-    predictions: list[Prediction],
-    manifest: DatasetManifest,
-    metric: str = "exact_match",
-    include_human_row: bool = False,
-) -> EvalReport:
-    if metric == "exact_match":
-        report = exact_match_accuracy(predictions, manifest)
-    elif metric == "graded":
-        report = graded_accuracy(predictions, manifest)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    if include_human_row:
-        report = dataclasses.replace(report, human=human_leave_one_out(manifest))
-    return report

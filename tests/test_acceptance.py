@@ -30,7 +30,7 @@ from schemaground.qa import (
     VqaInstance,
     prompt_blocks,
 )
-from schemaground.runner import run_predictions, score_predictions
+from schemaground.runner import run_predictions
 from schemaground.toydata import tiny_png
 
 from helpers import (
@@ -319,7 +319,7 @@ def test_c7_live_five_instance_smoke(toy, tmp_path):
     started = time.perf_counter()
     gateway = ModelGateway.from_config(config_path, cache_dir=cache_dir)
     predictions = run_predictions(manifest, AnswerMode.FULL_DSG, gateway)
-    report = score_predictions(predictions, manifest)
+    report = exact_match_accuracy(predictions, manifest)
     elapsed = time.perf_counter() - started
     assert elapsed < 180.0, f"live smoke took {elapsed:.1f}s"
     assert len(predictions) == 5

@@ -289,6 +289,27 @@ def test_ablate_covers_all_five_modes(toy, tmp_path):
     assert [line.split()[0] for line in first_table[2:]] == list(LADDER)
 
 
+def test_readme_quick_start_script(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_offline_ablation.py"
+    result = subprocess.run(
+        [sys.executable, script, "--workdir", tmp_path / "ablation"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=checkout_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    summary = json.loads((tmp_path / "ablation" / "out" / "summary.json").read_text())
+    ladder = {mode: round(report["overall"]["mean"], 3) for mode, report in summary["modes"].items()}
+    assert ladder == {
+        "baseline": 0.083,
+        "schema_only": 0.167,
+        "grounding_sequential": 0.75,
+        "grounding_hierarchical": 1.0,
+        "full_dsg": 1.0,
+    }
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -341,6 +362,24 @@ def test_fixture_miss_exit_code(toy, tmp_path):
     assert "FixtureMissError" in result.stderr
 
 
+def test_schema_dir_override_for_another_concept(toy, tmp_path):
+    schema_dir = tmp_path / "schemas"
+    schema_dir.mkdir()
+    (schema_dir / "maze.schema").write_text(render_schema(load_canonical_schema("atom")))
+    result = run_cli(
+        "ablate",
+        "--manifest", toy.manifest_path,
+        "--schema-dir", schema_dir,
+        *_backend_args(toy, tmp_path),
+        "--out", tmp_path / "out",
+        cwd=tmp_path,
+    )
+    assert result.returncode == 13
+    assert "ConceptMismatchError" in result.stderr
+    assert str(schema_dir / "maze.schema") in result.stderr
+    assert not list((tmp_path / "cache").glob("*.json"))
+
+
 def test_usage_errors_exit_two(tmp_path):
     assert run_cli(cwd=tmp_path).returncode == 2
     assert run_cli("evaporate", cwd=tmp_path).returncode == 2
@@ -364,3 +403,13 @@ def test_usage_errors_exit_two(tmp_path):
                      "--backend-config", "b.json", cwd=tmp_path)
     assert result.returncode == 2
     assert "must be at least 0" in result.stderr
+    (tmp_path / "maze.schema").write_text(render_schema(load_canonical_schema("maze")))
+    (tmp_path / "x.gif").write_bytes(b"GIF89a")
+    for schema, image, message in (
+        ("absent.schema", "x.png", "cannot read absent.schema"),
+        ("maze.schema", "x.gif", "cannot infer media type"),
+    ):
+        result = run_cli("ground", "--schema", schema, "--image", image,
+                         "--backend-config", "b.json", cwd=tmp_path)
+        assert result.returncode == 2
+        assert message in result.stderr

@@ -357,6 +357,31 @@ def test_manifest_rejects_wrong_annotator_count(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize(
+    ("overrides", "message"),
+    [
+        ({"options": "abc"}, "'options' must be a list"),
+        ({"annotator_answers": "44444", "modal_answer": "4"}, "'annotator_answers' must be a list"),
+        ({"annotator_answers": [4] * 5, "modal_answer": 4}, "'modal_answer' must be a string"),
+        ({"annotator_answers": [4] * 5, "modal_answer": "4"}, "'annotator_answers' must hold"),
+        ({"question": 7}, "'question' must be a string"),
+        ({"id": 7}, "'id' must be a string"),
+    ],
+)
+def test_manifest_rejects_mistyped_fields(tmp_path, overrides, message):
+    raw = _raw_instance(**overrides)
+    path = _write_manifest(tmp_path, [raw])
+    with pytest.raises(ManifestInvalidError, match=f"instance {raw['id']!r}: .*{message}") as info:
+        load_manifest(path)
+    assert exit_code_for(info.value) == 50
+
+
+def test_manifest_option_numbers_become_strings(tmp_path):
+    raw = _raw_instance(options=[2, 3, 4], annotator_answers=["4"] * 5, modal_answer="4")
+    path = _write_manifest(tmp_path, [raw])
+    assert load_manifest(path).instances[0].options == ("2", "3", "4")
+
+
 def test_manifest_rejects_missing_options_in_mc_mode(tmp_path):
     raw = _raw_instance()
     del raw["options"]

@@ -46,6 +46,19 @@ def _happy_rules(concept="maze", reply=None):
     ]
 
 
+def _record_requests(gateway):
+    """The list that each request reaching the gateway's backend is appended to."""
+    calls = []
+    inner = gateway.backend.complete
+
+    def recording(request):
+        calls.append(request)
+        return inner(request)
+
+    gateway.backend.complete = recording
+    return calls
+
+
 # ------------------------------------------------------------------- prompt
 
 
@@ -106,10 +119,10 @@ def test_scrape_requires_a_header_line():
 
 
 def test_scraped_block_with_trailing_prose_still_parses(toy_gateway):
-    result = extract_schema("maze", toy_gateway)
-    assert render_schema(result.program) == MAZE_TEXT
-    assert result.attempts == 1
-    assert not result.used_fallback
+    calls = _record_requests(toy_gateway)
+    program = extract_schema("maze", toy_gateway)
+    assert render_schema(program) == MAZE_TEXT
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------- extract loop
@@ -117,11 +130,10 @@ def test_scraped_block_with_trailing_prose_still_parses(toy_gateway):
 
 def test_extract_happy_path(tmp_path):
     gateway = scripted_gateway(_happy_rules())
-    result = extract_schema("maze", gateway)
-    assert result.program.component_ids == ("layout", "walls", "entry-exit")
-    assert result.attempts == 1
-    assert result.raw_reply == MAZE_TEXT
-    assert not result.used_fallback
+    calls = _record_requests(gateway)
+    program = extract_schema("maze", gateway)
+    assert program.component_ids == ("layout", "walls", "entry-exit")
+    assert len(calls) == 1
 
 
 def test_extract_corrective_retry_repairs_bad_reply():
@@ -130,9 +142,11 @@ def test_extract_corrective_retry_repairs_bad_reply():
         *_happy_rules(reply=FIVE_COMPONENT_REPLY),
     ]
     gateway = scripted_gateway(rules)
-    result = extract_schema("maze", gateway, max_retries=2)
-    assert result.attempts == 2
-    assert render_schema(result.program) == MAZE_TEXT
+    calls = _record_requests(gateway)
+    program = extract_schema("maze", gateway, max_retries=2)
+    assert len(calls) == 2
+    assert [m.role for m in calls[1].messages] == ["user", "assistant", "user"]
+    assert render_schema(program) == MAZE_TEXT
 
 
 def test_extract_exhausted_retries_without_fallback():
@@ -146,10 +160,10 @@ def test_extract_exhausted_retries_without_fallback():
 
 def test_extract_garbage_reply_with_fallback_uses_canonical(tmp_path):
     gateway = scripted_gateway(_happy_rules(reply="no program here, sorry"))
-    result = extract_schema("maze", gateway, max_retries=0, fallback_to_canonical=True)
-    assert result.used_fallback
-    assert result.raw_reply == ""
-    assert render_schema(result.program) == MAZE_TEXT
+    calls = _record_requests(gateway)
+    program = extract_schema("maze", gateway, max_retries=0, fallback_to_canonical=True)
+    assert len(calls) == 1
+    assert render_schema(program) == MAZE_TEXT
 
 
 def test_extract_detects_concept_mismatch():
@@ -161,15 +175,8 @@ def test_extract_detects_concept_mismatch():
 
 
 def test_extract_gateway_error_skips_corrective_retries():
-    calls = []
     gateway = scripted_gateway(_happy_rules(concept="atom"))
-    inner = gateway.backend.complete
-
-    def counting(request):
-        calls.append(request)
-        return inner(request)
-
-    gateway.backend.complete = counting
+    calls = _record_requests(gateway)
     with pytest.raises(ExtractionFailedError) as info:
         extract_schema("maze", gateway, max_retries=2)
     assert isinstance(info.value.reason, FixtureMissError)

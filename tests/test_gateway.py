@@ -78,6 +78,8 @@ def test_image_digest_same_for_path_and_inline(tmp_path):
 def test_message_role_and_content_invariants():
     with pytest.raises(ValueError, match="role"):
         Message("narrator", "hi")
+    with pytest.raises(ValueError, match="role"):
+        Message("system", "s")
     with pytest.raises(ValueError, match="assistant"):
         Message("assistant", "hi", images=(ImageRef.from_bytes(PNG),))
     with pytest.raises(ValueError, match="empty"):
@@ -88,14 +90,11 @@ def test_message_role_and_content_invariants():
 def test_request_requires_alternating_roles():
     user = Message("user", "q")
     assistant = Message("assistant", "a")
-    system = Message("system", "s")
-    ModelRequest(model_id="m", messages=(system, user, assistant, user))
+    ModelRequest(model_id="m", messages=(user, assistant, user))
     with pytest.raises(ValueError, match="alternate"):
         ModelRequest(model_id="m", messages=(user, user))
     with pytest.raises(ValueError, match="alternate"):
         ModelRequest(model_id="m", messages=(assistant,))
-    with pytest.raises(ValueError, match="prefix"):
-        ModelRequest(model_id="m", messages=(user, system))
     with pytest.raises(ValueError, match="non-empty"):
         ModelRequest(model_id="m", messages=())
     with pytest.raises(ValueError, match="temperature"):
@@ -409,9 +408,7 @@ def test_gateway_caches_and_marks_hits(tmp_path):
     gateway = ModelGateway(backend, cache=ResponseCache(tmp_path / "c"))
     first = gateway.complete(_request("q1"))
     second = gateway.complete(_request("q1"))
-    assert first.text == second.text == "r"
-    assert not first.cached and second.cached
-    assert second.latency_ms == 0
+    assert first == second == "r"
     assert len(calls) == 1
 
 
@@ -428,11 +425,11 @@ def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, corrupt):
         entry.write_bytes(corrupt)
     else:
         entry.write_text(corrupt)
-    again = gateway.complete(_request("q1"))
-    assert again.text == "r" and not again.cached
+    assert gateway.complete(_request("q1")) == "r"
     assert len(calls) == 2
     assert json.loads(entry.read_text()) == {"text": "r"}
-    assert gateway.complete(_request("q1")).cached
+    assert gateway.complete(_request("q1")) == "r"
+    assert len(calls) == 2
 
 
 def test_gateway_rejects_empty_reply():
@@ -470,5 +467,5 @@ def test_gateway_logs_never_contain_image_bytes(tmp_path, caplog):
 def test_gateway_from_config_end_to_end(toy, tmp_path):
     gateway = ModelGateway.from_config(toy.backend_config_path, cache_dir=tmp_path / "cache")
     reply = gateway.chat([Message("user", "Is the layout rectangular or circular?")])
-    assert reply.text == "Circular."
+    assert reply == "Circular."
     assert (tmp_path / "cache").is_dir()

@@ -8,10 +8,12 @@ import sys
 
 import pytest
 
+from schemaground.dsl import render_schema
 from schemaground.errors import FixtureMissError
+from schemaground.extraction import load_canonical_schema
 from schemaground.gateway import ModelGateway
 from schemaground.qa import AnswerMode
-from schemaground.runner import run_predictions
+from schemaground.runner import load_schemas, run_predictions
 
 from helpers import scripted_gateway
 
@@ -87,3 +89,11 @@ def test_grounding_failure_propagates_from_the_pool(toy_manifest):
     gateway = scripted_gateway([])
     with pytest.raises(FixtureMissError, match="while grounding component"):
         run_predictions(toy_manifest, AnswerMode.FULL_DSG, gateway, runs=3, concurrency=2)
+
+
+def test_schema_dir_override_replaces_only_its_concept(toy_manifest, tmp_path):
+    (tmp_path / "maze.schema").write_text("gen(concept=maze) =\n    gen(walls | concept=maze)\n")
+    schemas = load_schemas(toy_manifest, tmp_path)
+    assert schemas["maze"].component_ids == ("walls",)
+    for concept in ("atom", "cell", "solar-system"):
+        assert render_schema(schemas[concept]) == render_schema(load_canonical_schema(concept))
