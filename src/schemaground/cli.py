@@ -200,7 +200,8 @@ def _evaluate_modes(args: argparse.Namespace, modes: list[AnswerMode]) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    modes = [AnswerMode(value) for value in (args.mode or [AnswerMode.FULL_DSG.value])]
+    values = dict.fromkeys(args.mode or [AnswerMode.FULL_DSG.value])
+    modes = [AnswerMode(value) for value in values]  # a repeated --mode runs once
     return _evaluate_modes(args, modes)
 
 

@@ -76,8 +76,10 @@ def load_manifest(path: str | Path, multiple_choice: bool = True) -> DatasetMani
 
     In a multiple-choice run every instance must declare options; in a
     free-response run any declared options are dropped. Image paths resolve
-    relative to the manifest's directory and must exist. A manifest without
-    `"subset": true` must be the complete benchmark.
+    relative to the manifest's directory and must exist; instances that name
+    one file share one `ImageRef`, so the file is hashed once. `"subset"` is
+    a JSON boolean, and a manifest without `"subset": true` must be the
+    complete benchmark.
     """
     path = Path(path)
     try:
@@ -86,7 +88,12 @@ def load_manifest(path: str | Path, multiple_choice: bool = True) -> DatasetMani
         raise ManifestInvalidError(f"cannot read manifest {path}: {err}") from err
     if not isinstance(payload, dict) or not isinstance(payload.get("instances"), list):
         raise ManifestInvalidError(f"manifest {path} must be an object with an 'instances' list")
-    subset = bool(payload.get("subset", False))
+    subset = payload.get("subset", False)
+    if not isinstance(subset, bool):
+        raise ManifestInvalidError(
+            f"manifest {path}: 'subset' must be true or false, got {json.dumps(subset)}"
+        )
+    images: dict[Path, ImageRef] = {}
     instances: list[VqaInstance] = []
     seen_ids: set[str] = set()
     for index, raw in enumerate(payload["instances"]):
@@ -108,16 +115,19 @@ def load_manifest(path: str | Path, multiple_choice: bool = True) -> DatasetMani
             else:
                 options = None
             image_path = path.parent / raw["image"]
-            if not image_path.is_file():
-                raise MissingImageError(
-                    f"instance {instance_id!r}: image not found: {image_path}"
-                )
+            image = images.get(image_path)
+            if image is None:
+                if not image_path.is_file():
+                    raise MissingImageError(
+                        f"instance {instance_id!r}: image not found: {image_path}"
+                    )
+                image = images[image_path] = ImageRef.from_file(image_path)
             instances.append(
                 VqaInstance(
                     id=raw["id"],
                     concept=raw["concept"],
                     category=raw["category"],
-                    image=ImageRef.from_file(image_path),
+                    image=image,
                     question=raw["question"],
                     question_type=raw["question_type"],
                     annotator_answers=tuple(raw["annotator_answers"]),

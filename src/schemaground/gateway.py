@@ -19,8 +19,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
+from typing import TYPE_CHECKING
 
 from .errors import (
     BackendConfigError,
@@ -28,6 +27,9 @@ from .errors import (
     FixtureMissError,
     MalformedReplyError,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -75,8 +77,17 @@ class ImageRef:
         return Path(self.path).read_bytes()
 
     def digest(self) -> str:
-        """SHA-256 of the image content; the only form that enters cache keys."""
-        return hashlib.sha256(self.load_bytes()).hexdigest()
+        """SHA-256 of the image content; the only form that enters cache keys.
+
+        Computed on first use and kept on the instance, outside the dataclass
+        fields, so equality and hashing are unchanged. The bytes are not kept.
+        Two threads racing on the first call compute the same value.
+        """
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            digest = hashlib.sha256(self.load_bytes()).hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
 
 @dataclass(frozen=True)
@@ -167,11 +178,21 @@ class ResponseCache:
         return self.root / f"{key}.json"
 
     def get(self, key: str) -> str | None:
-        path = self._path(key)
-        if not path.exists():
+        # Plain os calls, four per hit: each system call is a point where
+        # another thread can take the GIL, and `Path.read_text` makes about
+        # ten.
+        try:
+            fd = os.open(self._path(key), os.O_RDONLY)
+        except FileNotFoundError:
             return None
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        try:
+            payload = json.loads(b"".join(chunks).decode("utf-8"))
         except ValueError:
             return None
         text = payload.get("text") if isinstance(payload, dict) else None
@@ -257,6 +278,7 @@ class HttpBackend:
 
     Retries (3 attempts, exponential backoff from 1s) apply only to transport
     errors and 5xx responses; auth and other 4xx failures are terminal.
+    `requests` is imported only here, so offline runs never load it.
     """
 
     def __init__(
@@ -276,7 +298,11 @@ class HttpBackend:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
         self._sleep = sleep
 
     def _headers(self) -> dict[str, str]:
@@ -308,6 +334,8 @@ class HttpBackend:
         return {"role": message.role, "content": parts}
 
     def complete(self, request: ModelRequest) -> str:
+        import requests
+
         payload = {
             "model": request.model_id,
             "messages": [self._wire_message(m) for m in request.messages],
@@ -390,8 +418,8 @@ def build_backend(config: BackendConfig, base_dir: str | Path = "."):
 class ModelGateway:
     """Front door for model calls: caching and reply validation.
 
-    Safe for concurrent use: backends are read-only after construction and
-    the cache is write-once per key.
+    Safe for concurrent use: backends are read-only after construction, the
+    cache is write-once per key, and the reply memo only ever gains entries.
     """
 
     def __init__(
@@ -407,6 +435,14 @@ class ModelGateway:
         self.model_id = model_id
         self.temperature = temperature
         self.max_tokens = max_tokens
+        # Every reply this gateway returned, by cache key, so each distinct
+        # request reaches the backend at most once; a failure is not kept, so
+        # a later call retries. A plain dict, not single-flight: `ablate` runs
+        # the modes one after another, and within a mode the runner's keys are
+        # distinct (runs carry different seeds, grounding is grouped by concept
+        # and image), so no caller needs to wait on a request in flight. A
+        # concurrent duplicate would only be sent twice, as without the memo.
+        self._replies: dict[str, str] = {}
 
     @classmethod
     def from_config(
@@ -429,19 +465,22 @@ class ModelGateway:
         )
 
     def complete(self, request: ModelRequest) -> str:
-        """The reply text: from the cache when present, else from the backend."""
+        """The reply text: from this gateway's earlier replies or the cache
+        when present, else from the backend."""
         key = cache_key(self.backend.backend_id, request)
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                log.debug("cache hit %s model=%s", key[:12], request.model_id)
-                return hit
-        text = self.backend.complete(request)
-        if not text.strip():
-            raise MalformedReplyError("backend returned an empty reply")
-        if self.cache is not None:
-            self.cache.put(key, text)
-        log.debug("completed %s model=%s", key[:12], request.model_id)
+        text = self._replies.get(key)
+        if text is None and self.cache is not None:
+            text = self.cache.get(key)
+        if text is not None:
+            log.debug("cache hit %s model=%s", key[:12], request.model_id)
+        else:
+            text = self.backend.complete(request)
+            if not text.strip():
+                raise MalformedReplyError("backend returned an empty reply")
+            if self.cache is not None:
+                self.cache.put(key, text)
+            log.debug("completed %s model=%s", key[:12], request.model_id)
+        self._replies[key] = text
         return text
 
     def chat(

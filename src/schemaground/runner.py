@@ -2,7 +2,9 @@
 bounded concurrency, per-run seed offsets, and deterministic output order.
 
 One thread pool serves every run of a mode. Instances are grouped by
-(concept, image digest) once per call, so each image is hashed once. Each
+(concept, image digest) once per call. An image is hashed once per command:
+the manifest gives each image file one `ImageRef`, which keeps its digest,
+and the gateway sends each distinct request at most once. Each
 (run, group) task grounds its image once (grounded modes only) and then
 submits its instances' answers to the same pool, so answering starts as soon
 as that image is grounded rather than after every image is. Per-run requests
@@ -12,7 +14,7 @@ backend are distinct cache entries rather than replays of run 0.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from pathlib import Path
 
 from .dsl import SchemaProgram, parse_schema
@@ -94,7 +96,12 @@ def run_predictions(
             for instances in groups.values()
         ]
         try:
+            # One wait per stage, not one per future: each wake-up of this
+            # thread competes with the workers for the GIL, and on a warm
+            # cache the workers do nothing but local work.
+            wait(tasks, return_when=FIRST_EXCEPTION)
             answers = [future for task in tasks for future in task.result()]
+            wait(answers, return_when=FIRST_EXCEPTION)
             predictions = [future.result() for future in answers]
         except BaseException:
             # Drop queued work so one failure does not wait for every other run.

@@ -48,6 +48,19 @@ def test_subprocess_imports_the_package_under_test(tmp_path):
     assert result.stdout.strip() == str(Path(schemaground.__file__).resolve())
 
 
+def test_program_start_does_not_import_requests(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, schemaground.cli; print('requests' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=checkout_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def _backend_args(toy, tmp_path):
     return (
         "--backend-config", toy.backend_config_path,
@@ -195,6 +208,26 @@ def test_evaluate_two_modes_prints_two_row_tables(toy, tmp_path):
     for mode in ("baseline", "full_dsg"):
         assert (tmp_path / "out" / f"{mode}.predictions.jsonl").is_file()
         assert (tmp_path / "out" / f"{mode}.report.json").is_file()
+
+
+def test_evaluate_repeated_mode_runs_once(toy, tmp_path):
+    result = run_cli(
+        "evaluate",
+        "--manifest", toy.manifest_path,
+        "--mode", "baseline",
+        "--mode", "baseline",
+        "--out", tmp_path / "out",
+        *_backend_args(toy, tmp_path),
+        cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    tables = result.stdout.split("\n\n")
+    assert len(tables) == 2
+    for table in tables:
+        rows = [line for line in table.splitlines() if line.startswith("baseline")]
+        assert len(rows) == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert list(summary["modes"]) == ["baseline"]
 
 
 def test_evaluate_multi_run_is_deterministic(toy, tmp_path):

@@ -411,6 +411,13 @@ def test_incomplete_manifest_must_declare_subset(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("subset", ["false", 1, None])
+def test_subset_must_be_a_json_boolean(tmp_path, subset):
+    path = _write_manifest(tmp_path, [_raw_instance()], subset=subset)
+    with pytest.raises(ManifestInvalidError, match="'subset' must be true or false"):
+        load_manifest(path)
+
+
 def test_manifest_unreadable_or_malformed(tmp_path):
     with pytest.raises(ManifestInvalidError, match="cannot read"):
         load_manifest(tmp_path / "absent.json")

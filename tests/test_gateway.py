@@ -72,6 +72,20 @@ def test_image_digest_same_for_path_and_inline(tmp_path):
     assert ImageRef.from_file(path).digest() == ImageRef.from_bytes(PNG).digest()
 
 
+def test_image_digest_reads_the_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "x.png"
+    path.write_bytes(PNG)
+    image = ImageRef.from_file(path)
+    reads = []
+    read_bytes = type(path).read_bytes
+    monkeypatch.setattr(type(path), "read_bytes", lambda p: (reads.append(p), read_bytes(p))[1])
+    digests = {image.digest() for _ in range(3)}
+    assert digests == {hashlib.sha256(PNG).hexdigest()}
+    assert reads == [path]
+    assert image == ImageRef.from_file(path)
+    assert hash(image) == hash(ImageRef.from_file(path))
+
+
 # ----------------------------------------------------------------- messages
 
 
@@ -141,6 +155,13 @@ def test_response_cache_roundtrip_and_write_once(tmp_path):
     assert cache.get(key) == "first"
     assert len(cache) == 1
     assert not list((tmp_path / "cache").glob("*.tmp"))
+
+
+def test_response_cache_reads_an_entry_longer_than_one_read(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    text = "é" * 100_000  # 200 KB of UTF-8, so several reads of 64 KiB
+    cache.put("k", text)
+    assert cache.get("k") == text
 
 
 # --------------------------------------------------------- scripted backend
@@ -418,16 +439,53 @@ def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, corrupt):
     calls = []
     original = backend.complete
     backend.complete = lambda req: (calls.append(1), original(req))[1]
-    gateway = ModelGateway(backend, cache=ResponseCache(tmp_path / "c"))
-    gateway.complete(_request("q1"))
+
+    def complete(request):
+        # A fresh gateway each time stands for a new process: the reply memo
+        # of one gateway would otherwise answer before the cache is read.
+        return ModelGateway(backend, cache=ResponseCache(tmp_path / "c")).complete(request)
+
+    complete(_request("q1"))
     (entry,) = (tmp_path / "c").glob("*.json")
     if isinstance(corrupt, bytes):
         entry.write_bytes(corrupt)
     else:
         entry.write_text(corrupt)
-    assert gateway.complete(_request("q1")) == "r"
+    assert complete(_request("q1")) == "r"
     assert len(calls) == 2
     assert json.loads(entry.read_text()) == {"text": "r"}
+    assert complete(_request("q1")) == "r"
+    assert len(calls) == 2
+
+
+def test_uncached_gateway_sends_a_repeated_request_once():
+    backend = ScriptedBackend([{"match": {"contains": "q"}, "reply": "r"}])
+    calls = []
+    original = backend.complete
+    backend.complete = lambda req: (calls.append(1), original(req))[1]
+    gateway = ModelGateway(backend)
+    assert gateway.complete(_request("q1")) == gateway.complete(_request("q1")) == "r"
+    assert len(calls) == 1
+    assert gateway.complete(_request("q1", seed_hint=1)) == "r"
+    assert len(calls) == 2
+
+
+def test_gateway_does_not_memoize_a_failure():
+    backend = ScriptedBackend([{"match": {"contains": "q"}, "reply": "r"}])
+    calls = []
+    original = backend.complete
+
+    def flaky(request):
+        calls.append(1)
+        if len(calls) == 1:
+            raise BackendUnavailableError("down")
+        return original(request)
+
+    backend.complete = flaky
+    gateway = ModelGateway(backend)
+    with pytest.raises(BackendUnavailableError):
+        gateway.complete(_request("q1"))
+    assert gateway.complete(_request("q1")) == "r"
     assert gateway.complete(_request("q1")) == "r"
     assert len(calls) == 2
 

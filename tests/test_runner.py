@@ -10,8 +10,9 @@ import pytest
 
 from schemaground.dsl import render_schema
 from schemaground.errors import FixtureMissError
+from schemaground.evaluate import load_manifest
 from schemaground.extraction import load_canonical_schema
-from schemaground.gateway import ModelGateway
+from schemaground.gateway import ImageRef, ModelGateway
 from schemaground.qa import AnswerMode
 from schemaground.runner import load_schemas, run_predictions
 
@@ -19,11 +20,12 @@ from helpers import scripted_gateway
 
 
 # Backend calls per mode on the 12-instance toy manifest, with the modes run
-# in AnswerMode order on one gateway as `ablate` runs them. With a cache, the
-# hierarchical and full_dsg modes reuse grounding replies of earlier modes.
+# in AnswerMode order on one gateway as `ablate` runs them. The hierarchical
+# and full_dsg modes reuse grounding replies of earlier modes, through the
+# gateway's reply memo with or without a cache.
 @pytest.mark.parametrize(
     ("cached", "expected"),
-    [(False, [12, 12, 24, 24, 24]), (True, [12, 12, 24, 12, 12])],
+    [(False, [12, 12, 24, 12, 12]), (True, [12, 12, 24, 12, 12])],
 )
 def test_backend_calls_per_mode_in_ablation_order(toy, toy_manifest, tmp_path, cached, expected):
     gateway = ModelGateway.from_config(
@@ -42,7 +44,8 @@ def test_backend_calls_per_mode_in_ablation_order(toy, toy_manifest, tmp_path, c
 
 
 # Every prompt byte the five modes send, pinned: the SHA-256 of the sorted
-# per-request records (role, text and image count of each message). Image
+# per-request records (role, text and image count of each message). Each
+# distinct request is sent once, so the records are the distinct ones. Image
 # bytes do not enter it, so it moves only when prompt wording or turn
 # structure does.
 def test_prompt_fingerprint_of_the_five_modes(toy, toy_manifest):
@@ -60,8 +63,23 @@ def test_prompt_fingerprint_of_the_five_modes(toy, toy_manifest):
     for mode in AnswerMode:
         run_predictions(toy_manifest, mode, gateway)
     digest = hashlib.sha256("\n".join(sorted(records)).encode("utf-8")).hexdigest()
-    assert (len(records), len(set(records))) == (96, 72)
-    assert digest == "7853374eaaeb1a6bef6620f165f0333530ebbafcb22b813e21d6327ac05622db"
+    assert (len(records), len(set(records))) == (72, 72)
+    assert digest == "f59e87b5d0c378ff988080abcf86e7a4008ec18cdd052c1d206aa7c21a904c35"
+
+
+def test_five_modes_read_each_image_once(toy, monkeypatch):
+    manifest = load_manifest(toy.manifest_path)
+    assert len(manifest.instances) == 12
+    assert len({id(instance.image) for instance in manifest.instances}) == 4
+    reads = []
+    load_bytes = ImageRef.load_bytes
+    monkeypatch.setattr(
+        ImageRef, "load_bytes", lambda self: (reads.append(self), load_bytes(self))[1]
+    )
+    gateway = ModelGateway.from_config(toy.backend_config_path)
+    for mode in AnswerMode:
+        run_predictions(manifest, mode, gateway)
+    assert len(reads) == 4
 
 
 def test_more_workers_than_cores_answer_each_instance_once_per_run(toy, toy_manifest):
