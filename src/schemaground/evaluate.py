@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -207,22 +207,14 @@ class EvalReport:
                 )
 
 
-def _exact_score(prediction: Prediction, instance: VqaInstance) -> float:
-    if prediction.normalized == NO_MATCH:
-        return 0.0
-    reference = normalize_answer(instance.modal_answer, instance.options)
-    return 1.0 if prediction.normalized == reference else 0.0
+def _agreement(normalized: str, references: list[str]) -> float:
+    """Share of the normalized reference answers equal to the normalized reply.
 
-
-def _graded_score(prediction: Prediction, instance: VqaInstance) -> float:
-    if prediction.normalized == NO_MATCH:
+    A reply that resolved to no option agrees with none.
+    """
+    if normalized == NO_MATCH:
         return 0.0
-    agreeing = sum(
-        1
-        for annotator_answer in instance.annotator_answers
-        if normalize_answer(annotator_answer, instance.options) == prediction.normalized
-    )
-    return agreeing / 5
+    return references.count(normalized) / len(references)
 
 
 def _group_by_run(
@@ -255,18 +247,23 @@ def _group_by_run(
 def _score_report(
     predictions: list[Prediction],
     manifest: DatasetManifest,
-    score: Callable[[Prediction, VqaInstance], float],
+    references: Callable[[VqaInstance], tuple[str, ...]],
     metric: str,
 ) -> EvalReport:
     by_run = _group_by_run(predictions, manifest)
     run_indices = sorted(by_run)
+    scores: dict[str, list[float]] = {}
+    for instance in manifest.instances:
+        forms = [normalize_answer(answer, instance.options) for answer in references(instance)]
+        scores[instance.id] = [
+            _agreement(by_run[run_index][instance.id].normalized, forms)
+            for run_index in run_indices
+        ]
 
     def cell(instances: tuple[VqaInstance, ...]) -> CellStats:
         per_run = tuple(
-            statistics.fmean(
-                score(by_run[run_index][instance.id], instance) for instance in instances
-            )
-            for run_index in run_indices
+            statistics.fmean(scores[instance.id][run] for instance in instances)
+            for run in range(len(run_indices))
         )
         return CellStats.from_per_run(len(instances), per_run)
 
@@ -291,12 +288,16 @@ def exact_match_accuracy(
     predictions: list[Prediction], manifest: DatasetManifest
 ) -> EvalReport:
     """Accuracy against the modal annotator answer, both sides normalized."""
-    return _score_report(predictions, manifest, _exact_score, "exact_match")
+    return _score_report(
+        predictions, manifest, lambda instance: (instance.modal_answer,), "exact_match"
+    )
 
 
 def graded_accuracy(predictions: list[Prediction], manifest: DatasetManifest) -> EvalReport:
     """Per-instance score K/5 where K annotators agree with the prediction."""
-    return _score_report(predictions, manifest, _graded_score, "graded")
+    return _score_report(
+        predictions, manifest, lambda instance: instance.annotator_answers, "graded"
+    )
 
 
 def _modal(answers: list[str]) -> str:
@@ -314,31 +315,16 @@ def human_leave_one_out(manifest: DatasetManifest) -> CellStats:
     Returned as a CellStats whose five per-run entries are the five held-out
     positions; modal ties break by first occurrence in annotator order.
     """
-    per_position = []
-    for position in range(5):
-        scores = []
-        for instance in manifest.instances:
-            others = [
-                answer
-                for index, answer in enumerate(instance.annotator_answers)
-                if index != position
-            ]
-            held = normalize_answer(instance.annotator_answers[position], instance.options)
-            reference = normalize_answer(_modal(others), instance.options)
-            scores.append(1.0 if held == reference and held != NO_MATCH else 0.0)
-        per_position.append(statistics.fmean(scores))
-    return CellStats.from_per_run(len(manifest.instances), tuple(per_position))
-
-
-def _cell_to_dict(cell: CellStats | None) -> dict | None:
-    if cell is None:
-        return None
-    return {
-        "count": cell.count,
-        "per_run": list(cell.per_run),
-        "mean": cell.mean,
-        "std": cell.std,
-    }
+    per_position: list[list[float]] = [[] for _ in range(5)]
+    for instance in manifest.instances:
+        answers = list(instance.annotator_answers)
+        forms = [normalize_answer(answer, instance.options) for answer in answers]
+        for position, held in enumerate(forms):
+            modal = _modal(answers[:position] + answers[position + 1 :])
+            per_position[position].append(_agreement(held, [forms[answers.index(modal)]]))
+    return CellStats.from_per_run(
+        len(manifest.instances), tuple(statistics.fmean(scores) for scores in per_position)
+    )
 
 
 def report_to_json(report: EvalReport) -> str:
@@ -346,14 +332,12 @@ def report_to_json(report: EvalReport) -> str:
         "metric": report.metric,
         "runs": report.runs,
         "std_kind": "population",
-        "overall": _cell_to_dict(report.overall),
+        "overall": asdict(report.overall),
         "by_question_type": {
-            name: _cell_to_dict(cell) for name, cell in report.by_question_type.items()
+            name: asdict(cell) for name, cell in report.by_question_type.items()
         },
-        "by_category": {
-            name: _cell_to_dict(cell) for name, cell in report.by_category.items()
-        },
-        "human": _cell_to_dict(report.human),
+        "by_category": {name: asdict(cell) for name, cell in report.by_category.items()},
+        "human": None if report.human is None else asdict(report.human),
     }
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 

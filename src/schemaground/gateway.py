@@ -238,10 +238,18 @@ class ScriptedBackend:
         (kind, needle), = match.items()
         if kind not in ("equals", "contains", "regex"):
             raise BackendConfigError(f"fixture rule {index}: unknown matcher {kind!r}")
+        if not isinstance(needle, str):
+            raise BackendConfigError(
+                f"fixture rule {index}: {kind} needle must be a string, "
+                f"got {type(needle).__name__}"
+            )
         if "reply" not in rule or not isinstance(rule["reply"], str):
             raise BackendConfigError(f"fixture rule {index}: missing string 'reply'")
         if kind == "regex":
-            needle = re.compile(needle)
+            try:
+                needle = re.compile(needle)
+            except re.error as err:
+                raise BackendConfigError(f"fixture rule {index}: bad regex: {err}") from err
         return kind, needle, rule["reply"]
 
     @classmethod
@@ -395,6 +403,13 @@ def load_backend_config(path: str | Path) -> BackendConfig:
         config = BackendConfig(**raw)
     except TypeError as err:
         raise BackendConfigError(f"bad backend config {path}: {err}") from err
+    for name, value in vars(config).items():
+        optional = name in ("base_url", "api_key_env", "fixture_path")
+        if not isinstance(value, str) and not (optional and value is None):
+            raise BackendConfigError(
+                f"bad backend config {path}: {name!r} must be a string, "
+                f"got {type(value).__name__}"
+            )
     if config.kind not in ("http", "scripted"):
         raise BackendConfigError(f"unknown backend kind {config.kind!r}")
     if config.kind == "http" and not config.base_url:

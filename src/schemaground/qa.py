@@ -75,8 +75,14 @@ class VqaInstance:
         if self.options is not None:
             if not self.options:
                 raise ValueError("options, when present, must be non-empty")
-            if any(not option.strip() for option in self.options):
-                raise ValueError("options must be non-blank strings")
+            # A reply resolves to an option by its cleaned form, so an option
+            # that cleans to nothing, or to another option's form, can never
+            # be chosen.
+            forms = [_clean(option) for option in self.options]
+            if not all(forms):
+                raise ValueError("options must be non-blank strings, not only punctuation")
+            if len(set(forms)) != len(forms):
+                raise ValueError(f"options must clean to distinct forms, got {forms}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import schemaground.evaluate as evaluate
 from schemaground.errors import (
     IncompletePredictionsError,
     ManifestInvalidError,
@@ -27,8 +28,16 @@ from schemaground.evaluate import (
     load_manifest,
     report_to_json,
 )
+from schemaground.extraction import CATEGORIES
 from schemaground.gateway import ImageRef
-from schemaground.qa import NO_MATCH, AnswerMode, Prediction, VqaInstance, normalize_answer
+from schemaground.qa import (
+    NO_MATCH,
+    QUESTION_TYPES,
+    AnswerMode,
+    Prediction,
+    VqaInstance,
+    normalize_answer,
+)
 from schemaground.toydata import tiny_png
 
 PNG_IMAGE = ImageRef.from_bytes(tiny_png((1, 1, 1)))
@@ -158,6 +167,103 @@ def test_modal_match_implies_some_annotator_agreement(annotators):
             assert report.overall.mean == 0.0
         elif report.overall.mean == 1.0:
             assert graded.overall.mean >= 0.2 - 1e-12
+
+
+_ANSWERS = ["red", "blue", "Two", "2", "two", "green"]
+
+
+@st.composite
+def _scored_cases(draw):
+    """A manifest of 1-6 instances, 1-3 runs of predictions, some NO_MATCH."""
+    instances = []
+    for index in range(draw(st.integers(1, 6))):
+        annotators = draw(st.lists(st.sampled_from(_ANSWERS), min_size=5, max_size=5))
+        options = draw(
+            st.none()
+            | st.lists(st.sampled_from(["red", "blue", "2", "green"]), min_size=1, unique=True)
+        )
+        instances.append(
+            _instance(
+                f"i{index}",
+                annotators,
+                Counter(annotators).most_common(1)[0][0],
+                options=options,
+                question_type=draw(st.sampled_from(QUESTION_TYPES)),
+                category=draw(st.sampled_from(CATEGORIES)),
+            )
+        )
+    replies = st.sampled_from(["red", "blue", "2", "two", "green", NO_MATCH])
+    predictions = [
+        _pred(instance.id, draw(replies), run_index=run)
+        for run in range(draw(st.integers(1, 3)))
+        for instance in instances
+    ]
+    return _manifest(*instances), predictions
+
+
+@given(_scored_cases())
+def test_reports_match_a_per_instance_oracle(case):
+    manifest, predictions = case
+
+    def exact(prediction, instance):
+        reference = normalize_answer(instance.modal_answer, instance.options)
+        return float(prediction.normalized != NO_MATCH and prediction.normalized == reference)
+
+    def graded(prediction, instance):
+        if prediction.normalized == NO_MATCH:
+            return 0.0
+        forms = [normalize_answer(answer, instance.options) for answer in instance.annotator_answers]
+        return forms.count(prediction.normalized) / 5
+
+    runs = sorted({prediction.run_index for prediction in predictions})
+    by_key = {(p.run_index, p.instance_id): p for p in predictions}
+
+    def expected_cell(score, instances):
+        return [
+            sum(score(by_key[run, instance.id], instance) for instance in instances)
+            / len(instances)
+            for run in runs
+        ]
+
+    def check(cell, score, instances):
+        assert cell.count == len(instances)
+        assert list(cell.per_run) == pytest.approx(expected_cell(score, instances), abs=1e-12)
+
+    for report, score in (
+        (exact_match_accuracy(predictions, manifest), exact),
+        (graded_accuracy(predictions, manifest), graded),
+    ):
+        assert report.runs == len(runs)
+        check(report.overall, score, manifest.instances)
+        assert list(report.by_question_type) == list(manifest.question_types)
+        for qtype, cell in report.by_question_type.items():
+            check(cell, score, [i for i in manifest.instances if i.question_type == qtype])
+        assert list(report.by_category) == list(manifest.categories)
+        for category, cell in report.by_category.items():
+            check(cell, score, [i for i in manifest.instances if i.category == category])
+
+
+def test_each_reference_answer_is_normalized_once_per_scoring_call(toy_manifest, monkeypatch):
+    calls = []
+
+    def counting(raw, options=None):
+        calls.append(raw)
+        return normalize_answer(raw, options)
+
+    monkeypatch.setattr(evaluate, "normalize_answer", counting)
+    predictions = [
+        _pred(instance.id, instance.modal_answer, run_index=run)
+        for run in range(2)
+        for instance in toy_manifest.instances
+    ]
+    for score, expected in (
+        (lambda: exact_match_accuracy(predictions, toy_manifest), 12),
+        (lambda: graded_accuracy(predictions, toy_manifest), 60),
+        (lambda: human_leave_one_out(toy_manifest), 60),
+    ):
+        calls.clear()
+        score()
+        assert len(calls) == expected
 
 
 # --------------------------------------------------------------- breakdowns
@@ -374,6 +480,18 @@ def test_manifest_rejects_mistyped_fields(tmp_path, overrides, message):
     with pytest.raises(ManifestInvalidError, match=f"instance {raw['id']!r}: .*{message}") as info:
         load_manifest(path)
     assert exit_code_for(info.value) == 50
+
+
+@pytest.mark.parametrize(
+    ("options", "message"),
+    [(["2", "two", "3"], "distinct forms"), (["a", "..."], "non-blank")],
+)
+def test_manifest_rejects_options_that_cannot_be_chosen(tmp_path, options, message):
+    path = _write_manifest(tmp_path, [_raw_instance(options=options)])
+    with pytest.raises(ManifestInvalidError, match=f"'r1': .*{message}") as info:
+        load_manifest(path)
+    assert exit_code_for(info.value) == 50
+    assert load_manifest(path, multiple_choice=False).instances[0].options is None
 
 
 def test_manifest_option_numbers_become_strings(tmp_path):

@@ -15,6 +15,7 @@ from schemaground.errors import (
     BackendUnavailableError,
     FixtureMissError,
     MalformedReplyError,
+    exit_code_for,
 )
 from schemaground.gateway import (
     HttpBackend,
@@ -226,6 +227,21 @@ def test_scripted_backend_rejects_bad_rules(rule):
         ScriptedBackend([rule])
 
 
+@pytest.mark.parametrize(
+    ("rule", "message"),
+    [
+        ({"match": {"regex": "(unclosed"}, "reply": "r"}, "bad regex"),
+        ({"match": {"contains": 5}, "reply": "r"}, "contains needle must be a string"),
+        ({"match": {"equals": ["x"]}, "reply": "r"}, "equals needle must be a string"),
+    ],
+)
+def test_scripted_backend_rejects_bad_needles_when_built(rule, message):
+    good = {"match": {"contains": "q"}, "reply": "r"}
+    with pytest.raises(BackendConfigError, match=f"fixture rule 1: {message}") as info:
+        ScriptedBackend([good, rule])
+    assert exit_code_for(info.value) == 23
+
+
 def test_scripted_backend_from_file_is_deterministic_across_instances(tmp_path):
     path = tmp_path / "rules.json"
     path.write_text(json.dumps([{"match": {"contains": "q"}, "reply": "r"}]))
@@ -407,6 +423,27 @@ def test_load_backend_config_rejects_bad_configs(tmp_path, payload):
     path.write_text(json.dumps(payload))
     with pytest.raises(BackendConfigError):
         load_backend_config(path)
+
+
+@pytest.mark.parametrize(
+    ("overrides", "field"),
+    [
+        ({"fixture_path": 5}, "fixture_path"),
+        ({"kind": "http", "base_url": 5, "fixture_path": None}, "base_url"),
+        ({"api_key_env": 5}, "api_key_env"),
+        ({"backend_id": None}, "backend_id"),
+        ({"kind": ["scripted"]}, "kind"),
+        ({"model_id": 3}, "model_id"),
+    ],
+)
+def test_load_backend_config_rejects_mistyped_fields(tmp_path, overrides, field):
+    payload = {"backend_id": "b", "kind": "scripted", "model_id": "m", "fixture_path": "f.json"}
+    payload.update(overrides)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(BackendConfigError, match=f"'{field}' must be a string") as info:
+        load_backend_config(path)
+    assert exit_code_for(info.value) == 23
 
 
 def test_load_backend_config_unreadable(tmp_path):

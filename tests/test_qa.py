@@ -269,6 +269,10 @@ def test_instance_validation():
         _instance(options=())
     with pytest.raises(ValueError, match="non-blank"):
         _instance(options=("2", " "))
+    with pytest.raises(ValueError, match="non-blank"):
+        _instance(options=("2", "..."))
+    with pytest.raises(ValueError, match="distinct forms"):
+        _instance(options=("2", "two", "3"))
     tied = _instance(annotator_answers=("2", "2", "3", "3", "4"), modal_answer="3")
     assert tied.modal_answer == "3"
 
