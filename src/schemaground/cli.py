@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,6 +39,8 @@ def _at_least(kind, minimum):
 
     def parse(text: str):
         value = kind(text)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
@@ -67,6 +70,16 @@ def _image(text: str) -> ImageRef:
         raise argparse.ArgumentTypeError(str(err)) from err
 
 
+def _cache_dir(text: str) -> Path:
+    """An argparse type: a directory path, made on first use if it does not
+    exist, but never a path under or at an existing file."""
+    path = Path(text)
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{existing} exists and is not a directory")
+    return path
+
+
 def _add_backend_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
     parser.add_argument(
         "--backend-config",
@@ -74,7 +87,9 @@ def _add_backend_flags(parser: argparse.ArgumentParser, required: bool = True) -
         required=required,
         help="JSON backend description (kind, model_id, ...)",
     )
-    parser.add_argument("--cache-dir", type=Path, default=None, help="response cache directory")
+    parser.add_argument(
+        "--cache-dir", type=_cache_dir, default=None, help="response cache directory"
+    )
     parser.add_argument("--temperature", type=_non_negative_float, default=0.0)
     parser.add_argument("--max-tokens", type=_positive_int, default=512)
     parser.add_argument("--seed-hint", type=int, default=None)

@@ -19,7 +19,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import (
     BackendConfigError,
@@ -281,6 +281,15 @@ class ScriptedBackend:
         )
 
 
+# `json.dumps` with its default settings, except that NaN and infinity, which
+# are not JSON, raise rather than go out.
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def _json(value) -> bytes:
+    return _ENCODER.encode(value).encode("utf-8")
+
+
 class HttpBackend:
     """Chat-completions HTTP backend with bounded retries.
 
@@ -325,33 +334,49 @@ class HttpBackend:
         return headers
 
     @staticmethod
-    def _wire_message(message: Message) -> dict:
+    def _wire_message(message: Message) -> Iterator[bytes]:
         if not message.images:
-            return {"role": message.role, "content": message.text}
-        parts: list[dict] = []
+            yield _json({"role": message.role, "content": message.text})
+            return
+        yield b'{"role": %s, "content": [' % _json(message.role)
         if message.text:
-            parts.append({"type": "text", "text": message.text})
-        for image in message.images:
-            encoded = base64.b64encode(image.load_bytes()).decode("ascii")
-            parts.append(
-                {
-                    "type": "image_url",
-                    "image_url": {"url": f"data:{image.media_type};base64,{encoded}"},
-                }
+            yield _json({"type": "text", "text": message.text})
+        for index, image in enumerate(message.images):
+            if index or message.text:
+                yield b", "
+            # Base64 and the allowed media types need no JSON escape, so the
+            # data URL goes into the body as it is encoded.
+            yield b'{"type": "image_url", "image_url": {"url": "data:%s;base64,' % (
+                image.media_type.encode("ascii")
             )
-        return {"role": message.role, "content": parts}
+            yield base64.b64encode(image.load_bytes())
+            yield b'"}}'
+        yield b"]}"
+
+    @staticmethod
+    def _body(request: ModelRequest) -> bytes:
+        """The request body, byte for byte what `json.dumps` writes for the
+        chat-completions payload, joined once from its pieces. No image goes
+        through the JSON encoder, whose escaping of a data URL costs about
+        twice its base64."""
+        chunks = [b'{"model": %s, "messages": [' % _json(request.model_id)]
+        for index, message in enumerate(request.messages):
+            if index:
+                chunks.append(b", ")
+            chunks.extend(HttpBackend._wire_message(message))
+        chunks.append(
+            b'], "temperature": %s, "max_tokens": %s'
+            % (_json(request.temperature), _json(request.max_tokens))
+        )
+        if request.seed_hint is not None:
+            chunks.append(b', "seed": %s' % _json(request.seed_hint))
+        chunks.append(b"}")
+        return b"".join(chunks)
 
     def complete(self, request: ModelRequest) -> str:
         import requests
 
-        payload = {
-            "model": request.model_id,
-            "messages": [self._wire_message(m) for m in request.messages],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        }
-        if request.seed_hint is not None:
-            payload["seed"] = request.seed_hint
+        body = self._body(request)
         headers = self._headers()
         url = f"{self.base_url}/chat/completions"
         last_error = None
@@ -360,7 +385,7 @@ class HttpBackend:
                 self._sleep(self.backoff_s * 2 ** (attempt - 1))
             try:
                 response = self.session.post(
-                    url, json=payload, headers=headers, timeout=self.timeout
+                    url, data=body, headers=headers, timeout=self.timeout
                 )
             except requests.RequestException as err:
                 last_error = f"transport error: {err}"
@@ -375,9 +400,16 @@ class HttpBackend:
                     f"request rejected with status {response.status_code}"
                 )
             try:
-                return response.json()["choices"][0]["message"]["content"] or ""
+                content = response.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as err:
                 raise MalformedReplyError(f"unparseable completion payload: {err}") from err
+            if content is None:
+                return ""
+            if not isinstance(content, str):
+                raise MalformedReplyError(
+                    f"completion content is not a string but a {type(content).__name__}"
+                )
+            return content
         raise BackendUnavailableError(
             f"backend unreachable after {self.max_attempts} attempts ({last_error})"
         )

@@ -446,3 +446,28 @@ def test_usage_errors_exit_two(tmp_path):
                          "--backend-config", "b.json", cwd=tmp_path)
         assert result.returncode == 2
         assert message in result.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_temperature_exits_two(tmp_path, value):
+    result = run_cli("ablate", "--manifest", "m.json", "--temperature", value,
+                     "--backend-config", "b.json", cwd=tmp_path)
+    assert result.returncode == 2
+    assert f"must be finite, got {value}" in result.stderr
+
+
+@pytest.mark.parametrize("cache_dir", ["taken", "taken/sub"])
+def test_cache_dir_at_or_under_a_file_exits_two(toy, tmp_path, cache_dir):
+    (tmp_path / "taken").write_text("not a directory")
+    result = run_cli(
+        "ablate",
+        "--manifest", toy.manifest_path,
+        "--backend-config", toy.backend_config_path,
+        "--cache-dir", cache_dir,
+        "--out", tmp_path / "out",
+        cwd=tmp_path,
+    )
+    assert result.returncode == 2
+    assert "taken exists and is not a directory" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()

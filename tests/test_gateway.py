@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import io
 import json
 import logging
 
 import pytest
 import requests
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schemaground.errors import (
     BackendConfigError,
@@ -282,8 +285,10 @@ class FakeSession:
         self.script = list(script)
         self.calls = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+    def post(self, url, data=None, headers=None, timeout=None):
+        self.calls.append(
+            {"url": url, "json": json.loads(data), "headers": headers, "timeout": timeout}
+        )
         item = self.script.pop(0)
         if isinstance(item, Exception):
             raise item
@@ -365,6 +370,17 @@ def test_http_backend_malformed_reply():
         backend.complete(_request())
 
 
+@pytest.mark.parametrize(
+    "content, problem",
+    [(["ok"], "list"), (7, "int"), ({"text": "ok"}, "dict"), (None, "empty reply")],
+)
+def test_http_backend_content_that_is_not_text_is_malformed(content, problem):
+    backend, _ = _http([FakeResponse(payload={"choices": [{"message": {"content": content}}]})])
+    with pytest.raises(MalformedReplyError, match=problem) as info:
+        ModelGateway(backend).complete(_request())
+    assert exit_code_for(info.value) == 22
+
+
 def test_http_backend_api_key_handling(monkeypatch):
     backend, _ = _http([FakeResponse()], api_key_env="TEST_GATEWAY_KEY")
     monkeypatch.delenv("TEST_GATEWAY_KEY", raising=False)
@@ -376,6 +392,143 @@ def test_http_backend_api_key_handling(monkeypatch):
     backend2, _ = _http([FakeResponse()], api_key_env="TEST_GATEWAY_KEY")
     backend2.complete(_request())
     assert backend2.session.calls[0]["headers"]["Authorization"] == "Bearer sk-123"
+
+
+# ------------------------------------------------------------- request body
+
+
+def _reference_payload(request: ModelRequest) -> dict:
+    """The chat-completions payload as a JSON-ready dict, images inline."""
+    messages = []
+    for message in request.messages:
+        if not message.images:
+            messages.append({"role": message.role, "content": message.text})
+            continue
+        parts = [{"type": "text", "text": message.text}] if message.text else []
+        for image in message.images:
+            encoded = base64.b64encode(image.load_bytes()).decode("ascii")
+            parts.append(
+                {
+                    "type": "image_url",
+                    "image_url": {"url": f"data:{image.media_type};base64,{encoded}"},
+                }
+            )
+        messages.append({"role": message.role, "content": parts})
+    payload = {
+        "model": request.model_id,
+        "messages": messages,
+        "temperature": request.temperature,
+        "max_tokens": request.max_tokens,
+    }
+    if request.seed_hint is not None:
+        payload["seed"] = request.seed_hint
+    return payload
+
+
+def _reference_body(request: ModelRequest) -> bytes:
+    return json.dumps(_reference_payload(request)).encode("utf-8")
+
+
+_EXTENSIONS = {"image/png": ".png", "image/jpeg": ".jpg", "image/webp": ".webp"}
+# (from_file?, media type, content) for each image of a user message.
+_IMAGE_SPECS = st.lists(
+    st.tuples(st.booleans(), st.sampled_from(sorted(_EXTENSIONS)), st.binary(max_size=64)),
+    max_size=2,
+)
+_AWKWARD_TEXT = 'say "hi" \\ a/b \x00 caf\u00e9 \U0001f600 </script>'
+
+
+@st.composite
+def _request_specs(draw):
+    messages = []
+    for index in range(draw(st.integers(min_value=1, max_value=3))):
+        images = draw(_IMAGE_SPECS) if index % 2 == 0 else []
+        text = draw(st.text() | st.just(_AWKWARD_TEXT)) if images else draw(st.text(min_size=1))
+        messages.append((text, images))
+    return (
+        draw(st.text()),
+        messages,
+        draw(st.floats(min_value=0, allow_nan=False, allow_infinity=False)),
+        draw(st.integers(min_value=1, max_value=2**31)),
+        draw(st.none() | st.integers(min_value=-(2**63), max_value=2**63)),
+    )
+
+
+def _build_request(spec, directory) -> ModelRequest:
+    model_id, message_specs, temperature, max_tokens, seed_hint = spec
+    messages = []
+    for index, (text, image_specs) in enumerate(message_specs):
+        images = []
+        for number, (from_file, media_type, data) in enumerate(image_specs):
+            if from_file:
+                path = directory / f"m{index}-{number}{_EXTENSIONS[media_type]}"
+                path.write_bytes(data)
+                images.append(ImageRef.from_file(path))
+            else:
+                images.append(ImageRef.from_bytes(data, media_type))
+        role = "user" if index % 2 == 0 else "assistant"
+        messages.append(Message(role, text, images=tuple(images)))
+    return ModelRequest(model_id, tuple(messages), temperature, max_tokens, seed_hint)
+
+
+@settings(max_examples=200)
+@example(spec=("m", [("", [(False, "image/png", PNG)])], 0.0, 512, None))
+@example(spec=("m\"/", [(_AWKWARD_TEXT, [(True, "image/webp", b"\x00")]), ("\\", [])], 0.5, 9, 3))
+@given(spec=_request_specs())
+def test_http_body_is_the_json_dumps_of_the_payload(spec, tmp_path_factory):
+    directory = tmp_path_factory.getbasetemp() / "bodies"
+    directory.mkdir(exist_ok=True)
+    request = _build_request(spec, directory)
+    assert HttpBackend._body(request) == _reference_body(request)
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+def test_http_body_refuses_a_temperature_that_is_not_json(temperature):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        HttpBackend._body(_request(temperature=temperature))
+
+
+class _CapturingAdapter(requests.adapters.BaseAdapter):
+    """A transport that keeps each prepared request and replies "ok"."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = []
+
+    def send(self, request, **kwargs):
+        self.sent.append(request)
+        response = requests.Response()
+        response.status_code = 200
+        response.raw = io.BytesIO(b'{"choices": [{"message": {"content": "ok"}}]}')
+        response.request = request
+        response.url = request.url
+        return response
+
+    def close(self):
+        pass
+
+
+def test_http_backend_sends_the_body_through_a_real_session(tiny_image):
+    adapter = _CapturingAdapter()
+    session = requests.Session()
+    session.mount("https://api.example.test/", adapter)
+    backend = HttpBackend(base_url="https://api.example.test/v1", session=session)
+    request = ModelRequest(
+        model_id="vlm-1",
+        messages=(
+            Message("user", 'a "quoted" / slashed\\ caf\u00e9', images=(tiny_image,)),
+            Message("assistant", "seen"),
+            Message("user", "", images=(ImageRef.from_bytes(PNG, "image/webp"),)),
+        ),
+        temperature=0.25,
+        seed_hint=11,
+    )
+    assert backend.complete(request) == "ok"
+    (prepared,) = adapter.sent
+    expected = _reference_body(request)
+    assert prepared.body == expected
+    assert prepared.headers["Content-Type"] == "application/json"
+    assert prepared.headers["Content-Length"] == str(len(expected))
 
 
 # ------------------------------------------------------------ backend config
