@@ -27,7 +27,7 @@ from .evaluate import (
 from .extraction import extract_schema, load_canonical_schema
 from .gateway import ImageRef, ModelGateway
 from .grounding import ground_hierarchical, ground_sequential
-from .qa import AnswerMode, Prediction, write_predictions_jsonl
+from .qa import AnswerMode, write_predictions_jsonl
 from .runner import load_schemas, run_predictions
 
 MODE_CHOICES = [mode.value for mode in AnswerMode]
@@ -154,31 +154,24 @@ def cmd_ground(args: argparse.Namespace) -> int:
     return 0
 
 
-def _predictor(args: argparse.Namespace):
-    """Load the manifest, gateway and schemas once; return the manifest and a
-    function from a mode to its predictions over them."""
+def _predict(args: argparse.Namespace, modes: list[AnswerMode | str]):
+    """Load the manifest, gateway and schemas, and answer the manifest under
+    every mode in one run; return the manifest and the predictions by mode."""
     manifest = load_manifest(args.manifest, multiple_choice=args.multiple_choice)
-    gateway = _gateway(args)
-    schemas = load_schemas(manifest, args.schema_dir)
-
-    def predict(mode: AnswerMode) -> list[Prediction]:
-        return run_predictions(
-            manifest,
-            mode,
-            gateway,
-            runs=args.runs,
-            concurrency=args.concurrency,
-            seed_hint=args.seed_hint,
-            schemas=schemas,
-        )
-
-    return manifest, predict
+    return manifest, run_predictions(
+        manifest,
+        modes,
+        _gateway(args),
+        runs=args.runs,
+        concurrency=args.concurrency,
+        seed_hint=args.seed_hint,
+        schemas=load_schemas(manifest, args.schema_dir),
+    )
 
 
 def cmd_answer(args: argparse.Namespace) -> int:
-    _, predict = _predictor(args)
     mode = AnswerMode(args.mode)
-    predictions = predict(mode)
+    predictions = _predict(args, [mode])[1][mode]
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{mode.value}.predictions.jsonl"
     write_predictions_jsonl(predictions, path)
@@ -186,15 +179,14 @@ def cmd_answer(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluate_modes(args: argparse.Namespace, modes: list[AnswerMode]) -> int:
-    manifest, predict = _predictor(args)
+def _evaluate_modes(args: argparse.Namespace, modes: list[AnswerMode | str]) -> int:
+    manifest, by_mode = _predict(args, modes)
     score = graded_accuracy if args.metric == "graded" else exact_match_accuracy
     human = human_leave_one_out(manifest) if args.human_row else None
     args.out.mkdir(parents=True, exist_ok=True)
     rows = []
     reports_json: dict[str, object] = {}
-    for mode in modes:
-        predictions = predict(mode)
+    for mode, predictions in by_mode.items():
         report = dataclasses.replace(score(predictions, manifest), human=human)
         write_predictions_jsonl(predictions, args.out / f"{mode.value}.predictions.jsonl")
         report_json = report_to_json(report)
@@ -215,9 +207,8 @@ def _evaluate_modes(args: argparse.Namespace, modes: list[AnswerMode]) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    values = dict.fromkeys(args.mode or [AnswerMode.FULL_DSG.value])
-    modes = [AnswerMode(value) for value in values]  # a repeated --mode runs once
-    return _evaluate_modes(args, modes)
+    # run_predictions answers a repeated --mode once.
+    return _evaluate_modes(args, args.mode or [AnswerMode.FULL_DSG])
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:

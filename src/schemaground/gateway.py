@@ -16,7 +16,9 @@ import logging
 import os
 import re
 import tempfile
+import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -116,8 +118,8 @@ class ModelRequest:
     def __post_init__(self):
         if not self.messages:
             raise ValueError("messages must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < float("inf"):  # NaN fails too
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
         for index, message in enumerate(self.messages):
@@ -466,7 +468,7 @@ class ModelGateway:
     """Front door for model calls: caching and reply validation.
 
     Safe for concurrent use: backends are read-only after construction, the
-    cache is write-once per key, and the reply memo only ever gains entries.
+    cache is write-once per key, and the reply memo is single-flight.
     """
 
     def __init__(
@@ -483,13 +485,12 @@ class ModelGateway:
         self.temperature = temperature
         self.max_tokens = max_tokens
         # Every reply this gateway returned, by cache key, so each distinct
-        # request reaches the backend at most once; a failure is not kept, so
-        # a later call retries. A plain dict, not single-flight: `ablate` runs
-        # the modes one after another, and within a mode the runner's keys are
-        # distinct (runs carry different seeds, grounding is grouped by concept
-        # and image), so no caller needs to wait on a request in flight. A
-        # concurrent duplicate would only be sent twice, as without the memo.
-        self._replies: dict[str, str] = {}
+        # request reaches the backend at most once. Single-flight: the first
+        # caller of a key puts a Future there and later callers wait on it. On
+        # success the reply string replaces the Future; a failure removes it,
+        # so a later call sends the request again.
+        self._lock = threading.Lock()
+        self._replies: dict[str, str | Future] = {}
 
     @classmethod
     def from_config(
@@ -512,22 +513,35 @@ class ModelGateway:
         )
 
     def complete(self, request: ModelRequest) -> str:
-        """The reply text: from this gateway's earlier replies or the cache
-        when present, else from the backend."""
+        """The reply text: from this gateway's earlier or in-flight replies,
+        else from the cache when present, else from the backend."""
         key = cache_key(self.backend.backend_id, request)
-        text = self._replies.get(key)
-        if text is None and self.cache is not None:
-            text = self.cache.get(key)
-        if text is not None:
-            log.debug("cache hit %s model=%s", key[:12], request.model_id)
-        else:
-            text = self.backend.complete(request)
-            if not text.strip():
-                raise MalformedReplyError("backend returned an empty reply")
-            if self.cache is not None:
-                self.cache.put(key, text)
-            log.debug("completed %s model=%s", key[:12], request.model_id)
-        self._replies[key] = text
+        with self._lock:
+            entry = self._replies.get(key)
+            if entry is None:
+                flight = self._replies[key] = Future()
+        if entry is not None:
+            # Its fetcher never waits on another flight, so this wait ends.
+            return entry if isinstance(entry, str) else entry.result()
+        try:
+            text = self.cache.get(key) if self.cache is not None else None
+            if text is not None:
+                log.debug("cache hit %s model=%s", key[:12], request.model_id)
+            else:
+                text = self.backend.complete(request)
+                if not text.strip():
+                    raise MalformedReplyError("backend returned an empty reply")
+                if self.cache is not None:
+                    self.cache.put(key, text)
+                log.debug("completed %s model=%s", key[:12], request.model_id)
+        except BaseException as err:
+            with self._lock:
+                del self._replies[key]
+            flight.set_exception(err)
+            raise
+        with self._lock:
+            self._replies[key] = text
+        flight.set_result(text)
         return text
 
     def chat(

@@ -1,15 +1,15 @@
 """Orchestration: schemas + grounding + answering over a manifest, with
 bounded concurrency, per-run seed offsets, and deterministic output order.
 
-One thread pool serves every run of a mode. Instances are grouped by
-(concept, image digest) once per call. An image is hashed once per command:
-the manifest gives each image file one `ImageRef`, which keeps its digest,
-and the gateway sends each distinct request at most once. Each
-(run, group) task grounds its image once (grounded modes only) and then
-submits its instances' answers to the same pool, so answering starts as soon
-as that image is grounded rather than after every image is. Per-run requests
-carry seed_hint = base seed + run_index so repeated runs against a live
-backend are distinct cache entries rather than replays of run 0.
+One pool of `concurrency` threads serves every mode and run of a command.
+Instances are grouped by (concept, image digest) once per call; the manifest
+gives each image file one `ImageRef`, which keeps its digest, so an image is
+hashed once per command. One task per (mode, run, group), queued mode by
+mode, grounds its image (grounded modes only) and then answers the group's
+instances. Only the gateway dedups: it sends each distinct request once, and
+a caller of a request already in flight waits for its reply. Per-run
+requests carry seed_hint = base seed + run_index so repeated runs against a
+live backend are distinct cache entries rather than replays of run 0.
 """
 
 from __future__ import annotations
@@ -48,64 +48,61 @@ def load_schemas(
 
 def run_predictions(
     manifest: DatasetManifest,
-    mode: AnswerMode,
+    modes: list[AnswerMode | str],
     gateway: ModelGateway,
     runs: int = 1,
     concurrency: int = 4,
     seed_hint: int | None = None,
     schemas: dict[str, SchemaProgram] | None = None,
-) -> list[Prediction]:
-    """Answer every manifest instance under one mode, `runs` times."""
-    mode = AnswerMode(mode)
+) -> dict[AnswerMode, list[Prediction]]:
+    """Answer every manifest instance under each mode, `runs` times."""
+    modes = list(dict.fromkeys(map(AnswerMode, modes)))
     if schemas is None:
         schemas = load_schemas(manifest)
-    ground = None
-    if mode in GROUNDED_MODES:
-        ground = (
-            ground_sequential if mode is AnswerMode.GROUNDING_SEQUENTIAL else ground_hierarchical
-        )
     groups: dict[tuple[str, str], list[VqaInstance]] = {}
     for instance in manifest.instances:
         groups.setdefault((instance.concept, instance.image.digest()), []).append(instance)
 
+    def ground_then_answer(mode: AnswerMode, run_index: int, instances: list[VqaInstance]):
+        seed = (seed_hint or 0) + run_index
+        schema = None if mode is AnswerMode.BASELINE else schemas[instances[0].concept]
+        resolved = None
+        if mode in GROUNDED_MODES:
+            # Named at call time, so a wrapper set on this module is the one called.
+            sequential = mode is AnswerMode.GROUNDING_SEQUENTIAL
+            ground = ground_sequential if sequential else ground_hierarchical
+            resolved = ground(schema, instances[0].image, gateway, seed_hint=seed)
+        return [
+            answer(
+                instance,
+                mode,
+                gateway,
+                schema=schema,
+                resolved=resolved,
+                run_index=run_index,
+                seed_hint=seed,
+            )
+            for instance in instances
+        ]
+
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-
-        def ground_then_answer(run_index: int, instances: list[VqaInstance]):
-            seed = (seed_hint or 0) + run_index
-            schema = None if mode is AnswerMode.BASELINE else schemas[instances[0].concept]
-            resolved = None
-            if ground is not None:
-                resolved = ground(schema, instances[0].image, gateway, seed_hint=seed)
-            return [
-                pool.submit(
-                    answer,
-                    instance,
-                    mode,
-                    gateway,
-                    schema=schema,
-                    resolved=resolved,
-                    run_index=run_index,
-                    seed_hint=seed,
-                )
-                for instance in instances
-            ]
-
         tasks = [
-            pool.submit(ground_then_answer, run_index, instances)
+            pool.submit(ground_then_answer, mode, run_index, instances)
+            for mode in modes
             for run_index in range(runs)
             for instances in groups.values()
         ]
         try:
-            # One wait per stage, not one per future: each wake-up of this
-            # thread competes with the workers for the GIL, and on a warm
-            # cache the workers do nothing but local work.
+            # One wait, not one per future: each wake-up of this thread
+            # competes with the workers for the GIL.
             wait(tasks, return_when=FIRST_EXCEPTION)
-            answers = [future for task in tasks for future in task.result()]
-            wait(answers, return_when=FIRST_EXCEPTION)
-            predictions = [future.result() for future in answers]
+            found = [prediction for task in tasks for prediction in task.result()]
         except BaseException:
-            # Drop queued work so one failure does not wait for every other run.
+            # Drop queued work so one failure does not wait for every other task.
             pool.shutdown(cancel_futures=True)
             raise
-    predictions.sort(key=lambda p: (p.run_index, p.instance_id))
+    found.sort(key=lambda p: (p.run_index, p.instance_id))
+    predictions: dict[AnswerMode, list[Prediction]] = {mode: [] for mode in modes}
+    for prediction in found:
+        predictions[prediction.mode].append(prediction)
     return predictions

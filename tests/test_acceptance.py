@@ -318,7 +318,7 @@ def test_c7_live_five_instance_smoke(toy, tmp_path):
     manifest = load_manifest(manifest_path)
     started = time.perf_counter()
     gateway = ModelGateway.from_config(config_path, cache_dir=cache_dir)
-    predictions = run_predictions(manifest, AnswerMode.FULL_DSG, gateway)
+    predictions = run_predictions(manifest, [AnswerMode.FULL_DSG], gateway)[AnswerMode.FULL_DSG]
     report = exact_match_accuracy(predictions, manifest)
     elapsed = time.perf_counter() - started
     assert elapsed < 180.0, f"live smoke took {elapsed:.1f}s"
@@ -328,6 +328,6 @@ def test_c7_live_five_instance_smoke(toy, tmp_path):
     cached_files = len(ResponseCache(cache_dir))
     assert cached_files > 0
     gateway2 = ModelGateway.from_config(config_path, cache_dir=cache_dir)
-    run_predictions(manifest, AnswerMode.FULL_DSG, gateway2)
+    run_predictions(manifest, [AnswerMode.FULL_DSG], gateway2)
     assert len(ResponseCache(cache_dir)) == cached_files
     print(f"PASS: C7 live 5-instance smoke finished in {elapsed:.1f}s with all responses cached")

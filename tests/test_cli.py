@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import schemaground
+from schemaground import cli
 from schemaground.dsl import render_schema
 from schemaground.extraction import load_canonical_schema
-from schemaground.toydata import TOY_BINDINGS, TOY_SEQUENTIAL_DRIFT
+from schemaground.gateway import ScriptedBackend
+from schemaground.toydata import TOY_BINDINGS, TOY_SEQUENTIAL_DRIFT, toy_fixture_rules
 
 from helpers import checkout_env
 
@@ -322,6 +324,37 @@ def test_ablate_covers_all_five_modes(toy, tmp_path):
     assert [line.split()[0] for line in first_table[2:]] == list(LADDER)
 
 
+# One ablate sends each of its 72 distinct requests once, with a cache or
+# without, and writes the same 11 files, whatever the size of its pool.
+@pytest.mark.parametrize("cached", [False, True])
+def test_ablate_calls_and_files_do_not_depend_on_concurrency(toy, tmp_path, monkeypatch, cached):
+    calls = []
+    complete = ScriptedBackend.complete
+    monkeypatch.setattr(
+        ScriptedBackend,
+        "complete",
+        lambda self, request: (calls.append(request), complete(self, request))[1],
+    )
+    outputs = {}
+    for concurrency in (1, 2, 16):
+        out = tmp_path / f"out-{concurrency}"
+        cache = ["--cache-dir", str(tmp_path / f"cache-{concurrency}")] if cached else []
+        before = len(calls)
+        code = cli.main([
+            "ablate",
+            "--manifest", str(toy.manifest_path),
+            "--backend-config", str(toy.backend_config_path),
+            "--concurrency", str(concurrency),
+            "--out", str(out),
+            *cache,
+        ])
+        assert code == 0
+        assert len(calls) - before == 72
+        outputs[concurrency] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(outputs[1]) == 11
+    assert outputs[1] == outputs[2] == outputs[16]
+
+
 def test_readme_quick_start_script(tmp_path):
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_offline_ablation.py"
     result = subprocess.run(
@@ -393,6 +426,30 @@ def test_fixture_miss_exit_code(toy, tmp_path):
     )
     assert result.returncode == 21
     assert "FixtureMissError" in result.stderr
+
+
+def test_a_failure_in_a_later_mode_writes_no_predictions(toy, tmp_path):
+    # Without the replies that only sequential grounding gets, every mode but
+    # grounding_sequential, the third, has its replies.
+    drift = set(TOY_SEQUENTIAL_DRIFT.values())
+    rules = [rule for rule in toy_fixture_rules() if rule["reply"] not in drift]
+    (tmp_path / "rules.json").write_text(json.dumps(rules))
+    config = tmp_path / "backend.json"
+    config.write_text(
+        json.dumps(
+            {"backend_id": "b", "kind": "scripted", "model_id": "m", "fixture_path": "rules.json"}
+        )
+    )
+    common = ("--manifest", toy.manifest_path, "--backend-config", config, "--out")
+    others = [mode for mode in LADDER if mode != "grounding_sequential"]
+    modes = [arg for mode in others for arg in ("--mode", mode)]
+    result = run_cli("evaluate", *modes, *common, tmp_path / "others", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    result = run_cli("ablate", *common, tmp_path / "out", cwd=tmp_path)
+    assert result.returncode == 21
+    assert "FixtureMissError" in result.stderr
+    assert "while grounding component" in result.stderr
+    assert not list(tmp_path.glob("out/*.predictions.jsonl"))
 
 
 def test_schema_dir_override_for_another_concept(toy, tmp_path):

@@ -7,6 +7,8 @@ import hashlib
 import io
 import json
 import logging
+import threading
+import time
 
 import pytest
 import requests
@@ -119,6 +121,12 @@ def test_request_requires_alternating_roles():
         ModelRequest(model_id="m", messages=(user,), temperature=-0.5)
     with pytest.raises(ValueError, match="max_tokens"):
         ModelRequest(model_id="m", messages=(user,), max_tokens=0)
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf"), -0.1])
+def test_request_rejects_a_temperature_that_is_negative_or_not_finite(temperature):
+    with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+        _request(temperature=temperature)
 
 
 # --------------------------------------------------------------- cache keys
@@ -484,8 +492,12 @@ def test_http_body_is_the_json_dumps_of_the_payload(spec, tmp_path_factory):
 
 @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
 def test_http_body_refuses_a_temperature_that_is_not_json(temperature):
+    # ModelRequest refuses these values itself; the body refuses them too when
+    # a request gets one past that check.
+    request = _request()
+    object.__setattr__(request, "temperature", temperature)
     with pytest.raises(ValueError, match="not JSON compliant"):
-        HttpBackend._body(_request(temperature=temperature))
+        HttpBackend._body(request)
 
 
 class _CapturingAdapter(requests.adapters.BaseAdapter):
@@ -717,3 +729,73 @@ def test_gateway_from_config_end_to_end(toy, tmp_path):
     reply = gateway.chat([Message("user", "Is the layout rectangular or circular?")])
     assert reply == "Circular."
     assert (tmp_path / "cache").is_dir()
+
+
+# ------------------------------------------------------------ single flight
+
+TIMEOUT_S = 10.0
+
+
+class _GatedBackend:
+    """A backend whose calls wait until the test opens the gate; then each
+    call takes the next outcome: a reply, or an exception to raise."""
+
+    backend_id = "gated"
+
+    def __init__(self, *outcomes):
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+        self.calls = 0
+        self._outcomes = list(outcomes)
+
+    def complete(self, request):
+        self.calls += 1
+        self.entered.set()
+        assert self.gate.wait(TIMEOUT_S), "the gate was never opened"
+        outcome = self._outcomes.pop(0)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+
+def _complete_in_threads(gateway, request, count):
+    """Send one request from count threads while the backend's gate is shut;
+    open it once every thread has had time to ask, and return each thread's
+    reply or error."""
+    results = [None] * count
+
+    def run(index):
+        try:
+            results[index] = gateway.complete(request)
+        except Exception as err:
+            results[index] = err
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    assert gateway.backend.entered.wait(TIMEOUT_S)
+    time.sleep(0.05)
+    assert results == [None] * count  # every thread is still waiting
+    gateway.backend.gate.set()
+    for thread in threads:
+        thread.join(TIMEOUT_S)
+        assert not thread.is_alive(), "a caller is still waiting: deadlock"
+    return results
+
+
+def test_concurrent_callers_of_one_request_share_one_backend_call():
+    gateway = ModelGateway(_GatedBackend("r"))
+    results = _complete_in_threads(gateway, _request("q"), 8)
+    assert results == ["r"] * 8
+    assert gateway.backend.calls == 1
+    assert gateway.complete(_request("q")) == "r"
+    assert gateway.backend.calls == 1
+
+
+def test_concurrent_callers_all_get_the_failure_and_a_later_call_resends():
+    gateway = ModelGateway(_GatedBackend(BackendUnavailableError("down"), "r"))
+    results = _complete_in_threads(gateway, _request("q"), 8)
+    assert all(isinstance(result, BackendUnavailableError) for result in results)
+    assert gateway.backend.calls == 1
+    assert gateway.complete(_request("q")) == "r"
+    assert gateway.backend.calls == 2

@@ -1,4 +1,4 @@
-"""Runner scheduling: every request issued exactly once per mode and run."""
+"""Runner scheduling: every request issued exactly once per command."""
 
 from __future__ import annotations
 
@@ -12,35 +12,37 @@ from schemaground.dsl import render_schema
 from schemaground.errors import FixtureMissError
 from schemaground.evaluate import load_manifest
 from schemaground.extraction import load_canonical_schema
-from schemaground.gateway import ImageRef, ModelGateway
+from schemaground.gateway import ImageRef, ModelGateway, cache_key
 from schemaground.qa import AnswerMode
 from schemaground.runner import load_schemas, run_predictions
 
 from helpers import scripted_gateway
 
 
-# Backend calls per mode on the 12-instance toy manifest, with the modes run
-# in AnswerMode order on one gateway as `ablate` runs them. The hierarchical
-# and full_dsg modes reuse grounding replies of earlier modes, through the
-# gateway's reply memo with or without a cache.
-@pytest.mark.parametrize(
-    ("cached", "expected"),
-    [(False, [12, 12, 24, 12, 12]), (True, [12, 12, 24, 12, 12])],
-)
-def test_backend_calls_per_mode_in_ablation_order(toy, toy_manifest, tmp_path, cached, expected):
+# Backend calls per command on the 12-instance toy manifest: all five modes
+# in one run, with or without a cache, at any concurrency. Each distinct
+# request reaches the backend once, whichever task asks for it first: the
+# gateway's single-flight memo makes every other asker wait for that reply.
+@pytest.mark.parametrize("concurrency", [1, 2, 16])
+@pytest.mark.parametrize("cached", [False, True])
+def test_backend_calls_per_command(toy, toy_manifest, tmp_path, cached, concurrency):
     gateway = ModelGateway.from_config(
         toy.backend_config_path, cache_dir=tmp_path / "cache" if cached else None
     )
     calls = []
     complete = gateway.backend.complete
     gateway.backend.complete = lambda request: (calls.append(request), complete(request))[1]
-    counts = []
-    for mode in AnswerMode:
-        before = len(calls)
-        predictions = run_predictions(toy_manifest, mode, gateway)
-        assert len(predictions) == len(toy_manifest.instances) == 12
-        counts.append(len(calls) - before)
-    assert counts == expected
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        by_mode = run_predictions(
+            toy_manifest, list(AnswerMode), gateway, concurrency=concurrency
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert list(by_mode) == list(AnswerMode)
+    assert all(len(predictions) == 12 for predictions in by_mode.values())
+    assert len(calls) == len({cache_key("b", request) for request in calls}) == 72
 
 
 # Every prompt byte the five modes send, pinned: the SHA-256 of the sorted
@@ -60,8 +62,7 @@ def test_prompt_fingerprint_of_the_five_modes(toy, toy_manifest):
         return complete(request)
 
     gateway.backend.complete = record
-    for mode in AnswerMode:
-        run_predictions(toy_manifest, mode, gateway)
+    run_predictions(toy_manifest, list(AnswerMode), gateway)
     digest = hashlib.sha256("\n".join(sorted(records)).encode("utf-8")).hexdigest()
     assert (len(records), len(set(records))) == (72, 72)
     assert digest == "f59e87b5d0c378ff988080abcf86e7a4008ec18cdd052c1d206aa7c21a904c35"
@@ -77,8 +78,7 @@ def test_five_modes_read_each_image_once(toy, monkeypatch):
         ImageRef, "load_bytes", lambda self: (reads.append(self), load_bytes(self))[1]
     )
     gateway = ModelGateway.from_config(toy.backend_config_path)
-    for mode in AnswerMode:
-        run_predictions(manifest, mode, gateway)
+    run_predictions(manifest, list(AnswerMode), gateway)
     assert len(reads) == 4
 
 
@@ -91,8 +91,8 @@ def test_more_workers_than_cores_answer_each_instance_once_per_run(toy, toy_mani
     sys.setswitchinterval(1e-6)
     try:
         predictions = run_predictions(
-            toy_manifest, AnswerMode.FULL_DSG, gateway, runs=3, concurrency=8, seed_hint=5
-        )
+            toy_manifest, [AnswerMode.FULL_DSG], gateway, runs=3, concurrency=8, seed_hint=5
+        )[AnswerMode.FULL_DSG]
     finally:
         sys.setswitchinterval(interval)
     ids = sorted(instance.id for instance in toy_manifest.instances)
@@ -106,7 +106,7 @@ def test_more_workers_than_cores_answer_each_instance_once_per_run(toy, toy_mani
 def test_grounding_failure_propagates_from_the_pool(toy_manifest):
     gateway = scripted_gateway([])
     with pytest.raises(FixtureMissError, match="while grounding component"):
-        run_predictions(toy_manifest, AnswerMode.FULL_DSG, gateway, runs=3, concurrency=2)
+        run_predictions(toy_manifest, [AnswerMode.FULL_DSG], gateway, runs=3, concurrency=2)
 
 
 def test_schema_dir_override_replaces_only_its_concept(toy_manifest, tmp_path):
