@@ -80,6 +80,14 @@ def _cache_dir(text: str) -> Path:
     return path
 
 
+def _schema_dir(text: str) -> Path:
+    """An argparse type: an existing directory."""
+    path = Path(text)
+    if not path.is_dir():
+        raise argparse.ArgumentTypeError(f"{path} is not an existing directory")
+    return path
+
+
 def _add_backend_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
     parser.add_argument(
         "--backend-config",
@@ -250,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_answer.add_argument("--mode", choices=MODE_CHOICES, default=AnswerMode.FULL_DSG.value)
     p_answer.add_argument("--runs", type=_positive_int, default=1)
     p_answer.add_argument("--concurrency", type=_positive_int, default=4)
-    p_answer.add_argument("--schema-dir", type=Path, default=None)
+    p_answer.add_argument("--schema-dir", type=_schema_dir, default=None)
     p_answer.add_argument("--out", type=Path, default=Path("out"))
     _add_choice_flags(p_answer)
     _add_backend_flags(p_answer)
@@ -272,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_eval.add_argument("--runs", type=_positive_int, default=1)
         p_eval.add_argument("--metric", choices=METRIC_CHOICES, default="exact")
         p_eval.add_argument("--concurrency", type=_positive_int, default=4)
-        p_eval.add_argument("--schema-dir", type=Path, default=None)
+        p_eval.add_argument("--schema-dir", type=_schema_dir, default=None)
         p_eval.add_argument(
             "--human-row",
             action="store_true",

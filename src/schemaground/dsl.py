@@ -10,7 +10,7 @@ concepts with explicit dependencies, e.g.::
 
 The dependency lists define a DAG over the components; dependencies must be
 declared before the components that use them, which rules out cycles by
-construction; topological_order still refuses a hand-built cyclic program.
+construction and makes declaration order a topological order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .errors import (
     ConceptMismatchError,
-    CyclicDependencyError,
     DuplicateComponentError,
     SchemaSyntaxError,
     TooManyComponentsError,
@@ -54,10 +53,6 @@ class SchemaProgram:
 
     concept: str
     nodes: tuple[ComponentNode, ...]
-
-    @property
-    def component_ids(self) -> tuple[str, ...]:
-        return tuple(node.id for node in self.nodes)
 
     def node(self, component_id: str) -> ComponentNode:
         for node in self.nodes:
@@ -251,23 +246,11 @@ def validate_program(program: SchemaProgram) -> None:
 def topological_order(program: SchemaProgram) -> list[str]:
     """Return component ids with every dependency before its dependents.
 
-    Ties are broken by position in program.nodes (declaration order), so the
-    result is deterministic and, for programs whose declarations already
-    respect dependencies, equals the declaration order.
+    A valid program declares each dependency before its dependents, so this
+    is the declaration order; an invalid one raises as validate_program does.
     """
-    index_of = {node.id: index for index, node in enumerate(program.nodes)}
-    pending = {node.id: set(node.deps) for node in program.nodes}
-    order: list[str] = []
-    resolved: set[str] = set()
-    while pending:
-        ready = [cid for cid, deps in pending.items() if deps <= resolved]
-        if not ready:  # unreachable for validated programs
-            raise CyclicDependencyError(f"cycle among components: {sorted(pending)}")
-        chosen = min(ready, key=index_of.__getitem__)
-        order.append(chosen)
-        resolved.add(chosen)
-        del pending[chosen]
-    return order
+    validate_program(program)
+    return [node.id for node in program.nodes]
 
 
 def render_schema(program: SchemaProgram) -> str:

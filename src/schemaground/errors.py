@@ -45,10 +45,6 @@ class TooManyComponentsError(SchemaError):
     """Program exceeds the component cap."""
 
 
-class CyclicDependencyError(SchemaError):
-    """Dependency graph contains a cycle (raised by topological_order)."""
-
-
 # ------------------------------------------------------------- model gateway
 
 
@@ -89,18 +85,6 @@ class UnknownConceptError(PipelineError):
     """Concept has no canonical schema fixture."""
 
 
-class MissingDependencyBindingError(PipelineError):
-    """A grounding query was requested before its dependencies were resolved."""
-
-
-class MissingSchemaError(PipelineError):
-    """Prompt mode requires a schema but none was supplied."""
-
-
-class MissingResolvedSchemaError(PipelineError):
-    """Prompt mode requires grounding results but none were supplied."""
-
-
 # -------------------------------------------------------------- eval harness
 
 
@@ -124,16 +108,12 @@ EXIT_CODES: dict[type[PipelineError], int] = {
     DuplicateComponentError: 12,
     ConceptMismatchError: 13,
     TooManyComponentsError: 14,
-    CyclicDependencyError: 15,
     BackendUnavailableError: 20,
     FixtureMissError: 21,
     MalformedReplyError: 22,
     BackendConfigError: 23,
     ExtractionFailedError: 30,
     UnknownConceptError: 31,
-    MissingDependencyBindingError: 40,
-    MissingSchemaError: 41,
-    MissingResolvedSchemaError: 42,
     ManifestInvalidError: 50,
     MissingImageError: 51,
     IncompletePredictionsError: 52,

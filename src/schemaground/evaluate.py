@@ -31,9 +31,7 @@ _TEXT_FIELDS = ("id", "concept", "category", "image", "question", "question_type
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    version: str
     instances: tuple[VqaInstance, ...]
-    subset: bool = False
 
     @property
     def concepts(self) -> tuple[str, ...]:
@@ -51,12 +49,6 @@ class DatasetManifest:
     def question_types(self) -> tuple[str, ...]:
         present = {instance.question_type for instance in self.instances}
         return tuple(qtype for qtype in QUESTION_TYPES if qtype in present)
-
-    def instance(self, instance_id: str) -> VqaInstance:
-        for candidate in self.instances:
-            if candidate.id == instance_id:
-                return candidate
-        raise KeyError(instance_id)
 
 
 def _check_field_types(raw: dict) -> None:
@@ -140,9 +132,7 @@ def load_manifest(path: str | Path, multiple_choice: bool = True) -> DatasetMani
             raise
         except (KeyError, TypeError, ValueError) as err:
             raise ManifestInvalidError(f"instance {instance_id!r}: {err}") from err
-    manifest = DatasetManifest(
-        version=str(payload.get("version", "1")), instances=tuple(instances), subset=subset
-    )
+    manifest = DatasetManifest(tuple(instances))
     if not subset:
         per_concept = Counter(instance.concept for instance in manifest.instances)
         problems = []

@@ -69,10 +69,6 @@ class ImageRef:
             raise ValueError(f"cannot infer media type from {path.name!r}")
         return cls(media_type=media_type, path=path)
 
-    @classmethod
-    def from_bytes(cls, data: bytes, media_type: str = "image/png") -> ImageRef:
-        return cls(media_type=media_type, data=data)
-
     def load_bytes(self) -> bytes:
         if self.data is not None:
             return self.data
@@ -214,9 +210,6 @@ class ResponseCache:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
             raise
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
 
 
 class ScriptedBackend:

@@ -10,12 +10,11 @@ exchange as a transcript, whose query for the i-th component is
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
-from .dsl import ComponentNode, SchemaProgram, topological_order
-from .errors import GatewayError, MissingDependencyBindingError
+from .dsl import SchemaProgram, topological_order
+from .errors import GatewayError
 from .gateway import ImageRef, Message, ModelGateway
 from .phrasing import copula, display_name, framing_sentence
 
@@ -27,28 +26,12 @@ MAX_DESCRIPTION_CHARS = 200
 QUERY_ASK = ". What {copula} the {component}? Answer with a short phrase."
 
 
-def build_grounding_query(
-    concept: str,
-    node: ComponentNode,
-    resolved_deps: dict[str, str],
-) -> str:
-    """Render the grounding question for one component.
-
-    Dependency clauses appear in node.deps order; resolved_deps must bind
-    exactly those dependencies.
-    """
-    missing = [dep for dep in node.deps if dep not in resolved_deps]
-    if missing:
-        raise MissingDependencyBindingError(
-            f"component {node.id!r} needs bindings for: " + ", ".join(missing)
-        )
-    extra = sorted(set(resolved_deps) - set(node.deps))
-    if extra:
-        raise MissingDependencyBindingError(
-            f"component {node.id!r} got bindings for non-dependencies: " + ", ".join(extra)
-        )
-    framing = framing_sentence(concept, {dep: resolved_deps[dep] for dep in node.deps})
-    return framing + QUERY_ASK.format(copula=copula(node.id), component=display_name(node.id))
+def build_grounding_query(concept: str, component_id: str, clauses: dict[str, str]) -> str:
+    """Render the grounding question for one component. Its framing sentence
+    holds one clause per (dependency id, description) item of clauses, in the
+    dict's order."""
+    ask = QUERY_ASK.format(copula=copula(component_id), component=display_name(component_id))
+    return framing_sentence(concept, clauses) + ask
 
 
 @dataclass(frozen=True)
@@ -89,14 +72,10 @@ def _ground(
     descriptions: dict[str, str] = {}
     transcript: list[Message] = []
     for component_id in topological_order(schema):
-        node = schema.node(component_id)
-        if include_deps:
-            resolved = {dep: descriptions[dep] for dep in node.deps}
-        else:
-            node = dataclasses.replace(node, deps=())
-            resolved = {}
+        deps = schema.node(component_id).deps if include_deps else ()
+        clauses = {dep: descriptions[dep] for dep in deps}
         query = Message(
-            "user", build_grounding_query(schema.concept, node, resolved), images=(image,)
+            "user", build_grounding_query(schema.concept, component_id, clauses), images=(image,)
         )
         try:
             reply = gateway.chat([query], seed_hint=seed_hint)

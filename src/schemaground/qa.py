@@ -18,11 +18,7 @@ from enum import Enum
 from pathlib import Path
 
 from .dsl import SchemaProgram, render_schema
-from .errors import (
-    GatewayError,
-    MissingResolvedSchemaError,
-    MissingSchemaError,
-)
+from .errors import GatewayError
 from .extraction import CATEGORIES
 from .gateway import ImageRef, Message, ModelGateway
 from .grounding import ResolvedSchema
@@ -118,15 +114,24 @@ def write_predictions_jsonl(predictions, path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-_NUMBER_WORDS = {
-    "zero": "0", "one": "1", "two": "2", "three": "3", "four": "4",
-    "five": "5", "six": "6", "seven": "7", "eight": "8", "nine": "9",
-    "ten": "10", "eleven": "11", "twelve": "12", "thirteen": "13",
-    "fourteen": "14", "fifteen": "15", "sixteen": "16", "seventeen": "17",
-    "eighteen": "18", "nineteen": "19", "twenty": "20",
-}
+_UNIT_WORDS = (
+    "zero one two three four five six seven eight nine ten eleven twelve "
+    "thirteen fourteen fifteen sixteen seventeen eighteen nineteen"
+).split()
+_TENS_WORDS = "twenty thirty forty fifty sixty seventy eighty ninety".split()
+_NUMBERS = {word: n for n, word in enumerate(_UNIT_WORDS)}
+_NUMBERS.update({word: 20 + 10 * n for n, word in enumerate(_TENS_WORDS)})
+_NUMBERS["none"] = 0  # as the VQA evaluation's normalization; "no" stays a word
 
-_NUMBER_WORD_RE = re.compile(r"\b(" + "|".join(_NUMBER_WORDS) + r")\b")
+# A tens word with an optional unit, hyphenated or spaced ("twenty-one"), is
+# one number; so is a unit word or a standalone "none".
+_NUMBER_WORD_RE = re.compile(
+    r"\b(?:({tens})(?:[- ]({ones}))?|({units}|none))\b".format(
+        tens="|".join(_TENS_WORDS),
+        ones="|".join(_UNIT_WORDS[1:10]),
+        units="|".join(_UNIT_WORDS),
+    )
+)
 _ARTICLE_RE = re.compile(r"^(?:a|an|the)\s+")
 _EDGE_CHARS = string.punctuation + string.whitespace
 
@@ -138,8 +143,13 @@ def _clean(text: str) -> str:
         if stripped == text or not stripped:
             break
         text = stripped
-    text = _NUMBER_WORD_RE.sub(lambda match: _NUMBER_WORDS[match.group(0)], text)
+    text = _NUMBER_WORD_RE.sub(_number, text)
     return text.strip(_EDGE_CHARS)
+
+
+def _number(match: re.Match) -> str:
+    tens, unit, word = match.groups()
+    return str(_NUMBERS[word] if word else _NUMBERS[tens] + _NUMBERS.get(unit, 0))
 
 
 def _contains_words(text: str, phrase: str) -> bool:
@@ -151,7 +161,8 @@ def normalize_answer(raw: str, options: tuple[str, ...] | list[str] | None = Non
     """Canonicalize a free-text answer, optionally resolving it to an option.
 
     Lowercases, strips surrounding punctuation and leading articles, and maps
-    the number words zero through twenty to digits. With options, an option
+    the number words zero through ninety-nine ("twenty-one" or "twenty one")
+    and a standalone "none" to digits. With options, an option
     matches when its cleaned form occurs in the cleaned reply on word
     boundaries ("10" does not match "1", "not" does not match "no"). One
     matching option is returned verbatim; among several, the one whose cleaned
@@ -186,10 +197,6 @@ def prompt_blocks(
     non-baseline modes, the question, and the option instruction if present.
     """
     mode = AnswerMode(mode)
-    if mode is not AnswerMode.BASELINE and schema is None:
-        raise MissingSchemaError(f"mode {mode.value} requires a schema")
-    if mode in GROUNDED_MODES and resolved is None:
-        raise MissingResolvedSchemaError(f"mode {mode.value} requires a resolved schema")
     descriptions = resolved.descriptions if mode in GROUNDED_MODES else {}
     blocks = [framing_sentence(instance.concept, descriptions) + "."]
     if mode is not AnswerMode.BASELINE:

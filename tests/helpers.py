@@ -17,9 +17,11 @@ from pathlib import Path
 
 import schemaground
 from schemaground.dsl import SchemaProgram
+from schemaground.evaluate import DatasetManifest
 from schemaground.extraction import canonical_concepts, load_canonical_schema
 from schemaground.gateway import ModelGateway, ResponseCache, ScriptedBackend
 from schemaground.phrasing import concept_phrase, copula, display_name
+from schemaground.qa import VqaInstance
 
 
 def brute_force_topological_order(program: SchemaProgram) -> list[str]:
@@ -28,7 +30,7 @@ def brute_force_topological_order(program: SchemaProgram) -> list[str]:
     index = {node.id: position for position, node in enumerate(program.nodes)}
     deps = {node.id: set(node.deps) for node in program.nodes}
     best_key, best = None, None
-    for perm in permutations(program.component_ids):
+    for perm in permutations(node.id for node in program.nodes):
         seen: set[str] = set()
         valid = True
         for component_id in perm:
@@ -42,6 +44,10 @@ def brute_force_topological_order(program: SchemaProgram) -> list[str]:
                 best_key, best = key, list(perm)
     assert best is not None, "every acyclic program has a valid order"
     return best
+
+
+def instance_by_id(manifest: DatasetManifest, instance_id: str) -> VqaInstance:
+    return next(instance for instance in manifest.instances if instance.id == instance_id)
 
 
 def random_ident(rng: random.Random) -> str:

@@ -22,7 +22,7 @@ from schemaground.evaluate import (
     load_manifest,
 )
 from schemaground.extraction import canonical_concepts, load_canonical_schema
-from schemaground.gateway import ImageRef, ModelGateway, ResponseCache
+from schemaground.gateway import ImageRef, ModelGateway
 from schemaground.grounding import ground_hierarchical, ground_sequential
 from schemaground.qa import (
     AnswerMode,
@@ -37,6 +37,7 @@ from helpers import (
     brute_force_topological_order,
     checkout_env,
     fixture_grounding_rules,
+    instance_by_id,
     random_program_source,
     scripted_gateway,
 )
@@ -101,7 +102,7 @@ def test_c2_thousand_random_programs_obey_dag_laws():
 
 
 def test_c3_hierarchical_queries_contain_ancestor_descriptions_verbatim():
-    image = ImageRef.from_bytes(tiny_png((50, 60, 70)))
+    image = ImageRef("image/png", data=tiny_png((50, 60, 70)))
     gateway = scripted_gateway(fixture_grounding_rules())
     checked_dependent = 0
     for concept in canonical_concepts():
@@ -137,7 +138,7 @@ def test_c4_full_dsg_reproduces_the_maze_framing_sentence(toy, toy_manifest, toy
         "and the walls are coffee beans, and the entry and exit are coffee cups."
     )
     schema = load_canonical_schema("maze")
-    instance = toy_manifest.instance("maze-open")
+    instance = instance_by_id(toy_manifest, "maze-open")
     resolved = ground_hierarchical(schema, instance.image, toy_gateway)
     blocks = prompt_blocks(instance, AnswerMode.FULL_DSG, schema=schema, resolved=resolved)
     assert blocks[0] == expected
@@ -145,7 +146,7 @@ def test_c4_full_dsg_reproduces_the_maze_framing_sentence(toy, toy_manifest, toy
 
 
 def _metric_image():
-    return ImageRef.from_bytes(tiny_png((3, 3, 3)))
+    return ImageRef("image/png", data=tiny_png((3, 3, 3)))
 
 
 def _metric_instance(instance_id, annotators, modal, question_type="counting"):
@@ -174,7 +175,7 @@ def test_c5_metric_oracles_match_hand_computation():
         instances.append(
             _metric_instance(f"e{index}", [reference] * 5, reference, question_type="binary")
         )
-    manifest = DatasetManifest(version="t", instances=tuple(instances), subset=True)
+    manifest = DatasetManifest(tuple(instances))
     assert len(manifest.instances) == 10
     predictions = [
         Prediction(instance.id, AnswerMode.BASELINE, "blue", "blue")
@@ -185,9 +186,7 @@ def test_c5_metric_oracles_match_hand_computation():
     per_instance = {
         instance_id: graded_accuracy(
             [p for p in predictions if p.instance_id == instance_id],
-            DatasetManifest(
-                version="t", instances=(manifest.instance(instance_id),), subset=True
-            ),
+            DatasetManifest((instance_by_id(manifest, instance_id),)),
         ).overall.mean
         for instance_id in ("k0", "k2", "k4", "k5")
     }
@@ -325,9 +324,9 @@ def test_c7_live_five_instance_smoke(toy, tmp_path):
     assert len(predictions) == 5
     assert report.overall.count == 5
 
-    cached_files = len(ResponseCache(cache_dir))
+    cached_files = len(list(cache_dir.glob("*.json")))
     assert cached_files > 0
     gateway2 = ModelGateway.from_config(config_path, cache_dir=cache_dir)
     run_predictions(manifest, [AnswerMode.FULL_DSG], gateway2)
-    assert len(ResponseCache(cache_dir)) == cached_files
+    assert len(list(cache_dir.glob("*.json"))) == cached_files
     print(f"PASS: C7 live 5-instance smoke finished in {elapsed:.1f}s with all responses cached")

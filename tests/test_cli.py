@@ -19,6 +19,8 @@ from schemaground.toydata import TOY_BINDINGS, TOY_SEQUENTIAL_DRIFT, toy_fixture
 
 from helpers import checkout_env
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
 LADDER = {
     "baseline": 1 / 12,
     "schema_only": 2 / 12,
@@ -356,7 +358,7 @@ def test_ablate_calls_and_files_do_not_depend_on_concurrency(toy, tmp_path, monk
 
 
 def test_readme_quick_start_script(tmp_path):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_offline_ablation.py"
+    script = SCRIPTS / "run_offline_ablation.py"
     result = subprocess.run(
         [sys.executable, script, "--workdir", tmp_path / "ablation"],
         capture_output=True,
@@ -374,6 +376,26 @@ def test_readme_quick_start_script(tmp_path):
         "grounding_hierarchical": 1.0,
         "full_dsg": 1.0,
     }
+
+
+def test_make_toy_dataset_script(tmp_path):
+    out = tmp_path / "toy"
+    result = subprocess.run(
+        [sys.executable, SCRIPTS / "make_toy_dataset.py", "--out", out],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=checkout_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["instances"]) == 12
+    assert isinstance(json.loads((out / "fixtures.json").read_text()), list)
+    assert json.loads((out / "backend.json").read_text())["fixture_path"] == "fixtures.json"
+    assert sorted(path.name for path in (out / "images").iterdir()) == [
+        "atom.png", "cell.png", "maze.png", "solar-system.png",
+    ]
+    assert f"images:         4 under {out / 'images'}" in result.stdout
 
 
 # --------------------------------------------------------------- exit codes
@@ -503,6 +525,13 @@ def test_usage_errors_exit_two(tmp_path):
                          "--backend-config", "b.json", cwd=tmp_path)
         assert result.returncode == 2
         assert message in result.stderr
+    # A mistyped --schema-dir would otherwise score the canonical schemas.
+    for command in ("answer", "evaluate", "ablate"):
+        for schema_dir in ("no/such/dir", "maze.schema"):
+            result = run_cli(command, "--manifest", "m.json", "--schema-dir", schema_dir,
+                             "--backend-config", "b.json", cwd=tmp_path)
+            assert result.returncode == 2
+            assert f"{schema_dir} is not an existing directory" in result.stderr
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -16,7 +16,6 @@ from schemaground.dsl import (
 )
 from schemaground.errors import (
     ConceptMismatchError,
-    CyclicDependencyError,
     DuplicateComponentError,
     SchemaSyntaxError,
     TooManyComponentsError,
@@ -82,12 +81,16 @@ def test_fixture_roundtrip_and_canonical_bytes(concept):
 def test_topological_order_matches_declaration_order_for_fixtures():
     for concept in canonical_concepts():
         program = load_canonical_schema(concept)
-        assert topological_order(program) == list(program.component_ids)
+        assert topological_order(program) == _ids(program)
+
+
+def _ids(program: SchemaProgram) -> list[str]:
+    return [node.id for node in program.nodes]
 
 
 def test_topological_order_on_out_of_order_declarations():
     # Constructed directly (parse_schema would reject the forward reference):
-    # ordering must still put dependencies first.
+    # ordering refuses it as parsing does, instead of reordering it.
     program = SchemaProgram(
         concept="x",
         nodes=(
@@ -95,7 +98,8 @@ def test_topological_order_on_out_of_order_declarations():
             ComponentNode("b", "x", ()),
         ),
     )
-    assert topological_order(program) == ["b", "a"]
+    with pytest.raises(UnknownDependencyError, match="'b', which is not declared earlier"):
+        topological_order(program)
 
 
 def test_topological_order_tie_break_prefers_declaration_index():
@@ -131,7 +135,7 @@ def test_prose_around_block_is_tolerated():
         "Let me know if you need anything else.\n"
     )
     program = parse_schema(text)
-    assert program.component_ids == ("layout", "walls")
+    assert _ids(program) == ["layout", "walls"]
 
 
 def test_blank_line_ends_the_block():
@@ -142,12 +146,12 @@ def test_blank_line_ends_the_block():
         "    gen(walls | concept=maze)\n"
     )
     program = parse_schema(text)
-    assert program.component_ids == ("layout",)
+    assert _ids(program) == ["layout"]
 
 
 def test_blank_lines_before_first_component_are_skipped():
     text = "gen(concept=maze) =\n\n\n    gen(layout | concept=maze)\n"
-    assert parse_schema(text).component_ids == ("layout",)
+    assert _ids(parse_schema(text)) == ["layout"]
 
 
 FIVE_COMPONENT_PROGRAM = "gen(concept=x) =\n" + "".join(
@@ -214,8 +218,8 @@ def test_syntax_error_carries_line_and_column():
 
 
 def test_independent_acyclicity_check():
-    # Unreachable through parse_schema (forward references are rejected
-    # first), but ordering must still refuse a handcrafted cycle.
+    # Unreachable through parse_schema, but ordering must still refuse a
+    # handcrafted cycle: its first node depends on one declared later.
     cyclic = SchemaProgram(
         concept="x",
         nodes=(
@@ -223,7 +227,7 @@ def test_independent_acyclicity_check():
             ComponentNode("b", "x", ("a",)),
         ),
     )
-    with pytest.raises(CyclicDependencyError):
+    with pytest.raises(UnknownDependencyError):
         topological_order(cyclic)
 
 

@@ -67,7 +67,7 @@ def test_topological_order_laws(case):
     assert order == brute_force_topological_order(program)
     # Dependencies are always declared first, so the minimal order by
     # declaration index is the declaration order itself.
-    assert order == list(program.component_ids)
+    assert order == [node.id for node in program.nodes]
 
 
 @given(program_sources())

@@ -40,7 +40,9 @@ from schemaground.qa import (
 )
 from schemaground.toydata import tiny_png
 
-PNG_IMAGE = ImageRef.from_bytes(tiny_png((1, 1, 1)))
+from helpers import instance_by_id
+
+PNG_IMAGE = ImageRef("image/png", data=tiny_png((1, 1, 1)))
 
 
 def _instance(
@@ -66,7 +68,7 @@ def _instance(
 
 
 def _manifest(*instances):
-    return DatasetManifest(version="t", instances=tuple(instances), subset=True)
+    return DatasetManifest(tuple(instances))
 
 
 def _pred(instance_id, normalized, run_index=0):
@@ -91,7 +93,7 @@ def test_graded_scores_are_fifths():
     for instance_id, expected in [("k0", 0.0), ("k2", 0.4), ("k4", 0.8), ("k5", 1.0)]:
         single = graded_accuracy(
             [_pred(instance_id, "blue")],
-            _manifest(manifest.instance(instance_id)),
+            _manifest(instance_by_id(manifest, instance_id)),
         )
         assert single.overall.mean == pytest.approx(expected, abs=1e-9)
 
@@ -413,15 +415,11 @@ def test_report_validation():
 
 
 def test_toy_manifest_loads(toy_manifest):
-    assert toy_manifest.subset
     assert len(toy_manifest.instances) == 12
     assert toy_manifest.concepts == ("maze", "atom", "cell", "solar-system")
     assert toy_manifest.question_types == ("counting", "binary", "open")
     assert toy_manifest.categories == ("strategic", "scientific")
-    instance = toy_manifest.instance("maze-counting")
-    assert instance.options == ("2", "3", "4")
-    with pytest.raises(KeyError):
-        toy_manifest.instance("nope")
+    assert instance_by_id(toy_manifest, "maze-counting").options == ("2", "3", "4")
 
 
 def test_free_response_load_strips_options(toy):

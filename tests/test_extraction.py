@@ -132,7 +132,7 @@ def test_extract_happy_path(tmp_path):
     gateway = scripted_gateway(_happy_rules())
     calls = _record_requests(gateway)
     program = extract_schema("maze", gateway)
-    assert program.component_ids == ("layout", "walls", "entry-exit")
+    assert [node.id for node in program.nodes] == ["layout", "walls", "entry-exit"]
     assert len(calls) == 1
 
 

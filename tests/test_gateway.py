@@ -75,7 +75,7 @@ def test_image_ref_requires_exactly_one_source(tmp_path):
 def test_image_digest_same_for_path_and_inline(tmp_path):
     path = tmp_path / "x.png"
     path.write_bytes(PNG)
-    assert ImageRef.from_file(path).digest() == ImageRef.from_bytes(PNG).digest()
+    assert ImageRef.from_file(path).digest() == ImageRef("image/png", data=PNG).digest()
 
 
 def test_image_digest_reads_the_file_once(tmp_path, monkeypatch):
@@ -101,10 +101,10 @@ def test_message_role_and_content_invariants():
     with pytest.raises(ValueError, match="role"):
         Message("system", "s")
     with pytest.raises(ValueError, match="assistant"):
-        Message("assistant", "hi", images=(ImageRef.from_bytes(PNG),))
+        Message("assistant", "hi", images=(ImageRef("image/png", data=PNG),))
     with pytest.raises(ValueError, match="empty"):
         Message("user", "")
-    assert Message("user", "", images=(ImageRef.from_bytes(PNG),)).text == ""
+    assert Message("user", "", images=(ImageRef("image/png", data=PNG),)).text == ""
 
 
 def test_request_requires_alternating_roles():
@@ -145,10 +145,10 @@ def test_cache_key_uses_image_digest_not_bytes(tmp_path):
     path = tmp_path / "x.png"
     path.write_bytes(PNG)
     from_path = _request(images=[ImageRef.from_file(path)])
-    from_bytes = _request(images=[ImageRef.from_bytes(PNG)])
-    assert cache_key("b", from_path) == cache_key("b", from_bytes)
+    inline = _request(images=[ImageRef("image/png", data=PNG)])
+    assert cache_key("b", from_path) == cache_key("b", inline)
 
-    material = cache_key_material("b", from_bytes)
+    material = cache_key_material("b", inline)
     assert hashlib.sha256(PNG).hexdigest() in material
     encoded = base64.b64encode(PNG).decode("ascii")
     assert encoded[:16] not in material
@@ -165,7 +165,7 @@ def test_response_cache_roundtrip_and_write_once(tmp_path):
     cache.put(key, "first")
     cache.put(key, "second attempt must not overwrite")
     assert cache.get(key) == "first"
-    assert len(cache) == 1
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
     assert not list((tmp_path / "cache").glob("*.tmp"))
 
 
@@ -318,7 +318,7 @@ def test_http_backend_success_payload_shape():
     backend, _ = _http([FakeResponse()])
     request = ModelRequest(
         model_id="vlm-1",
-        messages=(Message("user", "look", images=(ImageRef.from_bytes(PNG),)),),
+        messages=(Message("user", "look", images=(ImageRef("image/png", data=PNG),)),),
         temperature=0.25,
         max_tokens=99,
         seed_hint=7,
@@ -473,7 +473,7 @@ def _build_request(spec, directory) -> ModelRequest:
                 path.write_bytes(data)
                 images.append(ImageRef.from_file(path))
             else:
-                images.append(ImageRef.from_bytes(data, media_type))
+                images.append(ImageRef(media_type, data=data))
         role = "user" if index % 2 == 0 else "assistant"
         messages.append(Message(role, text, images=tuple(images)))
     return ModelRequest(model_id, tuple(messages), temperature, max_tokens, seed_hint)
@@ -530,7 +530,7 @@ def test_http_backend_sends_the_body_through_a_real_session(tiny_image):
         messages=(
             Message("user", 'a "quoted" / slashed\\ caf\u00e9', images=(tiny_image,)),
             Message("assistant", "seen"),
-            Message("user", "", images=(ImageRef.from_bytes(PNG, "image/webp"),)),
+            Message("user", "", images=(ImageRef("image/webp", data=PNG),)),
         ),
         temperature=0.25,
         seed_hint=11,
@@ -714,7 +714,7 @@ def test_gateway_logs_never_contain_image_bytes(tmp_path, caplog):
         ScriptedBackend([{"match": {"contains": "look"}, "reply": "seen"}]),
         cache=ResponseCache(tmp_path / "c"),
     )
-    request = _request("look", images=[ImageRef.from_bytes(PNG)])
+    request = _request("look", images=[ImageRef("image/png", data=PNG)])
     with caplog.at_level(logging.DEBUG, logger="schemaground.gateway"):
         gateway.complete(request)
         gateway.complete(request)

@@ -8,13 +8,13 @@ import json
 import pytest
 
 from schemaground.dsl import ComponentNode
-from schemaground.errors import FixtureMissError, MissingDependencyBindingError
+from schemaground.errors import FixtureMissError
 from schemaground.extraction import load_canonical_schema
 from schemaground.gateway import ImageRef
 from schemaground.grounding import build_grounding_query, ground_hierarchical, ground_sequential
 from schemaground.toydata import TOY_BINDINGS, TOY_SEQUENTIAL_DRIFT
 
-from helpers import scripted_gateway
+from helpers import fixture_grounding_rules, scripted_gateway
 
 MAZE = load_canonical_schema("maze")
 ATOM = load_canonical_schema("atom")
@@ -34,38 +34,25 @@ def _maze_image(toy):
 
 
 def test_query_for_dependency_free_component():
-    node = MAZE.node("layout")
-    assert build_grounding_query("maze", node, {}) == LAYOUT_QUERY
+    assert build_grounding_query("maze", "layout", {}) == LAYOUT_QUERY
 
 
 def test_query_inlines_dependency_description():
-    node = MAZE.node("entry-exit")
-    text = build_grounding_query("maze", node, {"layout": "rectangular"})
+    text = build_grounding_query("maze", "entry-exit", {"layout": "rectangular"})
     assert text == (
         "Imagine that the image represents a maze, and the layout is rectangular. "
         "What are the entry and exit? Answer with a short phrase."
     )
 
 
-def test_query_orders_dependency_clauses_by_declaration():
-    node = ATOM.node("energy-levels")
-    text = build_grounding_query(
-        "atom", node, {"electrons": "blueberries", "nucleus": "an orange"}
-    )
-    first = text.index(", and the nucleus is an orange")
-    second = text.index(", and the electrons are blueberries")
+def test_query_orders_dependency_clauses_by_declaration(tiny_image):
+    # energy-levels lists its dependencies as (nucleus, electrons).
+    gateway = scripted_gateway(fixture_grounding_rules())
+    text = ground_hierarchical(ATOM, tiny_image, gateway).transcript[4].text
+    first = text.index(", and the nucleus is atom--nucleus--essence")
+    second = text.index(", and the electrons are atom--electrons--essence")
     assert first < second
     assert text.endswith("What are the energy levels? Answer with a short phrase.")
-
-
-def test_query_requires_exact_dependency_bindings():
-    node = MAZE.node("entry-exit")
-    with pytest.raises(MissingDependencyBindingError, match="layout"):
-        build_grounding_query("maze", node, {})
-    with pytest.raises(MissingDependencyBindingError, match="non-dependencies"):
-        build_grounding_query(
-            "maze", node, {"layout": "rectangular", "walls": "hedges"}
-        )
 
 
 # ------------------------------------------------------- hierarchical pass

@@ -5,19 +5,14 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from schemaground.errors import (
-    FixtureMissError,
-    MissingResolvedSchemaError,
-    MissingSchemaError,
-)
+from schemaground.errors import FixtureMissError
 from schemaground.extraction import load_canonical_schema
 from schemaground.gateway import ImageRef
 from schemaground.grounding import ground_hierarchical
 from schemaground.qa import (
-    GROUNDED_MODES,
     NO_MATCH,
     AnswerMode,
     Prediction,
@@ -30,14 +25,14 @@ from schemaground.qa import (
 )
 from schemaground.toydata import tiny_png
 
-from helpers import scripted_gateway
+from helpers import instance_by_id, scripted_gateway
 
 MAZE = load_canonical_schema("maze")
 
 
 @pytest.fixture(scope="module")
 def maze_binary(toy_manifest):
-    return toy_manifest.instance("maze-binary")
+    return instance_by_id(toy_manifest, "maze-binary")
 
 
 @pytest.fixture()
@@ -60,7 +55,7 @@ def maze_resolved(maze_binary, toy_gateway):
         ("a the an apple", None, "apple"),
         ("An  answer\nwith   gaps", None, "answer with gaps"),
         ("bone and someone", None, "bone and someone"),
-        ("twenty-one", None, "20-1"),
+        ("twenty-one", None, "21"),
         ("fourteen items", None, "14 items"),
         ("rectangular", ("rectangular", "circular"), "rectangular"),
         ("I see a closed loop.", ("Closed", "Open"), "Closed"),
@@ -70,10 +65,50 @@ def maze_resolved(maze_binary, toy_gateway):
         ("10", ("1", "10"), "10"),
         ("I do not know", ("yes", "no"), NO_MATCH),
         ("dark red", ("red", "dark red"), "dark red"),
+        # Number replies: a compound is one number, "none" is 0, "no" is a
+        # word, and a reply naming two options is ambiguous.
+        ("Twenty-one.", ("20", "21", "25"), "21"),
+        ("twenty one", ("20", "21", "25"), "21"),
+        ("twenty-one", ("20", "25", "30"), NO_MATCH),
+        ("thirty", ("20", "30"), "30"),
+        ("None.", ("0", "1", "2"), "0"),
+        ("No.", ("0", "1", "2"), NO_MATCH),
+        ("No.", ("yes", "no"), "no"),
+        ("I count 4, not 3.", ("2", "3", "4"), NO_MATCH),
+        ("Three or four.", ("2", "3", "4"), NO_MATCH),
     ],
 )
 def test_normalize_answer_battery(raw, options, expected):
     assert normalize_answer(raw, options) == expected
+
+
+UNIT_WORDS = (
+    "zero one two three four five six seven eight nine ten eleven twelve "
+    "thirteen fourteen fifteen sixteen seventeen eighteen nineteen"
+).split()
+TENS_WORDS = "twenty thirty forty fifty sixty seventy eighty ninety".split()
+
+
+def _spell(n: int, separator: str) -> str:
+    if n < 20:
+        return UNIT_WORDS[n]
+    tens, unit = divmod(n, 10)
+    return TENS_WORDS[tens - 2] + (separator + UNIT_WORDS[unit] if unit else "")
+
+
+# Every n in 0-99, in every spelling, among other integer options.
+@settings(max_examples=20)
+@given(
+    st.lists(st.integers(min_value=0, max_value=99), max_size=4, unique=True),
+    st.randoms(use_true_random=False),
+)
+def test_spelled_out_numbers_resolve_to_their_option(others, rng):
+    for n in range(100):
+        options = [str(n)] + [str(other) for other in others if other != n]
+        rng.shuffle(options)
+        for separator in ("-", " "):
+            for reply in (_spell(n, separator), _spell(n, separator).title() + "."):
+                assert normalize_answer(reply, tuple(options)) == str(n), reply
 
 
 def test_normalize_returns_option_verbatim_not_cleaned():
@@ -188,14 +223,6 @@ def test_modes_accept_plain_strings(maze_binary):
         prompt_blocks(maze_binary, "no_such_mode")
 
 
-def test_missing_inputs_are_reported(maze_binary, maze_resolved):
-    with pytest.raises(MissingSchemaError, match="schema_only"):
-        prompt_blocks(maze_binary, AnswerMode.SCHEMA_ONLY)
-    for mode in GROUNDED_MODES:
-        with pytest.raises(MissingResolvedSchemaError, match=mode.value):
-            prompt_blocks(maze_binary, mode, schema=MAZE)
-
-
 def test_full_dsg_prepends_text_only_transcript(maze_binary, maze_resolved):
     messages = build_augmented_prompt(
         maze_binary, AnswerMode.FULL_DSG, schema=MAZE, resolved=maze_resolved
@@ -244,7 +271,7 @@ def _instance(**overrides):
         id="x-1",
         concept="maze",
         category="strategic",
-        image=ImageRef.from_bytes(tiny_png((5, 5, 5))),
+        image=ImageRef("image/png", data=tiny_png((5, 5, 5))),
         question="How many?",
         question_type="counting",
         annotator_answers=("2", "2", "2", "3", "4"),

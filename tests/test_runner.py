@@ -112,6 +112,6 @@ def test_grounding_failure_propagates_from_the_pool(toy_manifest):
 def test_schema_dir_override_replaces_only_its_concept(toy_manifest, tmp_path):
     (tmp_path / "maze.schema").write_text("gen(concept=maze) =\n    gen(walls | concept=maze)\n")
     schemas = load_schemas(toy_manifest, tmp_path)
-    assert schemas["maze"].component_ids == ("walls",)
+    assert [node.id for node in schemas["maze"].nodes] == ["walls"]
     for concept in ("atom", "cell", "solar-system"):
         assert render_schema(schemas[concept]) == render_schema(load_canonical_schema(concept))
