@@ -462,6 +462,13 @@ class ModelGateway:
 
     Safe for concurrent use: backends are read-only after construction, the
     cache is write-once per key, and the reply memo is single-flight.
+
+    The gateway also owns a turn, which callers that share it take to run
+    their local work one at a time. A caller holding the turn lets it go
+    where it must wait: just before the backend call and just before
+    waiting on another caller's request in flight. It does not take the
+    turn back, so a waiting caller never blocks the others; on a warm cache
+    nothing waits, and one thread does all the work.
     """
 
     def __init__(
@@ -484,6 +491,8 @@ class ModelGateway:
         # so a later call sends the request again.
         self._lock = threading.Lock()
         self._replies: dict[str, str | Future] = {}
+        self._turn = threading.Lock()
+        self._holds_turn = threading.local()
 
     @classmethod
     def from_config(
@@ -505,6 +514,18 @@ class ModelGateway:
             max_tokens=max_tokens,
         )
 
+    def take_turn(self) -> None:
+        """Wait for the turn, unless this thread holds it."""
+        if not getattr(self._holds_turn, "held", False):
+            self._turn.acquire()
+            self._holds_turn.held = True
+
+    def give_turn(self) -> None:
+        """Let the turn go, if this thread holds it."""
+        if getattr(self._holds_turn, "held", False):
+            self._holds_turn.held = False
+            self._turn.release()
+
     def complete(self, request: ModelRequest) -> str:
         """The reply text: from this gateway's earlier or in-flight replies,
         else from the cache when present, else from the backend."""
@@ -514,13 +535,18 @@ class ModelGateway:
             if entry is None:
                 flight = self._replies[key] = Future()
         if entry is not None:
-            # Its fetcher never waits on another flight, so this wait ends.
-            return entry if isinstance(entry, str) else entry.result()
+            if isinstance(entry, str):
+                return entry
+            # Its fetcher never waits on another flight or on the turn, so
+            # this wait ends.
+            self.give_turn()
+            return entry.result()
         try:
             text = self.cache.get(key) if self.cache is not None else None
             if text is not None:
                 log.debug("cache hit %s model=%s", key[:12], request.model_id)
             else:
+                self.give_turn()
                 text = self.backend.complete(request)
                 if not text.strip():
                     raise MalformedReplyError("backend returned an empty reply")

@@ -1,24 +1,34 @@
 """Orchestration: schemas + grounding + answering over a manifest, with
 bounded concurrency, per-run seed offsets, and deterministic output order.
 
-One pool of `concurrency` threads serves every mode and run of a command.
 Instances are grouped by (concept, image digest) once per call; the manifest
 gives each image file one `ImageRef`, which keeps its digest, so an image is
-hashed once per command. One task per (mode, run, group), queued mode by
+hashed once per command. One task per (mode, run, group), listed mode by
 mode, grounds its image (grounded modes only) and then answers the group's
 instances. Only the gateway dedups: it sends each distinct request once, and
-a caller of a request already in flight waits for its reply. Per-run
-requests carry seed_hint = base seed + run_index so repeated runs against a
-live backend are distinct cache entries rather than replays of run 0.
+a caller of a request already in flight waits for its reply.
+
+`concurrency` worker threads serve every mode and run of a command, so at
+most that many backend calls are in flight. A worker starts a task only
+while it holds the gateway's turn, and keeps the turn from task to task
+until the gateway lets it go to wait on the backend or on another caller's
+reply; it then finishes its task without the turn. So local work runs on one
+thread until a worker must wait, and a warm-cache replay runs on one thread
+throughout. The first error stops every worker from starting a new task.
+
+Per-run requests carry seed_hint = base seed + run_index so repeated runs
+against a live backend are distinct cache entries rather than replays of
+run 0.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+import os
+import threading
 from pathlib import Path
 
 from .dsl import SchemaProgram, parse_schema
-from .errors import ConceptMismatchError
+from .errors import ConceptMismatchError, SchemaSyntaxError
 from .evaluate import DatasetManifest
 from .extraction import load_canonical_schema
 from .gateway import ModelGateway
@@ -30,12 +40,19 @@ def load_schemas(
     manifest: DatasetManifest, schema_dir: Path | None = None
 ) -> dict[str, SchemaProgram]:
     """One schema per concept: a `<concept>.schema` file from schema_dir when
-    present, which must declare that concept, the canonical store otherwise."""
+    present, which must be a readable UTF-8 file declaring that concept, the
+    canonical store otherwise."""
     schemas: dict[str, SchemaProgram] = {}
     for concept in manifest.concepts:
         override = None if schema_dir is None else Path(schema_dir) / f"{concept}.schema"
-        if override is not None and override.is_file():
-            program = parse_schema(override.read_text(encoding="utf-8"))
+        if override is not None and os.path.lexists(override):
+            if not override.is_file():
+                raise SchemaSyntaxError(f"schema file {override} is not a regular file")
+            try:
+                source = override.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as err:
+                raise SchemaSyntaxError(f"cannot read schema file {override}: {err}") from err
+            program = parse_schema(source)
             if program.concept != concept:
                 raise ConceptMismatchError(
                     f"{override} declares concept {program.concept!r}, expected {concept!r}"
@@ -85,22 +102,49 @@ def run_predictions(
             for instance in instances
         ]
 
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        tasks = [
-            pool.submit(ground_then_answer, mode, run_index, instances)
-            for mode in modes
-            for run_index in range(runs)
-            for instances in groups.values()
-        ]
+    tasks = [
+        (mode, run_index, instances)
+        for mode in modes
+        for run_index in range(runs)
+        for instances in groups.values()
+    ]
+    queue = iter(tasks)
+    found: list[Prediction] = []
+    errors: list[BaseException] = []
+
+    def work():
         try:
-            # One wait, not one per future: each wake-up of this thread
-            # competes with the workers for the GIL.
-            wait(tasks, return_when=FIRST_EXCEPTION)
-            found = [prediction for task in tasks for prediction in task.result()]
-        except BaseException:
-            # Drop queued work so one failure does not wait for every other task.
-            pool.shutdown(cancel_futures=True)
-            raise
+            while True:
+                gateway.take_turn()
+                task = None if errors else next(queue, None)
+                if task is None:
+                    return
+                found.extend(ground_then_answer(*task))
+        except BaseException as err:
+            errors.append(err)
+        finally:
+            gateway.give_turn()
+
+    workers = [threading.Thread(target=work) for _ in range(min(concurrency, len(tasks)))]
+    # Started while this thread holds the turn, each worker waits for it at
+    # once rather than vying for the interpreter lock with the first.
+    gateway.take_turn()
+    try:
+        for worker in workers:
+            worker.start()
+        gateway.give_turn()
+        for worker in workers:
+            worker.join()
+    except BaseException as err:
+        # An interrupt: no worker takes a new task, and each finishes its own.
+        errors.append(err)
+        gateway.give_turn()
+        for worker in workers:
+            if worker.ident is not None:
+                worker.join()
+        raise
+    if errors:
+        raise errors[0]
     found.sort(key=lambda p: (p.run_index, p.instance_id))
     predictions: dict[AnswerMode, list[Prediction]] = {mode: [] for mode in modes}
     for prediction in found:

@@ -492,6 +492,36 @@ def test_schema_dir_override_for_another_concept(toy, tmp_path):
     assert not list((tmp_path / "cache").glob("*.json"))
 
 
+# A `<concept>.schema` that is not a readable UTF-8 file is a schema error
+# naming it: not a traceback, and not a silent fall-back to the canonical
+# schema.
+@pytest.mark.parametrize("kind", ["not-utf8", "directory", "dangling-link"])
+def test_unreadable_schema_dir_file_exits_ten(toy, tmp_path, kind):
+    schema_dir = tmp_path / "sd"
+    schema_dir.mkdir()
+    bad = schema_dir / "maze.schema"
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "dangling-link":
+        bad.symlink_to(tmp_path / "no-such-file")
+    else:
+        bad.write_bytes(b"\xff\xfe")
+    result = run_cli(
+        "evaluate",
+        "--manifest", toy.manifest_path,
+        "--mode", "baseline",
+        "--schema-dir", schema_dir,
+        *_backend_args(toy, tmp_path),
+        "--out", tmp_path / "out",
+        cwd=tmp_path,
+    )
+    assert result.returncode == 10, result.stderr
+    assert "SchemaSyntaxError" in result.stderr
+    assert str(bad) in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_errors_exit_two(tmp_path):
     assert run_cli(cwd=tmp_path).returncode == 2
     assert run_cli("evaporate", cwd=tmp_path).returncode == 2

@@ -5,14 +5,16 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import threading
 
 import pytest
 
+from schemaground import cli, runner
 from schemaground.dsl import render_schema
 from schemaground.errors import FixtureMissError
-from schemaground.evaluate import load_manifest
+from schemaground.evaluate import DatasetManifest, load_manifest
 from schemaground.extraction import load_canonical_schema
-from schemaground.gateway import ImageRef, ModelGateway, cache_key
+from schemaground.gateway import ImageRef, ModelGateway, ScriptedBackend, cache_key
 from schemaground.qa import AnswerMode
 from schemaground.runner import load_schemas, run_predictions
 
@@ -107,6 +109,124 @@ def test_grounding_failure_propagates_from_the_pool(toy_manifest):
     gateway = scripted_gateway([])
     with pytest.raises(FixtureMissError, match="while grounding component"):
         run_predictions(toy_manifest, [AnswerMode.FULL_DSG], gateway, runs=3, concurrency=2)
+
+
+# ---------------------------------------------------------------- the turn
+
+
+def test_a_warm_ablate_runs_on_one_thread(toy, tmp_path, monkeypatch):
+    argv = [
+        "ablate",
+        "--manifest", str(toy.manifest_path),
+        "--backend-config", str(toy.backend_config_path),
+        "--cache-dir", str(tmp_path / "cache"),
+        "--concurrency", "4",
+    ]
+    assert cli.main([*argv, "--out", str(tmp_path / "cold")]) == 0
+    calls, threads = [], set()
+    monkeypatch.setattr(
+        ScriptedBackend, "complete", lambda self, request: calls.append(request)
+    )
+    complete = ModelGateway.complete
+    monkeypatch.setattr(
+        ModelGateway,
+        "complete",
+        lambda self, request: (threads.add(threading.get_ident()), complete(self, request))[1],
+    )
+    assert cli.main([*argv, "--out", str(tmp_path / "warm")]) == 0
+    assert calls == []
+    assert len(threads) == 1
+
+
+class Gate:
+    """Wraps a gateway's backend so that no call returns before `width`
+    calls are in flight at once. A gate that has not opened after 10 s opens
+    anyway and records it, so a scheduler that never reaches the width fails
+    its test instead of hanging it."""
+
+    def __init__(self, gateway: ModelGateway, width: int):
+        self.width = width
+        self.peak = self.inflight = 0
+        self.timed_out = False
+        self._lock = threading.Lock()
+        self._open = threading.Event()
+        self._complete = gateway.backend.complete
+        gateway.backend.complete = self.complete
+
+    def complete(self, request):
+        with self._lock:
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+            if self.inflight == self.width:
+                self._open.set()
+        try:
+            if not self._open.wait(timeout=10):
+                self.timed_out = True
+                self._open.set()
+            return self._complete(request)
+        finally:
+            with self._lock:
+                self.inflight -= 1
+
+
+def run_in_thread(target) -> None:
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+
+
+# Each worker lets the turn go before its backend call, so `concurrency`
+# calls are in flight at once: never more, and not only one.
+@pytest.mark.parametrize("concurrency", [2, 3])
+def test_the_turn_is_let_go_at_the_backend(toy, toy_manifest, concurrency):
+    gateway = ModelGateway.from_config(toy.backend_config_path)
+    gate = Gate(gateway, concurrency)
+    found = []
+    run_in_thread(lambda: found.append(
+        run_predictions(toy_manifest, list(AnswerMode), gateway, concurrency=concurrency)
+    ))
+    assert not gate.timed_out
+    assert gate.peak == concurrency
+    assert all(len(predictions) == 12 for predictions in found[0].values())
+
+
+# One image, and tasks in the order hierarchical, full_dsg, baseline. The
+# first worker's grounding request waits at the gate; the second worker asks
+# for the same request and waits on its flight. Only if that wait lets the
+# turn go can the third worker start the baseline task, whose answer is the
+# second call the gate needs.
+def test_a_wait_on_a_flight_lets_the_turn_go(toy, toy_manifest):
+    image = toy_manifest.instances[0].image
+    manifest = DatasetManifest(
+        tuple(instance for instance in toy_manifest.instances if instance.image is image)
+    )
+    gateway = ModelGateway.from_config(toy.backend_config_path)
+    gate = Gate(gateway, 2)
+    modes = [AnswerMode.GROUNDING_HIERARCHICAL, AnswerMode.FULL_DSG, AnswerMode.BASELINE]
+    found = []
+    run_in_thread(lambda: found.append(
+        run_predictions(manifest, modes, gateway, concurrency=3)
+    ))
+    assert not gate.timed_out
+    assert [len(found[0][mode]) for mode in modes] == [len(manifest.instances)] * 3
+
+
+# The failing task never gives the turn up, so no other worker starts a task
+# before the failure is seen, and none starts one after.
+def test_after_a_failure_no_new_task_starts(toy_manifest, monkeypatch):
+    raised = []
+
+    def fail(*args, **kwargs):
+        raised.append(RuntimeError(f"answer {len(raised)}"))
+        raise raised[-1]
+
+    monkeypatch.setattr(runner, "answer", fail)
+    gateway = ModelGateway(ScriptedBackend([]))
+    with pytest.raises(RuntimeError) as excinfo:
+        run_predictions(toy_manifest, [AnswerMode.BASELINE], gateway, runs=3, concurrency=4)
+    assert len(raised) == 1
+    assert excinfo.value is raised[0]
 
 
 def test_schema_dir_override_replaces_only_its_concept(toy_manifest, tmp_path):
