@@ -290,7 +290,9 @@ class HttpBackend:
 
     Retries (3 attempts, exponential backoff from 1s) apply only to transport
     errors and 5xx responses; auth and other 4xx failures are terminal.
-    `requests` is imported only here, so offline runs never load it.
+    `requests` is imported only here, so offline runs never load it. A
+    session built here reads the proxy, CA-bundle and .netrc environment
+    once, when the backend is built; a session passed in is used as it is.
     """
 
     def __init__(
@@ -310,12 +312,25 @@ class HttpBackend:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
+        self._url = f"{self.base_url}/chat/completions"
         if session is None:
             import requests
 
+            # Resolve once what `trust_env` would look up on every post: the
+            # proxies (after NO_PROXY), the CA bundle and, unless an API key
+            # is configured, the .netrc login.
             session = requests.Session()
+            settings = session.merge_environment_settings(self._url, {}, None, None, None)
+            session.proxies = settings["proxies"]
+            session.verify = settings["verify"]
+            if not api_key_env:
+                session.auth = requests.utils.get_netrc_auth(self._url)
+            session.trust_env = False
         self.session = session
         self._sleep = sleep
+        # Per thread, the last image encoded and its base64: a worker sends
+        # one task's image in several requests before it moves to the next.
+        self._last_image = threading.local()
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -328,8 +343,14 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    @staticmethod
-    def _wire_message(message: Message) -> Iterator[bytes]:
+    def _base64(self, image: ImageRef) -> bytes:
+        last = self._last_image
+        if getattr(last, "image", None) is not image:
+            last.encoded = base64.b64encode(image.load_bytes())
+            last.image = image
+        return last.encoded
+
+    def _wire_message(self, message: Message) -> Iterator[bytes]:
         if not message.images:
             yield _json({"role": message.role, "content": message.text})
             return
@@ -344,12 +365,11 @@ class HttpBackend:
             yield b'{"type": "image_url", "image_url": {"url": "data:%s;base64,' % (
                 image.media_type.encode("ascii")
             )
-            yield base64.b64encode(image.load_bytes())
+            yield self._base64(image)
             yield b'"}}'
         yield b"]}"
 
-    @staticmethod
-    def _body(request: ModelRequest) -> bytes:
+    def _body(self, request: ModelRequest) -> bytes:
         """The request body, byte for byte what `json.dumps` writes for the
         chat-completions payload, joined once from its pieces. No image goes
         through the JSON encoder, whose escaping of a data URL costs about
@@ -358,7 +378,7 @@ class HttpBackend:
         for index, message in enumerate(request.messages):
             if index:
                 chunks.append(b", ")
-            chunks.extend(HttpBackend._wire_message(message))
+            chunks.extend(self._wire_message(message))
         chunks.append(
             b'], "temperature": %s, "max_tokens": %s'
             % (_json(request.temperature), _json(request.max_tokens))
@@ -373,14 +393,13 @@ class HttpBackend:
 
         body = self._body(request)
         headers = self._headers()
-        url = f"{self.base_url}/chat/completions"
         last_error = None
         for attempt in range(self.max_attempts):
             if attempt:
                 self._sleep(self.backoff_s * 2 ** (attempt - 1))
             try:
                 response = self.session.post(
-                    url, data=body, headers=headers, timeout=self.timeout
+                    self._url, data=body, headers=headers, timeout=self.timeout
                 )
             except requests.RequestException as err:
                 last_error = f"transport error: {err}"

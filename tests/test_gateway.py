@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import logging
+import os
 import threading
 import time
 
@@ -35,7 +36,9 @@ from schemaground.gateway import (
     cache_key_material,
     load_backend_config,
 )
-from schemaground.toydata import tiny_png
+from schemaground.qa import AnswerMode
+from schemaground.runner import run_predictions
+from schemaground.toydata import tiny_png, toy_fixture_rules
 
 PNG = tiny_png((9, 9, 9))
 
@@ -487,7 +490,8 @@ def test_http_body_is_the_json_dumps_of_the_payload(spec, tmp_path_factory):
     directory = tmp_path_factory.getbasetemp() / "bodies"
     directory.mkdir(exist_ok=True)
     request = _build_request(spec, directory)
-    assert HttpBackend._body(request) == _reference_body(request)
+    backend, _ = _http([])
+    assert backend._body(request) == _reference_body(request)
 
 
 @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
@@ -496,22 +500,28 @@ def test_http_body_refuses_a_temperature_that_is_not_json(temperature):
     # a request gets one past that check.
     request = _request()
     object.__setattr__(request, "temperature", temperature)
+    backend, _ = _http([])
     with pytest.raises(ValueError, match="not JSON compliant"):
-        HttpBackend._body(request)
+        backend._body(request)
 
 
 class _CapturingAdapter(requests.adapters.BaseAdapter):
-    """A transport that keeps each prepared request and replies "ok"."""
+    """A transport that keeps each prepared request and the settings it was
+    sent with, and replies "ok", or what `reply` gives for the request."""
 
-    def __init__(self):
+    def __init__(self, reply=lambda request: "ok"):
         super().__init__()
         self.sent = []
+        self.settings = []
+        self._reply = reply
 
     def send(self, request, **kwargs):
         self.sent.append(request)
+        self.settings.append(kwargs)
+        content = json.dumps({"choices": [{"message": {"content": self._reply(request)}}]})
         response = requests.Response()
         response.status_code = 200
-        response.raw = io.BytesIO(b'{"choices": [{"message": {"content": "ok"}}]}')
+        response.raw = io.BytesIO(content.encode("utf-8"))
         response.request = request
         response.url = request.url
         return response
@@ -541,6 +551,187 @@ def test_http_backend_sends_the_body_through_a_real_session(tiny_image):
     assert prepared.body == expected
     assert prepared.headers["Content-Type"] == "application/json"
     assert prepared.headers["Content-Length"] == str(len(expected))
+
+
+# ------------------------------------------------------ session environment
+
+_URL = "https://api.example.test/v1"
+
+
+@pytest.fixture()
+def clean_env(monkeypatch, tmp_path):
+    """No inherited proxy, CA-bundle or .netrc setting."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    monkeypatch.delenv("REQUESTS_CA_BUNDLE", raising=False)
+    monkeypatch.delenv("CURL_CA_BUNDLE", raising=False)
+    monkeypatch.setenv("NETRC", str(tmp_path / "absent-netrc"))
+    return monkeypatch
+
+
+def _write_netrc(directory):
+    path = directory / "netrc"
+    path.write_text("machine api.example.test login u password p\n")
+    return str(path)
+
+
+def _seen(session, post):
+    """The proxies, verify setting and Authorization header of one post."""
+    adapter = _CapturingAdapter()
+    session.mount("https://api.example.test/", adapter)
+    post()
+    (prepared,), (settings,) = adapter.sent, adapter.settings
+    return settings["proxies"], settings["verify"], prepared.headers.get("Authorization")
+
+
+@pytest.mark.parametrize(
+    "env, https_proxy, verify, authorization",
+    [
+        ({"HTTPS_PROXY": "http://proxy.test:3128"}, "http://proxy.test:3128", True, None),
+        (
+            {"HTTPS_PROXY": "http://proxy.test:3128", "NO_PROXY": "api.example.test"},
+            None,
+            True,
+            None,
+        ),
+        ({"REQUESTS_CA_BUNDLE": "/ca/requests.pem"}, None, "/ca/requests.pem", None),
+        ({"CURL_CA_BUNDLE": "/ca/curl.pem"}, None, "/ca/curl.pem", None),
+        ({"NETRC": _write_netrc}, None, True, "Basic dTpw"),
+    ],
+    ids=["https-proxy", "no-proxy", "requests-ca-bundle", "curl-ca-bundle", "netrc"],
+)
+def test_http_backend_session_sends_what_trust_env_would(
+    clean_env, tmp_path, env, https_proxy, verify, authorization
+):
+    for name, value in env.items():
+        clean_env.setenv(name, value(tmp_path) if callable(value) else value)
+    backend = HttpBackend(_URL)
+    assert backend.session.trust_env is False
+    seen = _seen(backend.session, lambda: backend.complete(_request()))
+    plain = requests.Session()
+    expected = _seen(
+        plain,
+        lambda: plain.post(
+            f"{_URL}/chat/completions", data=b"{}", headers={"Content-Type": "application/json"}
+        ),
+    )
+    assert seen == expected
+    assert (expected[0].get("https"), expected[1], expected[2]) == (
+        https_proxy,
+        verify,
+        authorization,
+    )
+
+
+def test_http_backend_reads_the_environment_when_built(clean_env):
+    backend = HttpBackend(_URL)
+    clean_env.setenv("HTTPS_PROXY", "http://proxy.test:3128")
+    clean_env.setenv("REQUESTS_CA_BUNDLE", "/ca/requests.pem")
+    proxies, verify, _ = _seen(backend.session, lambda: backend.complete(_request()))
+    assert "https" not in proxies
+    assert verify is True
+
+
+def test_an_api_key_beats_a_netrc_entry_for_the_host(clean_env, tmp_path):
+    clean_env.setenv("NETRC", _write_netrc(tmp_path))
+    clean_env.setenv("TEST_GATEWAY_KEY", "sk-123")
+    backend = HttpBackend(_URL, api_key_env="TEST_GATEWAY_KEY")
+    _, _, authorization = _seen(backend.session, lambda: backend.complete(_request()))
+    assert authorization == "Bearer sk-123"
+
+
+def test_a_session_passed_in_is_left_as_it_is(clean_env):
+    clean_env.setenv("HTTPS_PROXY", "http://proxy.test:3128")
+    session = requests.Session()
+    HttpBackend(_URL, session=session)
+    assert session.trust_env is True
+    assert session.proxies == {}
+    assert session.verify is True
+    assert session.auth is None
+
+
+# ---------------------------------------------------------- image encodings
+
+
+def _fixture_reply(scripted: ScriptedBackend, prepared) -> str:
+    """The scripted reply to a chat-completions body."""
+    content = json.loads(prepared.body)["messages"][-1]["content"]
+    if not isinstance(content, str):
+        content = "".join(part["text"] for part in content if part["type"] == "text")
+    return scripted.complete(ModelRequest("m", (Message("user", content),)))
+
+
+def test_each_worker_task_encodes_its_image_once(toy_manifest, monkeypatch):
+    tasks = len(AnswerMode) * len({instance.image for instance in toy_manifest.instances})
+    for instance in toy_manifest.instances:
+        instance.image.digest()
+    loads, bodies = [], []
+    load_bytes, body = ImageRef.load_bytes, HttpBackend._body
+    monkeypatch.setattr(
+        ImageRef,
+        "load_bytes",
+        lambda self: (loads.append((threading.get_ident(), self)), load_bytes(self))[1],
+    )
+
+    def recorded_body(self, request):
+        sent = body(self, request)
+        bodies.append((request, sent))
+        return sent
+
+    monkeypatch.setattr(HttpBackend, "_body", recorded_body)
+    scripted = ScriptedBackend(toy_fixture_rules())
+    counts = {}
+    for concurrency in (1, 2, 16):
+        before = len(loads), len(bodies)
+        session = requests.Session()
+        adapter = _CapturingAdapter(lambda prepared: _fixture_reply(scripted, prepared))
+        session.mount("https://api.example.test/", adapter)
+        gateway = ModelGateway(HttpBackend(_URL, session=session))
+        run_predictions(toy_manifest, list(AnswerMode), gateway, concurrency=concurrency)
+        counts[concurrency] = len(loads) - before[0]
+        assert len(bodies) - before[1] == 72
+        # No thread encodes the image it encoded last.
+        last = {}
+        for thread, image in loads[before[0]:]:
+            assert last.get(thread) is not image
+            last[thread] = image
+    # At most one encode per task, whatever the concurrency; fewer when a
+    # worker takes two tasks on one image in a row.
+    assert all(count <= tasks for count in counts.values()), (counts, tasks)
+    monkeypatch.undo()
+    for request, sent in bodies:
+        assert sent == _reference_body(request)
+
+
+def test_threads_alternating_two_images_each_get_their_own_bodies(tiny_image, monkeypatch):
+    pair = (_request(images=[tiny_image]), _request(images=[ImageRef("image/png", data=PNG)]))
+    expected = [_reference_body(request) for request in pair]
+    loads = []
+    load_bytes = ImageRef.load_bytes
+    monkeypatch.setattr(ImageRef, "load_bytes", lambda self: (loads.append(self), load_bytes(self))[1])
+    backend, _ = _http([])
+    wrong = []
+    step_together = threading.Barrier(2, timeout=30)
+
+    def alternate(first):
+        # In step with the other thread, which always sends the other image:
+        # A for 50 steps then B for 50, against B then A.
+        for step in range(100):
+            step_together.wait()
+            index = (first + step // 50) % 2
+            if backend._body(pair[index]) != expected[index]:
+                wrong.append(index)
+
+    threads = [threading.Thread(target=alternate, args=(first,)) for first in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    # One encode per thread per image it switched to.
+    assert len(loads) == 4
 
 
 # ------------------------------------------------------------ backend config
