@@ -54,6 +54,13 @@ _non_negative_int = _at_least(int, 0)
 _non_negative_float = _at_least(float, 0.0)
 
 
+def _concept(text: str) -> str:
+    """An argparse type: a non-empty concept name."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be non-empty")
+    return text
+
+
 def _file_text(text: str) -> str:
     """An argparse type: the UTF-8 contents of the named file."""
     try:
@@ -231,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_extract = sub.add_parser("extract", help="obtain a schema program for a concept")
-    p_extract.add_argument("concept")
+    p_extract.add_argument("concept", type=_concept)
     p_extract.add_argument(
         "--canonical", action="store_true", help="copy the stored fixture, no backend call"
     )

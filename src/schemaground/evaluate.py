@@ -61,6 +61,12 @@ def _check_field_types(raw: dict) -> None:
             raise ValueError(f"field {field!r} must be a list, got {type(raw[field]).__name__}")
     if any(not isinstance(answer, str) for answer in raw.get("annotator_answers") or ()):
         raise ValueError("field 'annotator_answers' must hold strings")
+    # `bool` is an `int`, but `true` is no option.
+    if any(
+        isinstance(option, bool) or not isinstance(option, (str, int, float))
+        for option in raw.get("options") or ()
+    ):
+        raise ValueError("field 'options' must hold strings or numbers")
 
 
 def load_manifest(path: str | Path, multiple_choice: bool = True) -> DatasetManifest:
@@ -80,6 +86,8 @@ def load_manifest(path: str | Path, multiple_choice: bool = True) -> DatasetMani
         raise ManifestInvalidError(f"cannot read manifest {path}: {err}") from err
     if not isinstance(payload, dict) or not isinstance(payload.get("instances"), list):
         raise ManifestInvalidError(f"manifest {path} must be an object with an 'instances' list")
+    if not payload["instances"]:
+        raise ManifestInvalidError(f"manifest {path} has no instances")
     subset = payload.get("subset", False)
     if not isinstance(subset, bool):
         raise ManifestInvalidError(

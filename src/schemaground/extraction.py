@@ -68,21 +68,6 @@ def load_canonical_schema(concept: str) -> SchemaProgram:
     return parse_schema(resource.read_text(encoding="utf-8"))
 
 
-def scrape_schema_block(reply: str) -> str:
-    """Pull the schema program block out of a chat reply.
-
-    Markdown code fences are dropped, then everything from the first
-    `gen(...) =` header line onward is kept; trailing prose after the node
-    lines is tolerated by the parser itself.
-    """
-    lines = [line for line in reply.splitlines() if not line.lstrip().startswith("```")]
-    for index, line in enumerate(lines):
-        stripped = line.strip()
-        if stripped.startswith("gen") and stripped.endswith("="):
-            return "\n".join(lines[index:])
-    raise SchemaError("reply contains no schema header line")
-
-
 def extract_schema(
     concept: str,
     gateway: ModelGateway,
@@ -90,6 +75,9 @@ def extract_schema(
     fallback_to_canonical: bool = False,
 ) -> SchemaProgram:
     """Ask the backend for a schema program and validate the reply.
+
+    `parse_schema` reads the reply as it is: prose and code fences around
+    the program are skipped.
 
     On a parse/validation failure the validator's message is appended as a
     corrective user turn and the exchange retried, up to max_retries extra
@@ -108,7 +96,7 @@ def extract_schema(
             last_reason = err
             break
         try:
-            program = parse_schema(scrape_schema_block(reply))
+            program = parse_schema(reply)
             if program.concept != concept:
                 raise ConceptMismatchError(
                     f"program declares concept {program.concept!r}, expected {concept!r}"

@@ -21,7 +21,7 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .errors import (
     BackendConfigError,
@@ -29,9 +29,6 @@ from .errors import (
     FixtureMissError,
     MalformedReplyError,
 )
-
-if TYPE_CHECKING:
-    import requests
 
 log = logging.getLogger(__name__)
 
@@ -162,10 +159,10 @@ def cache_key(backend_id: str, request: ModelRequest) -> str:
 class ResponseCache:
     """Content-addressed on-disk store: one JSON file per key, write-once.
 
-    A file that does not hold JSON with a string "text" reads as a miss, and
-    the next put replaces it; a readable entry is never overwritten. Writes
-    land through an atomic rename, so concurrent writers of one key never
-    leave a torn file.
+    A file that does not hold JSON with a string "text", or whose text is
+    blank, reads as a miss, and the next put replaces it; a readable entry
+    is never overwritten. Writes land through an atomic rename, so
+    concurrent writers of one key never leave a torn file.
     """
 
     def __init__(self, root: str | Path):
@@ -194,7 +191,8 @@ class ResponseCache:
         except ValueError:
             return None
         text = payload.get("text") if isinstance(payload, dict) else None
-        return text if isinstance(text, str) else None
+        # A blank reply is no reply: the backend path rejects one too.
+        return text if isinstance(text, str) and text.strip() else None
 
     def put(self, key: str, text: str) -> None:
         if self.get(key) is not None:
@@ -225,6 +223,10 @@ class ScriptedBackend:
 
     @staticmethod
     def _compile_rule(rule: dict, index: int):
+        if not isinstance(rule, dict):
+            raise BackendConfigError(
+                f"fixture rule {index}: must be a JSON object, got {type(rule).__name__}"
+            )
         match = rule.get("match")
         if not isinstance(match, dict) or len(match) != 1:
             raise BackendConfigError(
@@ -290,9 +292,10 @@ class HttpBackend:
 
     Retries (3 attempts, exponential backoff from 1s) apply only to transport
     errors and 5xx responses; auth and other 4xx failures are terminal.
-    `requests` is imported only here, so offline runs never load it. A
-    session built here reads the proxy, CA-bundle and .netrc environment
-    once, when the backend is built; a session passed in is used as it is.
+    `requests` is imported only here, so offline runs never load it. The
+    backend builds its own session, which reads the proxy, CA-bundle and
+    .netrc environment once, when the backend is built; a configured API key
+    always wins over a .netrc login.
     """
 
     def __init__(
@@ -303,7 +306,6 @@ class HttpBackend:
         timeout: float = 60.0,
         max_attempts: int = 3,
         backoff_s: float = 1.0,
-        session: requests.Session | None = None,
         sleep=time.sleep,
     ):
         self.backend_id = backend_id
@@ -313,19 +315,18 @@ class HttpBackend:
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
         self._url = f"{self.base_url}/chat/completions"
-        if session is None:
-            import requests
+        import requests
 
-            # Resolve once what `trust_env` would look up on every post: the
-            # proxies (after NO_PROXY), the CA bundle and, unless an API key
-            # is configured, the .netrc login.
-            session = requests.Session()
-            settings = session.merge_environment_settings(self._url, {}, None, None, None)
-            session.proxies = settings["proxies"]
-            session.verify = settings["verify"]
-            if not api_key_env:
-                session.auth = requests.utils.get_netrc_auth(self._url)
-            session.trust_env = False
+        # Resolve once what `trust_env` would look up on every post: the
+        # proxies (after NO_PROXY), the CA bundle and, unless an API key is
+        # configured, the .netrc login.
+        session = requests.Session()
+        settings = session.merge_environment_settings(self._url, {}, None, None, None)
+        session.proxies = settings["proxies"]
+        session.verify = settings["verify"]
+        if not api_key_env:
+            session.auth = requests.utils.get_netrc_auth(self._url)
+        session.trust_env = False
         self.session = session
         self._sleep = sleep
         # Per thread, the last image encoded and its base64: a worker sends
@@ -429,53 +430,6 @@ class HttpBackend:
         )
 
 
-@dataclass(frozen=True)
-class BackendConfig:
-    backend_id: str
-    kind: str  # "http" | "scripted"
-    model_id: str
-    base_url: str | None = None
-    api_key_env: str | None = None
-    fixture_path: str | None = None
-
-
-def load_backend_config(path: str | Path) -> BackendConfig:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as err:
-        raise BackendConfigError(f"cannot read backend config {path}: {err}") from err
-    try:
-        config = BackendConfig(**raw)
-    except TypeError as err:
-        raise BackendConfigError(f"bad backend config {path}: {err}") from err
-    for name, value in vars(config).items():
-        optional = name in ("base_url", "api_key_env", "fixture_path")
-        if not isinstance(value, str) and not (optional and value is None):
-            raise BackendConfigError(
-                f"bad backend config {path}: {name!r} must be a string, "
-                f"got {type(value).__name__}"
-            )
-    if config.kind not in ("http", "scripted"):
-        raise BackendConfigError(f"unknown backend kind {config.kind!r}")
-    if config.kind == "http" and not config.base_url:
-        raise BackendConfigError("http backend requires base_url")
-    if config.kind == "scripted" and not config.fixture_path:
-        raise BackendConfigError("scripted backend requires fixture_path")
-    return config
-
-
-def build_backend(config: BackendConfig, base_dir: str | Path = "."):
-    if config.kind == "scripted":
-        fixture = Path(base_dir) / config.fixture_path
-        return ScriptedBackend.from_file(fixture, backend_id=config.backend_id)
-    return HttpBackend(
-        base_url=config.base_url,
-        backend_id=config.backend_id,
-        api_key_env=config.api_key_env,
-    )
-
-
 class ModelGateway:
     """Front door for model calls: caching and reply validation.
 
@@ -521,14 +475,49 @@ class ModelGateway:
         temperature: float = 0.0,
         max_tokens: int = 512,
     ) -> ModelGateway:
+        """The gateway to the backend that the JSON object in `config_path`
+        describes: "http" at its base_url, or "scripted" replaying its
+        fixture_path, which is relative to the file."""
         config_path = Path(config_path)
-        config = load_backend_config(config_path)
-        backend = build_backend(config, base_dir=config_path.parent)
+        bad = f"bad backend config {config_path}"
+        try:
+            config = json.loads(config_path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as err:
+            raise BackendConfigError(f"cannot read backend config {config_path}: {err}") from err
+        if not isinstance(config, dict):
+            raise BackendConfigError(f"{bad}: expected an object, got {type(config).__name__}")
+        # Every field holds a string. An optional one may be null and defaults
+        # to it, so a name in only one of these sets is unknown or missing.
+        optional = ("base_url", "api_key_env", "fixture_path")
+        fields = dict.fromkeys(optional) | config
+        strays = sorted(fields.keys() ^ {"backend_id", "kind", "model_id", *optional})
+        if strays:
+            problem = "unknown" if strays[0] in config else "missing"
+            raise BackendConfigError(f"{bad}: {problem} field {strays[0]!r}")
+        for name, value in fields.items():
+            if not isinstance(value, str) and not (value is None and name in optional):
+                raise BackendConfigError(
+                    f"{bad}: {name!r} must be a string, got {type(value).__name__}"
+                )
+        kind, backend_id = fields["kind"], fields["backend_id"]
+        if kind == "http":
+            if not fields["base_url"]:
+                raise BackendConfigError("http backend requires base_url")
+            backend = HttpBackend(
+                fields["base_url"], backend_id=backend_id, api_key_env=fields["api_key_env"]
+            )
+        elif kind == "scripted":
+            if not fields["fixture_path"]:
+                raise BackendConfigError("scripted backend requires fixture_path")
+            fixture = config_path.parent / fields["fixture_path"]
+            backend = ScriptedBackend.from_file(fixture, backend_id=backend_id)
+        else:
+            raise BackendConfigError(f"unknown backend kind {kind!r}")
         cache = ResponseCache(cache_dir) if cache_dir is not None else None
         return cls(
             backend,
             cache=cache,
-            model_id=config.model_id,
+            model_id=fields["model_id"],
             temperature=temperature,
             max_tokens=max_tokens,
         )

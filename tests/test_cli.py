@@ -429,6 +429,23 @@ def test_invalid_manifest_exit_code(toy, tmp_path):
     assert "ManifestInvalidError" in result.stderr
 
 
+def test_a_manifest_without_instances_exits_50(toy, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"subset": True, "instances": []}))
+    for command in ("evaluate", "answer"):
+        out = tmp_path / command
+        result = run_cli(
+            command,
+            "--manifest", manifest,
+            *_backend_args(toy, tmp_path),
+            "--out", out,
+            cwd=tmp_path,
+        )
+        assert result.returncode == 50, result.stderr
+        assert "no instances" in result.stderr
+        assert not out.exists()
+
+
 def test_fixture_miss_exit_code(toy, tmp_path):
     rules = tmp_path / "rules.json"
     rules.write_text("[]")
@@ -545,6 +562,10 @@ def test_usage_errors_exit_two(tmp_path):
                      "--backend-config", "b.json", cwd=tmp_path)
     assert result.returncode == 2
     assert "must be at least 0" in result.stderr
+    for extra in ((), ("--canonical",)):
+        result = run_cli("extract", "", *extra, "--backend-config", "b.json", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "must be non-empty" in result.stderr
     (tmp_path / "maze.schema").write_text(render_schema(load_canonical_schema("maze")))
     (tmp_path / "x.gif").write_bytes(b"GIF89a")
     for schema, image, message in (

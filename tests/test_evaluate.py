@@ -470,6 +470,10 @@ def test_manifest_rejects_wrong_annotator_count(tmp_path):
         ({"annotator_answers": [4] * 5, "modal_answer": "4"}, "'annotator_answers' must hold"),
         ({"question": 7}, "'question' must be a string"),
         ({"id": 7}, "'id' must be a string"),
+        # A null option would become "None", which cleans to "0".
+        ({"options": ["2", None, "4"]}, "'options' must hold strings or numbers"),
+        ({"options": ["2", True, "4"]}, "'options' must hold strings or numbers"),
+        ({"options": ["2", ["3"], "4"]}, "'options' must hold strings or numbers"),
     ],
 )
 def test_manifest_rejects_mistyped_fields(tmp_path, overrides, message):
@@ -541,6 +545,8 @@ def test_manifest_unreadable_or_malformed(tmp_path):
     bad.write_text("[1, 2]")
     with pytest.raises(ManifestInvalidError, match="'instances' list"):
         load_manifest(bad)
+    with pytest.raises(ManifestInvalidError, match="no instances"):
+        load_manifest(_write_manifest(tmp_path, []))
 
 
 def test_manifest_entry_that_is_not_an_object(tmp_path):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from schemaground.dsl import render_schema
+from schemaground.dsl import parse_schema, render_schema
 from schemaground.errors import (
     ConceptMismatchError,
     ExtractionFailedError,
@@ -20,7 +20,6 @@ from schemaground.extraction import (
     canonical_concepts,
     extract_schema,
     load_canonical_schema,
-    scrape_schema_block,
 )
 
 from helpers import scripted_gateway
@@ -108,14 +107,12 @@ def test_unknown_concept_is_rejected():
 
 def test_scrape_drops_fences_and_leading_prose():
     reply = f"Sure, here you go:\n```\n{MAZE_TEXT}```\nHope this helps!"
-    block = scrape_schema_block(reply)
-    assert block.startswith("gen(concept=maze) =")
-    assert "```" not in block
+    assert render_schema(parse_schema(reply)) == MAZE_TEXT
 
 
 def test_scrape_requires_a_header_line():
     with pytest.raises(SchemaError, match="no schema header"):
-        scrape_schema_block("I cannot produce a program for that.")
+        parse_schema("I cannot produce a program for that.")
 
 
 def test_scraped_block_with_trailing_prose_still_parses(toy_gateway):

@@ -31,10 +31,8 @@ from schemaground.gateway import (
     ModelRequest,
     ResponseCache,
     ScriptedBackend,
-    build_backend,
     cache_key,
     cache_key_material,
-    load_backend_config,
 )
 from schemaground.qa import AnswerMode
 from schemaground.runner import run_predictions
@@ -172,6 +170,18 @@ def test_response_cache_roundtrip_and_write_once(tmp_path):
     assert not list((tmp_path / "cache").glob("*.tmp"))
 
 
+@pytest.mark.parametrize("blank", ["", "   \n"])
+def test_a_blank_cached_reply_is_a_miss_that_the_next_fetch_replaces(tmp_path, blank):
+    cache = ResponseCache(tmp_path / "cache")
+    backend = ScriptedBackend([{"match": {"contains": "q"}, "reply": "r"}])
+    request = _request("q?")
+    key = cache_key(backend.backend_id, request)
+    (tmp_path / "cache" / f"{key}.json").write_text(json.dumps({"text": blank}))
+    assert cache.get(key) is None
+    assert ModelGateway(backend, cache=cache).complete(request) == "r"
+    assert cache.get(key) == "r"
+
+
 def test_response_cache_reads_an_entry_longer_than_one_read(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     text = "é" * 100_000  # 200 KB of UTF-8, so several reads of 64 KiB
@@ -247,6 +257,8 @@ def test_scripted_backend_rejects_bad_rules(rule):
         ({"match": {"regex": "(unclosed"}, "reply": "r"}, "bad regex"),
         ({"match": {"contains": 5}, "reply": "r"}, "contains needle must be a string"),
         ({"match": {"equals": ["x"]}, "reply": "r"}, "equals needle must be a string"),
+        ("x", "must be a JSON object, got str"),
+        (5, "must be a JSON object, got int"),
     ],
 )
 def test_scripted_backend_rejects_bad_needles_when_built(rule, message):
@@ -308,12 +320,8 @@ class FakeSession:
 
 def _http(script, **kwargs):
     sleeps = []
-    backend = HttpBackend(
-        base_url="https://api.example.test/v1",
-        session=FakeSession(script),
-        sleep=sleeps.append,
-        **kwargs,
-    )
+    backend = HttpBackend(base_url="https://api.example.test/v1", sleep=sleeps.append, **kwargs)
+    backend.session = FakeSession(script)
     return backend, sleeps
 
 
@@ -532,9 +540,8 @@ class _CapturingAdapter(requests.adapters.BaseAdapter):
 
 def test_http_backend_sends_the_body_through_a_real_session(tiny_image):
     adapter = _CapturingAdapter()
-    session = requests.Session()
-    session.mount("https://api.example.test/", adapter)
-    backend = HttpBackend(base_url="https://api.example.test/v1", session=session)
+    backend = HttpBackend(base_url="https://api.example.test/v1")
+    backend.session.mount("https://api.example.test/", adapter)
     request = ModelRequest(
         model_id="vlm-1",
         messages=(
@@ -641,16 +648,6 @@ def test_an_api_key_beats_a_netrc_entry_for_the_host(clean_env, tmp_path):
     assert authorization == "Bearer sk-123"
 
 
-def test_a_session_passed_in_is_left_as_it_is(clean_env):
-    clean_env.setenv("HTTPS_PROXY", "http://proxy.test:3128")
-    session = requests.Session()
-    HttpBackend(_URL, session=session)
-    assert session.trust_env is True
-    assert session.proxies == {}
-    assert session.verify is True
-    assert session.auth is None
-
-
 # ---------------------------------------------------------- image encodings
 
 
@@ -684,10 +681,10 @@ def test_each_worker_task_encodes_its_image_once(toy_manifest, monkeypatch):
     counts = {}
     for concurrency in (1, 2, 16):
         before = len(loads), len(bodies)
-        session = requests.Session()
+        backend = HttpBackend(_URL)
         adapter = _CapturingAdapter(lambda prepared: _fixture_reply(scripted, prepared))
-        session.mount("https://api.example.test/", adapter)
-        gateway = ModelGateway(HttpBackend(_URL, session=session))
+        backend.session.mount("https://api.example.test/", adapter)
+        gateway = ModelGateway(backend)
         run_predictions(toy_manifest, list(AnswerMode), gateway, concurrency=concurrency)
         counts[concurrency] = len(loads) - before[0]
         assert len(bodies) - before[1] == 72
@@ -738,9 +735,7 @@ def test_threads_alternating_two_images_each_get_their_own_bodies(tiny_image, mo
 
 
 def test_load_backend_config_scripted(toy):
-    config = load_backend_config(toy.backend_config_path)
-    assert config.kind == "scripted"
-    backend = build_backend(config, base_dir=toy.backend_config_path.parent)
+    backend = ModelGateway.from_config(toy.backend_config_path).backend
     assert isinstance(backend, ScriptedBackend)
     assert backend.backend_id == "scripted-toy"
 
@@ -758,8 +753,7 @@ def test_load_backend_config_http(tmp_path):
             }
         )
     )
-    config = load_backend_config(path)
-    backend = build_backend(config)
+    backend = ModelGateway.from_config(path).backend
     assert isinstance(backend, HttpBackend)
     assert backend.api_key_env == "KEY"
 
@@ -772,13 +766,14 @@ def test_load_backend_config_http(tmp_path):
         {"backend_id": "b", "kind": "scripted", "model_id": "m"},
         {"backend_id": "b", "kind": "scripted", "model_id": "m", "xtra": 1,
          "fixture_path": "f.json"},
+        ["scripted"],
     ],
 )
 def test_load_backend_config_rejects_bad_configs(tmp_path, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(BackendConfigError):
-        load_backend_config(path)
+        ModelGateway.from_config(path)
 
 
 @pytest.mark.parametrize(
@@ -798,17 +793,17 @@ def test_load_backend_config_rejects_mistyped_fields(tmp_path, overrides, field)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(BackendConfigError, match=f"'{field}' must be a string") as info:
-        load_backend_config(path)
+        ModelGateway.from_config(path)
     assert exit_code_for(info.value) == 23
 
 
 def test_load_backend_config_unreadable(tmp_path):
     with pytest.raises(BackendConfigError):
-        load_backend_config(tmp_path / "missing.json")
+        ModelGateway.from_config(tmp_path / "missing.json")
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     with pytest.raises(BackendConfigError):
-        load_backend_config(broken)
+        ModelGateway.from_config(broken)
 
 
 # ------------------------------------------------------------------ gateway
