@@ -203,16 +203,14 @@ def parse_schema(text: str) -> SchemaProgram:
 
 
 def validate_program(program: SchemaProgram) -> None:
-    """Check every program invariant; raise the matching SchemaError if violated.
+    """Check the program invariants that the grammar leaves open; raise the
+    matching SchemaError if one is violated.
 
-    Covers: identifier shape, component cap, unique ids, concept agreement,
-    deps declared earlier (no forward/self references, hence no cycles), and
-    no duplicate deps.
+    Covers: component cap, unique ids, concept agreement, deps declared
+    earlier (no forward/self references, hence no cycles), and no duplicate
+    deps. `parse_schema` has already checked identifier shapes and that there
+    is at least one component.
     """
-    if not IDENT_RE.match(program.concept):
-        raise SchemaSyntaxError(f"invalid concept name {program.concept!r}")
-    if not program.nodes:
-        raise SchemaSyntaxError("program declares no components")
     if len(program.nodes) > MAX_COMPONENTS:
         raise TooManyComponentsError(
             f"{len(program.nodes)} components declared; at most {MAX_COMPONENTS} allowed"
@@ -220,8 +218,6 @@ def validate_program(program: SchemaProgram) -> None:
 
     declared: set[str] = set()
     for node in program.nodes:
-        if not IDENT_RE.match(node.id):
-            raise SchemaSyntaxError(f"invalid component id {node.id!r}")
         if node.id in declared:
             raise DuplicateComponentError(f"component {node.id!r} declared twice")
         if node.concept != program.concept:

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .errors import IncompletePredictionsError, ManifestInvalidError, MissingImageError
 from .extraction import CATEGORIES
-from .gateway import ImageRef
+from .gateway import ImageRef, read_json
 from .qa import NO_MATCH, QUESTION_TYPES, Prediction, VqaInstance, normalize_answer
 
 METRIC_KINDS = ("exact_match", "graded")
@@ -81,7 +81,7 @@ def load_manifest(path: str | Path, multiple_choice: bool = True) -> DatasetMani
     """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = read_json(path)
     except (OSError, ValueError) as err:
         raise ManifestInvalidError(f"cannot read manifest {path}: {err}") from err
     if not isinstance(payload, dict) or not isinstance(payload.get("instances"), list):
@@ -298,15 +298,6 @@ def graded_accuracy(predictions: list[Prediction], manifest: DatasetManifest) ->
     )
 
 
-def _modal(answers: list[str]) -> str:
-    counts = Counter(answers)
-    best = max(counts.values())
-    for answer in answers:
-        if counts[answer] == best:
-            return answer
-    raise AssertionError("unreachable: non-empty answers always have a mode")
-
-
 def human_leave_one_out(manifest: DatasetManifest) -> CellStats:
     """Accuracy of each held-out annotator against the modal of the other four.
 
@@ -318,7 +309,8 @@ def human_leave_one_out(manifest: DatasetManifest) -> CellStats:
         answers = list(instance.annotator_answers)
         forms = [normalize_answer(answer, instance.options) for answer in answers]
         for position, held in enumerate(forms):
-            modal = _modal(answers[:position] + answers[position + 1 :])
+            # Counter keeps first-occurrence order, so a tie goes to the earliest.
+            modal = Counter(answers[:position] + answers[position + 1 :]).most_common(1)[0][0]
             per_position[position].append(_agreement(held, [forms[answers.index(modal)]]))
     return CellStats.from_per_run(
         len(manifest.instances), tuple(statistics.fmean(scores) for scores in per_position)
@@ -348,31 +340,22 @@ def format_report_table(rows: list[tuple[str, EvalReport]], by: str = "question_
     """
     if by not in ("question_type", "category"):
         raise ValueError("by must be 'question_type' or 'category'")
-    column_keys: list[str] = []
-    for _, report in rows:
-        breakdown = report.by_question_type if by == "question_type" else report.by_category
-        for key in breakdown:
-            if key not in column_keys:
-                column_keys.append(key)
+    breakdowns = [
+        report.by_question_type if by == "question_type" else report.by_category
+        for _, report in rows
+    ]
     ordering = QUESTION_TYPES if by == "question_type" else CATEGORIES
-    column_keys.sort(key=ordering.index)
+    column_keys = [key for key in ordering if any(key in breakdown for breakdown in breakdowns)]
     headers = ["mode", "all"] + column_keys
 
-    def fmt(cell: CellStats | None) -> str:
-        if cell is None:
-            return "-"
+    def fmt(cell: CellStats) -> str:
         return f"{cell.mean:.3f} ± {cell.std:.3f}"
 
-    table_rows = []
-    for label, report in rows:
-        breakdown = report.by_question_type if by == "question_type" else report.by_category
-        table_rows.append(
-            [label, fmt(report.overall)] + [fmt(breakdown.get(key)) for key in column_keys]
-        )
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in table_rows)) if table_rows else len(headers[i])
-        for i in range(len(headers))
+    table_rows = [
+        [label, fmt(report.overall)] + [fmt(breakdown[key]) for key in column_keys]
+        for (label, report), breakdown in zip(rows, breakdowns)
     ]
+    widths = [max(map(len, column)) for column in zip(headers, *table_rows)]
     lines = [
         "  ".join(header.ljust(widths[i]) for i, header in enumerate(headers)),
         "  ".join("-" * widths[i] for i in range(len(headers))),

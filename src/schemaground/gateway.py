@@ -156,13 +156,48 @@ def cache_key(backend_id: str, request: ModelRequest) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not abs(value) < float("inf"):  # NaN fails too
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+# `json.loads` with its default settings, except that NaN, infinity and a
+# number too large for a float, which JSON cannot hold (RFC 8259, section 6),
+# raise rather than come in.
+_DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
+
+
+def read_json(path: str | Path):
+    """The JSON value in the UTF-8 file at `path`. A file that does not hold
+    JSON, or nests too deeply to decode, raises ValueError; one that cannot
+    be read raises OSError."""
+    # Plain os calls, four for a small file: each system call is a point
+    # where another thread can take the GIL, and `Path.read_text` makes
+    # about ten.
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    try:
+        return _DECODER.decode(b"".join(chunks).decode("utf-8"))
+    except RecursionError as err:
+        raise ValueError("JSON nested too deeply to decode") from err
+
+
 class ResponseCache:
     """Content-addressed on-disk store: one JSON file per key, write-once.
 
-    A file that does not hold JSON with a string "text", or whose text is
-    blank, reads as a miss, and the next put replaces it; a readable entry
-    is never overwritten. Writes land through an atomic rename, so
-    concurrent writers of one key never leave a torn file.
+    An entry that cannot be read, does not hold JSON with a string "text",
+    or whose text is blank reads as a miss, and the next put replaces it; a
+    readable entry is never overwritten. Writes land through an atomic
+    rename, so concurrent writers of one key never leave a torn file. A put
+    that cannot write its entry (the path is a directory, say) logs a
+    warning and leaves the cache as it was.
     """
 
     def __init__(self, root: str | Path):
@@ -173,22 +208,9 @@ class ResponseCache:
         return self.root / f"{key}.json"
 
     def get(self, key: str) -> str | None:
-        # Plain os calls, four per hit: each system call is a point where
-        # another thread can take the GIL, and `Path.read_text` makes about
-        # ten.
         try:
-            fd = os.open(self._path(key), os.O_RDONLY)
-        except FileNotFoundError:
-            return None
-        try:
-            chunks = []
-            while chunk := os.read(fd, 1 << 16):
-                chunks.append(chunk)
-        finally:
-            os.close(fd)
-        try:
-            payload = json.loads(b"".join(chunks).decode("utf-8"))
-        except ValueError:
+            payload = read_json(self._path(key))
+        except (OSError, ValueError):
             return None
         text = payload.get("text") if isinstance(payload, dict) else None
         # A blank reply is no reply: the backend path rejects one too.
@@ -204,10 +226,12 @@ class ResponseCache:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(payload)
             os.replace(tmp_name, path)
-        except BaseException:
+        except OSError as err:
+            # The caller has the reply; only a later command pays for it.
+            log.warning("cache entry %s not written: %s", path, err)
+        finally:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
-            raise
 
 
 class ScriptedBackend:
@@ -252,7 +276,7 @@ class ScriptedBackend:
     @classmethod
     def from_file(cls, path: str | Path, backend_id: str = "scripted") -> ScriptedBackend:
         try:
-            rules = json.loads(Path(path).read_text(encoding="utf-8"))
+            rules = read_json(path)
         except (OSError, ValueError) as err:
             raise BackendConfigError(f"cannot read fixture file {path}: {err}") from err
         if not isinstance(rules, list):
@@ -481,7 +505,7 @@ class ModelGateway:
         config_path = Path(config_path)
         bad = f"bad backend config {config_path}"
         try:
-            config = json.loads(config_path.read_text(encoding="utf-8"))
+            config = read_json(config_path)
         except (OSError, ValueError) as err:
             raise BackendConfigError(f"cannot read backend config {config_path}: {err}") from err
         if not isinstance(config, dict):

@@ -229,6 +229,7 @@ def _grounding_rules() -> list[dict]:
         phrase = concept_phrase(concept)
         for node in schema.nodes:
             tail = f"What {copula(node.id)} the {display_name(node.id)}\\?"
+            binding = TOY_BINDINGS[concept][node.id]
             drift = TOY_SEQUENTIAL_DRIFT.get((concept, node.id))
             if drift is not None:
                 first_dep = node.deps[0]
@@ -237,24 +238,14 @@ def _grounding_rules() -> list[dict]:
                     f"{TOY_BINDINGS[concept][first_dep]}"
                 )
                 rules.append(
-                    {
-                        "match": {"regex": f"(?s){re.escape(dep_clause)}.*{tail}"},
-                        "reply": TOY_BINDINGS[concept][node.id],
-                    }
+                    {"match": {"regex": f"(?s){re.escape(dep_clause)}.*{tail}"}, "reply": binding}
                 )
-                rules.append(
-                    {
-                        "match": {"regex": f"(?s)represents {re.escape(phrase)}.*{tail}"},
-                        "reply": drift,
-                    }
-                )
-            else:
-                rules.append(
-                    {
-                        "match": {"regex": f"(?s)represents {re.escape(phrase)}.*{tail}"},
-                        "reply": TOY_BINDINGS[concept][node.id],
-                    }
-                )
+            rules.append(
+                {
+                    "match": {"regex": f"(?s)represents {re.escape(phrase)}.*{tail}"},
+                    "reply": drift or binding,
+                }
+            )
     return rules
 
 

@@ -4,6 +4,7 @@ deliberate failures mapped to their exit codes."""
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import schemaground
 from schemaground import cli
 from schemaground.dsl import render_schema
+from schemaground.errors import EXIT_CODES
 from schemaground.extraction import load_canonical_schema
 from schemaground.gateway import ScriptedBackend
 from schemaground.toydata import TOY_BINDINGS, TOY_SEQUENTIAL_DRIFT, toy_fixture_rules
@@ -608,3 +610,45 @@ def test_cache_dir_at_or_under_a_file_exits_two(toy, tmp_path, cache_dir):
     assert "taken exists and is not a directory" in result.stderr
     assert "Traceback" not in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_a_cache_entry_that_is_a_directory_is_a_miss_and_is_left_alone(toy, tmp_path):
+    def ablate(name):
+        result = run_cli(
+            "ablate",
+            "--manifest", toy.manifest_path,
+            "--backend-config", toy.backend_config_path,
+            "--cache-dir", tmp_path / f"{name}-cache",
+            "--out", tmp_path / name,
+            cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        files = {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+        return result, files, result.stdout.replace(str(tmp_path / name), "<OUT>")
+
+    _, clean_files, clean_stdout = ablate("clean")
+    entry = tmp_path / "taken-cache" / min(path.name for path in tmp_path.glob("clean-cache/*"))
+    entry.mkdir(parents=True)
+    result, files, stdout = ablate("taken")
+    assert files == clean_files
+    assert stdout == clean_stdout
+    assert f"cache entry {entry} not written" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert entry.is_dir()
+    assert len(list(entry.parent.glob("*.json"))) == 72
+    assert not list(entry.parent.glob("*.tmp"))
+
+
+def test_readme_exit_code_table_is_the_code_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if re.match(r"\| \d+ \|", line)
+    ]
+    assert [int(code) for code, _, _ in rows] == sorted({1, 2, *EXIT_CODES.values()})
+    assert {name.strip("`"): int(code) for code, name, _ in rows if name != "—"} == {
+        error.__name__: code for error, code in EXIT_CODES.items()
+    }
+    assert [int(code) for code, name, _ in rows if name == "—"] == [1, 2]

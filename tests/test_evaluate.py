@@ -474,12 +474,17 @@ def test_manifest_rejects_wrong_annotator_count(tmp_path):
         ({"options": ["2", None, "4"]}, "'options' must hold strings or numbers"),
         ({"options": ["2", True, "4"]}, "'options' must hold strings or numbers"),
         ({"options": ["2", ["3"], "4"]}, "'options' must hold strings or numbers"),
+        # NaN and infinity are not JSON, so the file cannot be read.
+        ({"options": ["2", float("nan"), "4"]}, "NaN is not a finite number"),
+        ({"options": ["2", float("inf"), "4"]}, "Infinity is not a finite number"),
+        ({"options": ["2", float("-inf"), "4"]}, "-Infinity is not a finite number"),
     ],
 )
 def test_manifest_rejects_mistyped_fields(tmp_path, overrides, message):
     raw = _raw_instance(**overrides)
     path = _write_manifest(tmp_path, [raw])
-    with pytest.raises(ManifestInvalidError, match=f"instance {raw['id']!r}: .*{message}") as info:
+    where = "cannot read manifest .*" if "finite" in message else f"instance {raw['id']!r}"
+    with pytest.raises(ManifestInvalidError, match=f"{where}: .*{message}") as info:
         load_manifest(path)
     assert exit_code_for(info.value) == 50
 
@@ -547,6 +552,12 @@ def test_manifest_unreadable_or_malformed(tmp_path):
         load_manifest(bad)
     with pytest.raises(ManifestInvalidError, match="no instances"):
         load_manifest(_write_manifest(tmp_path, []))
+    bad.write_text('{"subset": true, "instances": [1e999]}')
+    with pytest.raises(ManifestInvalidError, match="cannot read .*1e999 is not a finite number"):
+        load_manifest(bad)
+    bad.write_text('{"instances": ' + "[" * 50_000 + "]" * 50_000 + "}")
+    with pytest.raises(ManifestInvalidError, match="cannot read .*nested too deeply"):
+        load_manifest(bad)
 
 
 def test_manifest_entry_that_is_not_an_object(tmp_path):

@@ -33,6 +33,7 @@ from schemaground.gateway import (
     ScriptedBackend,
     cache_key,
     cache_key_material,
+    read_json,
 )
 from schemaground.qa import AnswerMode
 from schemaground.runner import run_predictions
@@ -189,6 +190,16 @@ def test_response_cache_reads_an_entry_longer_than_one_read(tmp_path):
     assert cache.get("k") == text
 
 
+def test_read_json_reads_json_and_lets_os_errors_through(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text('{"a": [1e308, -0.5, 12345678901234567890, "é", null]}')
+    assert read_json(path) == {"a": [1e308, -0.5, 12345678901234567890, "é", None]}
+    with pytest.raises(FileNotFoundError):
+        read_json(tmp_path / "missing.json")
+    with pytest.raises(IsADirectoryError):
+        read_json(tmp_path)
+
+
 # --------------------------------------------------------- scripted backend
 
 
@@ -286,6 +297,9 @@ def test_scripted_backend_fixture_file_missing_or_not_json(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     with pytest.raises(BackendConfigError, match="cannot read fixture file"):
+        ScriptedBackend.from_file(broken)
+    broken.write_text('[{"match": {"contains": "q"}, "reply": NaN}]')
+    with pytest.raises(BackendConfigError, match="cannot read fixture file .*NaN is not"):
         ScriptedBackend.from_file(broken)
 
 
@@ -804,6 +818,9 @@ def test_load_backend_config_unreadable(tmp_path):
     broken.write_text("{not json")
     with pytest.raises(BackendConfigError):
         ModelGateway.from_config(broken)
+    broken.write_text('{"backend_id": "b", "kind": "scripted", "model_id": NaN}')
+    with pytest.raises(BackendConfigError, match="cannot read backend config .*NaN is not"):
+        ModelGateway.from_config(broken)
 
 
 # ------------------------------------------------------------------ gateway
@@ -821,7 +838,11 @@ def test_gateway_caches_and_marks_hits(tmp_path):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("corrupt", ['{"text": "r', "", "[1]", '{"text": 3}', b"\xff\xfe"])
+@pytest.mark.parametrize(
+    "corrupt",
+    ['{"text": "r', "", "[1]", '{"text": 3}', b"\xff\xfe", '{"text": "r", "n": 1e999}',
+     pytest.param("[" * 50_000 + "]" * 50_000, id="deep-nest")],
+)
 def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, corrupt):
     backend = ScriptedBackend([{"match": {"contains": "q"}, "reply": "r"}])
     calls = []

@@ -1,9 +1,11 @@
 """Pins of the toy `ablate` outputs: the SHA-256 of each of the 11 `--out`
-files and of stdout, under three flag sets.
+files and of stdout, under three flag sets; of the names of the cache files
+it writes; and of the toy fixture file.
 
 A change that must leave outputs byte-identical keeps every pin. A change
 that alters outputs on purpose updates the pins here and says why in
-CHANGES.md.
+CHANGES.md. The cache file names are the request keys: a change that moves
+them orphans every cache that a live run has paid for.
 """
 
 from __future__ import annotations
@@ -98,6 +100,12 @@ PINS = {
 }
 
 
+# SHA-256 of the sorted cache file names, joined by newlines.
+CACHE_NAMES_PIN = "6e2697e1fa67ae865053a5a3c8432af796651daa854c33e74925ff51137814c1"
+
+FIXTURE_FILE_PIN = "05d4cdc65616e4c9a3a897864f94ef2ecf51d6b29f9c0de024164ea4d420d668"
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -122,3 +130,21 @@ def test_toy_ablate_outputs_are_pinned(toy, tmp_path, capsys, flags):
     digests = _ablate_digests(toy, tmp_path / "out", flags, capsys)
     assert len(digests) == 12  # 11 files and stdout
     assert digests == PINS[flags]
+
+
+def test_toy_ablate_cache_file_names_are_pinned(toy, tmp_path, capsys):
+    code = cli.main([
+        "ablate",
+        "--manifest", str(toy.manifest_path),
+        "--backend-config", str(toy.backend_config_path),
+        "--cache-dir", str(tmp_path / "cache"),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    names = sorted(path.name for path in (tmp_path / "cache").iterdir())
+    assert len(names) == 72
+    assert _sha256("\n".join(names).encode("utf-8")) == CACHE_NAMES_PIN
+
+
+def test_toy_fixture_file_is_pinned(toy):
+    assert _sha256(toy.fixture_path.read_bytes()) == FIXTURE_FILE_PIN
