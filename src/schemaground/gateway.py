@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import re
-import tempfile
 import threading
 import time
 from concurrent.futures import Future
@@ -194,10 +193,13 @@ class ResponseCache:
 
     An entry that cannot be read, does not hold JSON with a string "text",
     or whose text is blank reads as a miss, and the next put replaces it; a
-    readable entry is never overwritten. Writes land through an atomic
-    rename, so concurrent writers of one key never leave a torn file. A put
-    that cannot write its entry (the path is a directory, say) logs a
-    warning and leaves the cache as it was.
+    readable entry is never overwritten. A put creates its entry in place,
+    one file create and one write; only where the path already holds an
+    entry that reads as a miss (blank, corrupt, or cut short by a crash) does
+    it write a temporary file and rename it over the entry. A reader that
+    meets an entry still being written reads a miss, never a torn reply. A
+    put that cannot write its entry (the path is a directory, or the root is
+    gone, say) logs a warning and leaves the cache as it was.
     """
 
     def __init__(self, root: str | Path):
@@ -217,20 +219,31 @@ class ResponseCache:
         return text if isinstance(text, str) and text.strip() else None
 
     def put(self, key: str, text: str) -> None:
-        if self.get(key) is not None:
-            return
         path = self._path(key)
-        payload = json.dumps({"text": text}, ensure_ascii=False)
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        payload = json.dumps({"text": text}, ensure_ascii=False).encode("utf-8")
+        create = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+        tmp_name = None
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
+            try:
+                fd = os.open(path, create, 0o600)
+            except FileExistsError:
+                if self.get(key) is not None:
+                    return
+                tmp_name = f"{path}.{os.urandom(6).hex()}.tmp"
+                fd = os.open(tmp_name, create, 0o600)
+            try:
+                view = memoryview(payload)
+                while view:
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
+            if tmp_name is not None:
+                os.replace(tmp_name, path)
         except OSError as err:
             # The caller has the reply; only a later command pays for it.
             log.warning("cache entry %s not written: %s", path, err)
         finally:
-            if os.path.exists(tmp_name):
+            if tmp_name is not None and os.path.lexists(tmp_name):
                 os.unlink(tmp_name)
 
 
@@ -462,10 +475,12 @@ class ModelGateway:
 
     The gateway also owns a turn, which callers that share it take to run
     their local work one at a time. A caller holding the turn lets it go
-    where it must wait: just before the backend call and just before
-    waiting on another caller's request in flight. It does not take the
-    turn back, so a waiting caller never blocks the others; on a warm cache
-    nothing waits, and one thread does all the work.
+    where it must wait: just before a call to a backend that waits on I/O
+    and just before waiting on another caller's request in flight. It does
+    not take the turn back, so a waiting caller never blocks the others. A
+    scripted backend computes its reply in-process, so a call to it keeps
+    the turn; on a warm cache or a scripted backend nothing waits, and one
+    thread does all the work.
     """
 
     def __init__(
@@ -578,7 +593,8 @@ class ModelGateway:
             if text is not None:
                 log.debug("cache hit %s model=%s", key[:12], request.model_id)
             else:
-                self.give_turn()
+                if not isinstance(self.backend, ScriptedBackend):
+                    self.give_turn()
                 text = self.backend.complete(request)
                 if not text.strip():
                     raise MalformedReplyError("backend returned an empty reply")

@@ -11,10 +11,12 @@ a caller of a request already in flight waits for its reply.
 `concurrency` worker threads serve every mode and run of a command, so at
 most that many backend calls are in flight. A worker starts a task only
 while it holds the gateway's turn, and keeps the turn from task to task
-until the gateway lets it go to wait on the backend or on another caller's
-reply; it then finishes its task without the turn. So local work runs on one
-thread until a worker must wait, and a warm-cache replay runs on one thread
-throughout. The first error stops every worker from starting a new task.
+until the gateway lets it go to wait on an I/O backend or on another
+caller's reply; it then finishes its task without the turn. So local work
+runs on one thread until a worker must wait, and a warm-cache replay or a
+scripted run, where nothing waits, runs on one thread throughout. The first
+error, or an interrupt, stops every worker from starting a new task, and
+each started worker is joined before the error is raised.
 
 Per-run requests carry seed_hint = base seed + run_index so repeated runs
 against a live backend are distinct cache entries rather than replays of

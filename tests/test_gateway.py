@@ -8,6 +8,8 @@ import io
 import json
 import logging
 import os
+import stat
+import sys
 import threading
 import time
 
@@ -188,6 +190,78 @@ def test_response_cache_reads_an_entry_longer_than_one_read(tmp_path):
     text = "é" * 100_000  # 200 KB of UTF-8, so several reads of 64 KiB
     cache.put("k", text)
     assert cache.get("k") == text
+
+
+def test_a_put_creates_its_entry_in_place(tmp_path, monkeypatch):
+    cache = ResponseCache(tmp_path / "cache")
+    monkeypatch.setattr(os, "replace", None)  # a fresh entry is never renamed
+    cache.put("k", "r")
+    assert cache.get("k") == "r"
+    assert [path.name for path in (tmp_path / "cache").iterdir()] == ["k.json"]
+
+
+def test_a_put_into_a_removed_cache_root_logs_a_warning_and_raises_nothing(
+    tmp_path, caplog
+):
+    root = tmp_path / "cache"
+    cache = ResponseCache(root)
+    root.rmdir()
+    with caplog.at_level(logging.WARNING, logger="schemaground.gateway"):
+        cache.put("k", "r")
+    assert f"cache entry {root / 'k.json'} not written" in caplog.text
+    assert not root.exists()
+
+
+# Two gateways with their own memos stand for two processes sharing one
+# cache. For each request both backends reply at once, each with its own
+# text, so the two puts of one key race; half the entries start blank, as a
+# crash mid-write leaves them, so the puts race on the replacing rename too.
+def test_racing_puts_of_one_key_leave_one_entry_that_stays(tmp_path):
+    barrier = threading.Barrier(2, timeout=TIMEOUT_S)
+
+    class Racing:
+        backend_id = "racing"
+
+        def __init__(self, reply):
+            self.reply = reply
+
+        def complete(self, request):
+            barrier.wait()
+            return self.reply
+
+    root = tmp_path / "cache"
+    gateways = [ModelGateway(Racing(reply), cache=ResponseCache(root)) for reply in "ab"]
+    requests_ = [_request(f"q{index}") for index in range(20)]
+    for request in requests_[::2]:
+        (root / f"{cache_key('racing', request)}.json").write_bytes(b"")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for request in requests_:
+            replies = []
+            threads = [
+                threading.Thread(target=lambda g=g: replies.append(g.complete(request)))
+                for g in gateways
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(TIMEOUT_S)
+            assert sorted(replies) == ["a", "b"]
+    finally:
+        sys.setswitchinterval(interval)
+    assert not list(root.glob("*.tmp"))
+    entries = sorted(root.iterdir())
+    assert len(entries) == len(requests_)
+    won = {}
+    for request in requests_:
+        path = root / f"{cache_key('racing', request)}.json"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        won[path] = json.loads(path.read_text())["text"]
+        assert won[path] in ("a", "b")
+        ResponseCache(root).put(path.stem, "c")
+        assert ModelGateway(Racing("c"), cache=ResponseCache(root)).complete(request) == won[path]
+    assert {path: json.loads(path.read_text())["text"] for path in entries} == won
 
 
 def test_read_json_reads_json_and_lets_os_errors_through(tmp_path):

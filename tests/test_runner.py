@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import signal
 import sys
 import threading
 
@@ -14,8 +15,14 @@ from schemaground.dsl import render_schema
 from schemaground.errors import FixtureMissError
 from schemaground.evaluate import DatasetManifest, load_manifest
 from schemaground.extraction import load_canonical_schema
-from schemaground.gateway import ImageRef, ModelGateway, ScriptedBackend, cache_key
-from schemaground.qa import AnswerMode
+from schemaground.gateway import (
+    ImageRef,
+    ModelGateway,
+    ResponseCache,
+    ScriptedBackend,
+    cache_key,
+)
+from schemaground.qa import AnswerMode, answer
 from schemaground.runner import load_schemas, run_predictions
 
 from helpers import scripted_gateway
@@ -114,35 +121,68 @@ def test_grounding_failure_propagates_from_the_pool(toy_manifest):
 # ---------------------------------------------------------------- the turn
 
 
-def test_a_warm_ablate_runs_on_one_thread(toy, tmp_path, monkeypatch):
-    argv = [
+def ablate_argv(toy, tmp_path) -> list[str]:
+    return [
         "ablate",
         "--manifest", str(toy.manifest_path),
         "--backend-config", str(toy.backend_config_path),
         "--cache-dir", str(tmp_path / "cache"),
         "--concurrency", "4",
     ]
-    assert cli.main([*argv, "--out", str(tmp_path / "cold")]) == 0
-    calls, threads = [], set()
-    monkeypatch.setattr(
-        ScriptedBackend, "complete", lambda self, request: calls.append(request)
-    )
+
+
+def record_threads(monkeypatch) -> set[int]:
+    """The threads that call `ModelGateway.complete` from here on."""
+    threads = set()
     complete = ModelGateway.complete
     monkeypatch.setattr(
         ModelGateway,
         "complete",
         lambda self, request: (threads.add(threading.get_ident()), complete(self, request))[1],
     )
+    return threads
+
+
+def test_a_warm_ablate_runs_on_one_thread(toy, tmp_path, monkeypatch):
+    argv = ablate_argv(toy, tmp_path)
+    assert cli.main([*argv, "--out", str(tmp_path / "cold")]) == 0
+    calls = []
+    monkeypatch.setattr(
+        ScriptedBackend, "complete", lambda self, request: calls.append(request)
+    )
+    threads = record_threads(monkeypatch)
     assert cli.main([*argv, "--out", str(tmp_path / "warm")]) == 0
     assert calls == []
     assert len(threads) == 1
 
 
+# A scripted backend never waits, so a call to it keeps the turn, and a cold
+# scripted ablate runs on one thread as a warm one does.
+def test_a_cold_scripted_ablate_runs_on_one_thread(toy, tmp_path, monkeypatch):
+    threads = record_threads(monkeypatch)
+    assert cli.main([*ablate_argv(toy, tmp_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(threads) == 1
+
+
+# A miss reads the store once: the put that follows creates its entry
+# without reading the key again.
+def test_a_cold_ablate_reads_each_cache_entry_once(toy, tmp_path, monkeypatch):
+    keys = []
+    get = ResponseCache.get
+    monkeypatch.setattr(
+        ResponseCache, "get", lambda self, key: (keys.append(key), get(self, key))[1]
+    )
+    assert cli.main([*ablate_argv(toy, tmp_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(keys) == len(set(keys)) == 72
+
+
 class Gate:
-    """Wraps a gateway's backend so that no call returns before `width`
-    calls are in flight at once. A gate that has not opened after 10 s opens
-    anyway and records it, so a scheduler that never reaches the width fails
-    its test instead of hanging it."""
+    """A backend that waits: it takes the place of a gateway's backend and
+    lets no call return before `width` calls are in flight at once. The
+    gateway gives the turn up only before a call to a backend that waits,
+    which a scripted one does not. A gate that has not opened after 10 s
+    opens anyway and records it, so a scheduler that never reaches the width
+    fails its test instead of hanging it."""
 
     def __init__(self, gateway: ModelGateway, width: int):
         self.width = width
@@ -150,8 +190,9 @@ class Gate:
         self.timed_out = False
         self._lock = threading.Lock()
         self._open = threading.Event()
+        self.backend_id = gateway.backend.backend_id
         self._complete = gateway.backend.complete
-        gateway.backend.complete = self.complete
+        gateway.backend = self
 
     def complete(self, request):
         with self._lock:
@@ -227,6 +268,52 @@ def test_after_a_failure_no_new_task_starts(toy_manifest, monkeypatch):
         run_predictions(toy_manifest, [AnswerMode.BASELINE], gateway, runs=3, concurrency=4)
     assert len(raised) == 1
     assert excinfo.value is raised[0]
+
+
+# Ctrl-C while every worker waits on the backend: the interrupt reaches the
+# caller, no worker starts a new task, and each finishes its own before the
+# call returns. `_thread.interrupt_main` only flags the interrupt and does not
+# wake a main thread blocked in `Thread.join`; SIGINT sent to the main thread,
+# as a terminal sends it, does.
+def test_an_interrupt_starts_no_new_task_and_joins_every_worker(toy_manifest, monkeypatch):
+    concurrency = 2
+    lock = threading.Lock()
+    interrupted, release = threading.Event(), threading.Event()
+    workers, tasks = set(), set()
+
+    class Held:
+        backend_id = "held"
+
+        def complete(self, request):
+            with lock:
+                workers.add(threading.current_thread())
+                if len(workers) == concurrency and not interrupted.is_set():
+                    interrupted.set()
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            assert release.wait(timeout=10), "the interrupt never reached the runner"
+            return "yes"
+
+    def record_task(instance, *args, **kwargs):
+        tasks.add(instance.image.digest())
+        return answer(instance, *args, **kwargs)
+
+    gateway = ModelGateway(Held())
+    give_turn = gateway.give_turn
+
+    def give_turn_then_release():
+        # The runner's interrupt path records the interrupt before it lets
+        # the turn go, so from here on no worker takes a new task.
+        if interrupted.is_set() and threading.current_thread() is threading.main_thread():
+            release.set()
+        give_turn()
+
+    monkeypatch.setattr(gateway, "give_turn", give_turn_then_release)
+    monkeypatch.setattr(runner, "answer", record_task)
+    with pytest.raises(KeyboardInterrupt):
+        run_predictions(toy_manifest, [AnswerMode.BASELINE], gateway, concurrency=concurrency)
+    assert release.is_set()
+    assert len(workers) == len(tasks) == concurrency
+    assert not any(worker.is_alive() for worker in workers)
 
 
 def test_schema_dir_override_replaces_only_its_concept(toy_manifest, tmp_path):
