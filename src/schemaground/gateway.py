@@ -194,10 +194,10 @@ class ResponseCache:
     An entry that cannot be read, does not hold JSON with a string "text",
     or whose text is blank reads as a miss, and the next put replaces it; a
     readable entry is never overwritten. A put creates its entry in place,
-    one file create and one write; only where the path already holds an
-    entry that reads as a miss (blank, corrupt, or cut short by a crash) does
-    it write a temporary file and rename it over the entry. A reader that
-    meets an entry still being written reads a miss, never a torn reply. A
+    one file create and one write; where the path already holds an entry
+    that reads as a miss (blank, corrupt, or cut short by a crash), it
+    removes that entry and creates it once more. A reader that meets an
+    entry still being written, or none, reads a miss, never a torn reply. A
     put that cannot write its entry (the path is a directory, or the root is
     gone, say) logs a warning and leaves the cache as it was.
     """
@@ -222,29 +222,23 @@ class ResponseCache:
         path = self._path(key)
         payload = json.dumps({"text": text}, ensure_ascii=False).encode("utf-8")
         create = os.O_WRONLY | os.O_CREAT | os.O_EXCL
-        tmp_name = None
         try:
             try:
                 fd = os.open(path, create, 0o600)
             except FileExistsError:
                 if self.get(key) is not None:
                     return
-                tmp_name = f"{path}.{os.urandom(6).hex()}.tmp"
-                fd = os.open(tmp_name, create, 0o600)
+                path.unlink(missing_ok=True)
+                fd = os.open(path, create, 0o600)
             try:
                 view = memoryview(payload)
                 while view:
                     view = view[os.write(fd, view):]
             finally:
                 os.close(fd)
-            if tmp_name is not None:
-                os.replace(tmp_name, path)
         except OSError as err:
             # The caller has the reply; only a later command pays for it.
             log.warning("cache entry %s not written: %s", path, err)
-        finally:
-            if tmp_name is not None and os.path.lexists(tmp_name):
-                os.unlink(tmp_name)
 
 
 class ScriptedBackend:

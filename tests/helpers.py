@@ -12,6 +12,7 @@ import os
 import random
 import re
 import string
+import threading
 from itertools import permutations
 from pathlib import Path
 
@@ -116,6 +117,28 @@ def fixture_grounding_rules(reply_for=None) -> list[dict]:
 def scripted_gateway(rules: list[dict], cache_dir=None, **gateway_kwargs) -> ModelGateway:
     cache = ResponseCache(cache_dir) if cache_dir is not None else None
     return ModelGateway(ScriptedBackend(rules), cache=cache, **gateway_kwargs)
+
+
+class PassThrough:
+    """Takes the place of a gateway's backend and hands each request on to
+    it, recording the request and the calling thread.
+
+    It is no `ScriptedBackend`, so the gateway lets the turn go before each
+    call, as before a call to the http backend: scripted replies then reach
+    the workers through the hand-off that live traffic takes.
+    """
+
+    def __init__(self, gateway: ModelGateway):
+        self.backend_id = gateway.backend.backend_id
+        self.calls: list = []
+        self.threads: set[int] = set()
+        self._complete = gateway.backend.complete
+        gateway.backend = self
+
+    def complete(self, request):
+        self.calls.append(request)
+        self.threads.add(threading.get_ident())
+        return self._complete(request)
 
 
 def checkout_env() -> dict[str, str]:

@@ -19,7 +19,7 @@ from schemaground.extraction import load_canonical_schema
 from schemaground.gateway import ScriptedBackend
 from schemaground.toydata import TOY_BINDINGS, TOY_SEQUENTIAL_DRIFT, toy_fixture_rules
 
-from helpers import checkout_env
+from helpers import PassThrough, checkout_env
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -329,7 +329,9 @@ def test_ablate_covers_all_five_modes(toy, tmp_path):
 
 
 # One ablate sends each of its 72 distinct requests once, with a cache or
-# without, and writes the same 11 files, whatever the size of its pool.
+# without, and writes the same 11 files, whatever the size of its pool. A
+# pass-through backend stands between each gateway and the scripted one, so
+# workers let the turn go at each call as they do before a live backend.
 @pytest.mark.parametrize("cached", [False, True])
 def test_ablate_calls_and_files_do_not_depend_on_concurrency(toy, tmp_path, monkeypatch, cached):
     calls = []
@@ -339,6 +341,14 @@ def test_ablate_calls_and_files_do_not_depend_on_concurrency(toy, tmp_path, monk
         "complete",
         lambda self, request: (calls.append(request), complete(self, request))[1],
     )
+    gateway_for = cli._gateway
+
+    def pass_through_gateway(args):
+        gateway = gateway_for(args)
+        PassThrough(gateway)
+        return gateway
+
+    monkeypatch.setattr(cli, "_gateway", pass_through_gateway)
     outputs = {}
     for concurrency in (1, 2, 16):
         out = tmp_path / f"out-{concurrency}"

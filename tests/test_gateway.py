@@ -192,9 +192,8 @@ def test_response_cache_reads_an_entry_longer_than_one_read(tmp_path):
     assert cache.get("k") == text
 
 
-def test_a_put_creates_its_entry_in_place(tmp_path, monkeypatch):
+def test_a_put_creates_its_entry_in_place(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
-    monkeypatch.setattr(os, "replace", None)  # a fresh entry is never renamed
     cache.put("k", "r")
     assert cache.get("k") == "r"
     assert [path.name for path in (tmp_path / "cache").iterdir()] == ["k.json"]
@@ -215,7 +214,8 @@ def test_a_put_into_a_removed_cache_root_logs_a_warning_and_raises_nothing(
 # Two gateways with their own memos stand for two processes sharing one
 # cache. For each request both backends reply at once, each with its own
 # text, so the two puts of one key race; half the entries start blank, as a
-# crash mid-write leaves them, so the puts race on the replacing rename too.
+# crash mid-write leaves them, so the puts race on removing and creating
+# it again too.
 def test_racing_puts_of_one_key_leave_one_entry_that_stays(tmp_path):
     barrier = threading.Barrier(2, timeout=TIMEOUT_S)
 

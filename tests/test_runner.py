@@ -25,22 +25,24 @@ from schemaground.gateway import (
 from schemaground.qa import AnswerMode, answer
 from schemaground.runner import load_schemas, run_predictions
 
-from helpers import scripted_gateway
+from helpers import PassThrough, scripted_gateway
 
 
 # Backend calls per command on the 12-instance toy manifest: all five modes
 # in one run, with or without a cache, at any concurrency. Each distinct
 # request reaches the backend once, whichever task asks for it first: the
 # gateway's single-flight memo makes every other asker wait for that reply.
+# The pass-through backend makes each worker let the turn go at its call, as
+# a live backend does, so above one worker the calls come from several
+# threads.
 @pytest.mark.parametrize("concurrency", [1, 2, 16])
 @pytest.mark.parametrize("cached", [False, True])
 def test_backend_calls_per_command(toy, toy_manifest, tmp_path, cached, concurrency):
     gateway = ModelGateway.from_config(
         toy.backend_config_path, cache_dir=tmp_path / "cache" if cached else None
     )
-    calls = []
-    complete = gateway.backend.complete
-    gateway.backend.complete = lambda request: (calls.append(request), complete(request))[1]
+    backend = PassThrough(gateway)
+    calls = backend.calls
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -52,6 +54,7 @@ def test_backend_calls_per_command(toy, toy_manifest, tmp_path, cached, concurre
     assert list(by_mode) == list(AnswerMode)
     assert all(len(predictions) == 12 for predictions in by_mode.values())
     assert len(calls) == len({cache_key("b", request) for request in calls}) == 72
+    assert (len(backend.threads) > 1) == (concurrency > 1)
 
 
 # Every prompt byte the five modes send, pinned: the SHA-256 of the sorted
@@ -93,9 +96,8 @@ def test_five_modes_read_each_image_once(toy, monkeypatch):
 
 def test_more_workers_than_cores_answer_each_instance_once_per_run(toy, toy_manifest):
     gateway = ModelGateway.from_config(toy.backend_config_path)
-    calls = []
-    complete = gateway.backend.complete
-    gateway.backend.complete = lambda request: (calls.append(request), complete(request))[1]
+    backend = PassThrough(gateway)
+    calls = backend.calls
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -110,6 +112,7 @@ def test_more_workers_than_cores_answer_each_instance_once_per_run(toy, toy_mani
     ]
     assert len(calls) == 3 * 24
     assert sorted(request.seed_hint for request in calls) == [5] * 24 + [6] * 24 + [7] * 24
+    assert len(backend.threads) > 1
 
 
 def test_grounding_failure_propagates_from_the_pool(toy_manifest):
@@ -176,7 +179,7 @@ def test_a_cold_ablate_reads_each_cache_entry_once(toy, tmp_path, monkeypatch):
     assert len(keys) == len(set(keys)) == 72
 
 
-class Gate:
+class Gate(PassThrough):
     """A backend that waits: it takes the place of a gateway's backend and
     lets no call return before `width` calls are in flight at once. The
     gateway gives the turn up only before a call to a backend that waits,
@@ -185,14 +188,12 @@ class Gate:
     fails its test instead of hanging it."""
 
     def __init__(self, gateway: ModelGateway, width: int):
+        super().__init__(gateway)
         self.width = width
         self.peak = self.inflight = 0
         self.timed_out = False
         self._lock = threading.Lock()
         self._open = threading.Event()
-        self.backend_id = gateway.backend.backend_id
-        self._complete = gateway.backend.complete
-        gateway.backend = self
 
     def complete(self, request):
         with self._lock:
@@ -204,7 +205,7 @@ class Gate:
             if not self._open.wait(timeout=10):
                 self.timed_out = True
                 self._open.set()
-            return self._complete(request)
+            return super().complete(request)
         finally:
             with self._lock:
                 self.inflight -= 1
