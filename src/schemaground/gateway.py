@@ -74,12 +74,24 @@ class ImageRef:
         """SHA-256 of the image content; the only form that enters cache keys.
 
         Computed on first use and kept on the instance, outside the dataclass
-        fields, so equality and hashing are unchanged. The bytes are not kept.
-        Two threads racing on the first call compute the same value.
+        fields, so equality and hashing are unchanged. A file is hashed as it
+        is read, 64 KiB at a time, so threads hashing at once never hold whole
+        images; neither the bytes nor the blocks are kept. Two threads racing
+        on the first call compute the same value.
         """
         digest = self.__dict__.get("_digest")
         if digest is None:
-            digest = hashlib.sha256(self.load_bytes()).hexdigest()
+            if self.data is not None:
+                digest = hashlib.sha256(self.data).hexdigest()
+            else:
+                sha = hashlib.sha256()
+                fd = os.open(self.path, os.O_RDONLY)
+                try:
+                    while block := os.read(fd, 1 << 16):
+                        sha.update(block)
+                finally:
+                    os.close(fd)
+                digest = sha.hexdigest()
             object.__setattr__(self, "_digest", digest)
         return digest
 

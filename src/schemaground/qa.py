@@ -9,6 +9,7 @@ grounding conversation as prior turns.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import string
@@ -167,7 +168,15 @@ def normalize_answer(raw: str, options: tuple[str, ...] | list[str] | None = Non
     boundaries ("10" does not match "1", "not" does not match "no"). One
     matching option is returned verbatim; among several, the one whose cleaned
     form contains all the others wins; otherwise the NO_MATCH sentinel.
+
+    Each distinct (reply, options) pair is normalized once per process: a
+    command meets the same few replies and references again and again.
     """
+    return _normalize(raw, None if options is None else tuple(options))
+
+
+@functools.lru_cache(maxsize=4096)
+def _normalize(raw: str, options: tuple[str, ...] | None) -> str:
     cleaned = _clean(raw)
     if options is None:
         return cleaned

@@ -1,12 +1,15 @@
 """Orchestration: schemas + grounding + answering over a manifest, with
 bounded concurrency, per-run seed offsets, and deterministic output order.
 
-Instances are grouped by (concept, image digest) once per call; the manifest
-gives each image file one `ImageRef`, which keeps its digest, so an image is
-hashed once per command. One task per (mode, run, group), listed mode by
-mode, grounds its image (grounded modes only) and then answers the group's
-instances. Only the gateway dedups: it sends each distinct request once, and
-a caller of a request already in flight waits for its reply.
+Before the first task, each distinct image of the manifest is hashed on up
+to `concurrency` threads (on the caller alone at `concurrency` 1), and a
+read that fails raises in the caller. The manifest gives each image file
+one `ImageRef`, which keeps its digest, so an image is read for its digest
+once per command. Instances are then grouped by (concept, image digest).
+One task per (mode, run, group), listed mode by mode, grounds its image
+(grounded modes only) and then answers the group's instances. Only the
+gateway dedups: it sends each distinct request once, and a caller of a
+request already in flight waits for its reply.
 
 `concurrency` worker threads serve every mode and run of a command, so at
 most that many backend calls are in flight. A worker starts a task only
@@ -16,7 +19,9 @@ caller's reply; it then finishes its task without the turn. So local work
 runs on one thread until a worker must wait, and a warm-cache replay or a
 scripted run, where nothing waits, runs on one thread throughout. The first
 error, or an interrupt, stops every worker from starting a new task, and
-each started worker is joined before the error is raised.
+each started worker is joined before the error is raised. The caller waits
+for its workers in short joins, so it sees even an interrupt that is only
+flagged within 50 ms.
 
 Per-run requests carry seed_hint = base seed + run_index so repeated runs
 against a live backend are distinct cache entries rather than replays of
@@ -33,7 +38,7 @@ from .dsl import SchemaProgram, parse_schema
 from .errors import ConceptMismatchError, SchemaSyntaxError
 from .evaluate import DatasetManifest
 from .extraction import load_canonical_schema
-from .gateway import ModelGateway
+from .gateway import ImageRef, ModelGateway
 from .grounding import ground_hierarchical, ground_sequential
 from .qa import GROUNDED_MODES, AnswerMode, Prediction, VqaInstance, answer
 
@@ -78,6 +83,15 @@ def run_predictions(
     modes = list(dict.fromkeys(map(AnswerMode, modes)))
     if schemas is None:
         schemas = load_schemas(manifest)
+    images = list(dict.fromkeys(instance.image for instance in manifest.instances))
+    hashers = min(concurrency, len(images))
+    if hashers > 1:
+        # File reads and SHA-256 let the interpreter lock go, so the images
+        # hash side by side. Imported here: a one-thread command never needs it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(hashers) as pool:
+            list(pool.map(ImageRef.digest, images))
     groups: dict[tuple[str, str], list[VqaInstance]] = {}
     for instance in manifest.instances:
         groups.setdefault((instance.concept, instance.image.digest()), []).append(instance)
@@ -136,7 +150,11 @@ def run_predictions(
             worker.start()
         gateway.give_turn()
         for worker in workers:
-            worker.join()
+            # A join that times out returns to the interpreter, which then
+            # raises an interrupt that was only flagged (`_thread.interrupt_main`,
+            # or SIGINT handed to a worker): within 50 ms, not after every task.
+            while worker.is_alive():
+                worker.join(0.05)
     except BaseException as err:
         # An interrupt: no worker takes a new task, and each finishes its own.
         errors.append(err)

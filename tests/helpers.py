@@ -8,6 +8,8 @@ implementation evolves.
 
 from __future__ import annotations
 
+import builtins
+import io
 import os
 import random
 import re
@@ -139,6 +141,35 @@ class PassThrough:
         self.calls.append(request)
         self.threads.add(threading.get_ident())
         return self._complete(request)
+
+
+def record_reads(monkeypatch, paths, before=None) -> list[threading.Thread]:
+    """From here on, the thread of each open for reading of a file in
+    `paths`, made with `os.open` or with `open` (which `Path.read_bytes`
+    uses). `before()`, when given, runs as each such open is recorded."""
+    wanted = {os.fspath(path) for path in paths}
+    reads: list[threading.Thread] = []
+
+    def record(file, reading: bool) -> None:
+        if reading and isinstance(file, (str, os.PathLike)) and os.fspath(file) in wanted:
+            reads.append(threading.current_thread())
+            if before is not None:
+                before()
+
+    os_open, io_open = os.open, io.open
+
+    def recording_os_open(file, flags, *args, **kwargs):
+        record(file, not flags & (os.O_WRONLY | os.O_RDWR))
+        return os_open(file, flags, *args, **kwargs)
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        record(file, "r" in mode and "+" not in mode)
+        return io_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_os_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    return reads
 
 
 def checkout_env() -> dict[str, str]:

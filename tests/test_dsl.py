@@ -217,6 +217,15 @@ def test_syntax_error_carries_line_and_column():
     assert f"line 3, column {err.column}:" in str(err)
 
 
+# A line that ends where a name is due points just past its last character.
+def test_a_header_cut_short_before_its_name_points_at_the_line_end():
+    with pytest.raises(SchemaSyntaxError) as excinfo:
+        parse_schema("gen(concept=")
+    err = excinfo.value
+    assert (err.line, err.column) == (1, len("gen(concept=") + 1)
+    assert "expected concept name" in str(err)
+
+
 def test_independent_acyclicity_check():
     # Unreachable through parse_schema, but ordering must still refuse a
     # handcrafted cycle: its first node depends on one declared later.

@@ -41,6 +41,8 @@ from schemaground.qa import AnswerMode
 from schemaground.runner import run_predictions
 from schemaground.toydata import tiny_png, toy_fixture_rules
 
+from helpers import record_reads
+
 PNG = tiny_png((9, 9, 9))
 
 
@@ -82,16 +84,24 @@ def test_image_digest_same_for_path_and_inline(tmp_path):
     assert ImageRef.from_file(path).digest() == ImageRef("image/png", data=PNG).digest()
 
 
+# A file is hashed as it is read, 64 KiB at a time: one of several blocks,
+# the last cut short, has the digest of its bytes.
+def test_image_digest_of_a_file_of_several_blocks(tmp_path):
+    data = PNG + bytes(range(256)) * 1000
+    path = tmp_path / "x.png"
+    path.write_bytes(data)
+    assert len(data) > 3 * (1 << 16)
+    assert ImageRef.from_file(path).digest() == hashlib.sha256(data).hexdigest()
+
+
 def test_image_digest_reads_the_file_once(tmp_path, monkeypatch):
     path = tmp_path / "x.png"
     path.write_bytes(PNG)
     image = ImageRef.from_file(path)
-    reads = []
-    read_bytes = type(path).read_bytes
-    monkeypatch.setattr(type(path), "read_bytes", lambda p: (reads.append(p), read_bytes(p))[1])
+    reads = record_reads(monkeypatch, [path])
     digests = {image.digest() for _ in range(3)}
     assert digests == {hashlib.sha256(PNG).hexdigest()}
-    assert reads == [path]
+    assert len(reads) == 1
     assert image == ImageRef.from_file(path)
     assert hash(image) == hash(ImageRef.from_file(path))
 

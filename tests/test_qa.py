@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from schemaground import qa
 from schemaground.errors import FixtureMissError
 from schemaground.extraction import load_canonical_schema
 from schemaground.gateway import ImageRef
@@ -128,6 +129,38 @@ def test_normalize_without_options_is_idempotent(raw):
 def test_normalize_with_options_is_closed(raw, options):
     result = normalize_answer(raw, tuple(options))
     assert result == NO_MATCH or result in options
+
+
+# The memo keys on the reply and the options as a tuple: a list and a tuple
+# of the same options share an entry, and the same reply under other
+# options is normalized afresh. Replies and options come from a small
+# alphabet, so draws repeat and hit the memo.
+@given(
+    st.lists(
+        st.tuples(
+            st.text("ab 1-", max_size=6),
+            st.none() | st.lists(st.text("ab 1-", max_size=3), max_size=3),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_the_normalize_memo_returns_what_the_uncached_function_does(calls):
+    uncached = qa._normalize.__wrapped__
+    for raw, options in calls:
+        expected = uncached(raw, None if options is None else tuple(options))
+        assert normalize_answer(raw, options) == expected
+        if options is not None:
+            assert normalize_answer(raw, tuple(options)) == expected
+
+
+def test_one_reply_under_other_options_is_never_a_stale_memo_hit():
+    assert normalize_answer("Two.", ["1", "2"]) == "2"
+    assert normalize_answer("Two.", ("two", "three")) == "two"
+    assert normalize_answer("Two.", ("3",)) == NO_MATCH
+    assert normalize_answer("Two.", []) == NO_MATCH
+    assert normalize_answer("Two.") == "2"
+    assert normalize_answer("Two.", ("1", "2")) == "2"
 
 
 @given(st.lists(st.text(min_size=1, max_size=10), min_size=1, max_size=4), st.data())

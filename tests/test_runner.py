@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import _thread
 import hashlib
+import itertools
 import json
 import signal
 import sys
 import threading
+import time
 
 import pytest
 
@@ -25,7 +28,7 @@ from schemaground.gateway import (
 from schemaground.qa import AnswerMode, answer
 from schemaground.runner import load_schemas, run_predictions
 
-from helpers import PassThrough, scripted_gateway
+from helpers import PassThrough, record_reads, scripted_gateway
 
 
 # Backend calls per command on the 12-instance toy manifest: all five modes
@@ -84,11 +87,7 @@ def test_five_modes_read_each_image_once(toy, monkeypatch):
     manifest = load_manifest(toy.manifest_path)
     assert len(manifest.instances) == 12
     assert len({id(instance.image) for instance in manifest.instances}) == 4
-    reads = []
-    load_bytes = ImageRef.load_bytes
-    monkeypatch.setattr(
-        ImageRef, "load_bytes", lambda self: (reads.append(self), load_bytes(self))[1]
-    )
+    reads = record_reads(monkeypatch, {instance.image.path for instance in manifest.instances})
     gateway = ModelGateway.from_config(toy.backend_config_path)
     run_predictions(manifest, list(AnswerMode), gateway)
     assert len(reads) == 4
@@ -157,6 +156,60 @@ def test_a_warm_ablate_runs_on_one_thread(toy, tmp_path, monkeypatch):
     assert cli.main([*argv, "--out", str(tmp_path / "warm")]) == 0
     assert calls == []
     assert len(threads) == 1
+
+
+# A warm replay reads every image for its digest before its first request:
+# on several threads at once above one worker, on the calling thread alone
+# at one. At 4 workers the first two reads wait for each other, so hashing
+# that stays on one thread fails here rather than passing by chance.
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_a_warm_ablate_hashes_every_image_before_the_first_request(
+    toy, tmp_path, monkeypatch, concurrency
+):
+    argv = ablate_argv(toy, tmp_path)
+    argv[argv.index("--concurrency") + 1] = str(concurrency)
+    assert cli.main([*argv, "--out", str(tmp_path / "cold")]) == 0
+    paths = {instance.image.path for instance in load_manifest(toy.manifest_path).instances}
+    events = []
+    pair = threading.Barrier(2, timeout=10)
+    counter = itertools.count()
+
+    def pair_the_first_two_reads():
+        if concurrency > 1 and next(counter) < 2:
+            pair.wait()
+
+    reads = record_reads(monkeypatch, paths, before=pair_the_first_two_reads)
+    digest, complete = ImageRef.digest, ModelGateway.complete
+
+    def recording_digest(self):
+        thread = threading.current_thread()
+        read_before = reads.count(thread)
+        value = digest(self)
+        if reads.count(thread) > read_before:
+            events.append("hashed")
+        return value
+
+    def recording_complete(self, request):
+        events.append("complete")
+        return complete(self, request)
+
+    monkeypatch.setattr(ImageRef, "digest", recording_digest)
+    monkeypatch.setattr(ModelGateway, "complete", recording_complete)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert cli.main([*argv, "--out", str(tmp_path / "warm")]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    for cold in sorted((tmp_path / "cold").iterdir()):
+        assert (tmp_path / "warm" / cold.name).read_bytes() == cold.read_bytes()
+    assert len(reads) == len(paths) == 4
+    if concurrency > 1:
+        assert len(set(reads)) > 1
+    else:
+        assert set(reads) == {threading.current_thread()}
+    first_request = events.index("complete")
+    assert events[:first_request] == ["hashed"] * len(paths)
 
 
 # A scripted backend never waits, so a call to it keeps the turn, and a cold
@@ -271,16 +324,17 @@ def test_after_a_failure_no_new_task_starts(toy_manifest, monkeypatch):
     assert excinfo.value is raised[0]
 
 
-# Ctrl-C while every worker waits on the backend: the interrupt reaches the
-# caller, no worker starts a new task, and each finishes its own before the
-# call returns. `_thread.interrupt_main` only flags the interrupt and does not
-# wake a main thread blocked in `Thread.join`; SIGINT sent to the main thread,
-# as a terminal sends it, does.
-def test_an_interrupt_starts_no_new_task_and_joins_every_worker(toy_manifest, monkeypatch):
+def interrupt_while_both_workers_wait(toy_manifest, monkeypatch, interrupt) -> float:
+    """Run two workers over the toy baseline tasks and call `interrupt` once
+    both wait in the backend, whose calls return only once the runner's
+    interrupt path lets the turn go (or after 5 s). Checks that the
+    interrupt reaches the caller, that no worker starts a new task and that
+    each is joined; returns the seconds from `interrupt` to the raise."""
     concurrency = 2
     lock = threading.Lock()
     interrupted, release = threading.Event(), threading.Event()
     workers, tasks = set(), set()
+    sent_at = []
 
     class Held:
         backend_id = "held"
@@ -290,8 +344,9 @@ def test_an_interrupt_starts_no_new_task_and_joins_every_worker(toy_manifest, mo
                 workers.add(threading.current_thread())
                 if len(workers) == concurrency and not interrupted.is_set():
                     interrupted.set()
-                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-            assert release.wait(timeout=10), "the interrupt never reached the runner"
+                    sent_at.append(time.perf_counter())
+                    interrupt()
+            assert release.wait(timeout=5), "the interrupt never reached the runner"
             return "yes"
 
     def record_task(instance, *args, **kwargs):
@@ -311,10 +366,38 @@ def test_an_interrupt_starts_no_new_task_and_joins_every_worker(toy_manifest, mo
     monkeypatch.setattr(gateway, "give_turn", give_turn_then_release)
     monkeypatch.setattr(runner, "answer", record_task)
     with pytest.raises(KeyboardInterrupt):
-        run_predictions(toy_manifest, [AnswerMode.BASELINE], gateway, concurrency=concurrency)
+        try:
+            run_predictions(toy_manifest, [AnswerMode.BASELINE], gateway, concurrency=concurrency)
+        finally:
+            raised_at = time.perf_counter()
     assert release.is_set()
     assert len(workers) == len(tasks) == concurrency
     assert not any(worker.is_alive() for worker in workers)
+    return raised_at - sent_at[0]
+
+
+# Ctrl-C while every worker waits on the backend: SIGINT sent to the main
+# thread, as a terminal sends it, wakes the caller at once.
+def test_an_interrupt_starts_no_new_task_and_joins_every_worker(toy_manifest, monkeypatch):
+    main = threading.main_thread().ident
+    interrupt_while_both_workers_wait(
+        toy_manifest, monkeypatch, lambda: signal.pthread_kill(main, signal.SIGINT)
+    )
+
+
+# An interrupt that is only flagged (`_thread.interrupt_main`, here from a
+# timer thread) wakes no blocked thread. The caller still sees it within one
+# of its short joins, while both backend calls are held, not after them.
+def test_a_flagged_interrupt_is_seen_while_the_workers_wait(toy_manifest, monkeypatch):
+    def interrupt_from_a_timer():
+        timer = threading.Timer(0.01, _thread.interrupt_main)
+        timer.daemon = True
+        timer.start()
+
+    seconds = interrupt_while_both_workers_wait(
+        toy_manifest, monkeypatch, interrupt_from_a_timer
+    )
+    assert seconds < 2
 
 
 def test_schema_dir_override_replaces_only_its_concept(toy_manifest, tmp_path):
