@@ -45,7 +45,12 @@ ROLES = ("user", "assistant")
 
 @dataclass(frozen=True)
 class ImageRef:
-    """An image carried by a message, as a file path or inline bytes."""
+    """An image carried by a message, as a file path or inline bytes.
+
+    The media type must be one of ALLOWED_MEDIA_TYPES even where `from_file`
+    is not used: the http backend writes it into the request body without a
+    JSON escape, so a `"` in it would break the body.
+    """
 
     media_type: str
     path: Path | None = None
@@ -339,6 +344,14 @@ class HttpBackend:
     backend builds its own session, which reads the proxy, CA-bundle and
     .netrc environment once, when the backend is built; a configured API key
     always wins over a .netrc login.
+
+    The POST to `<base_url>/chat/completions` is also prepared once, when the
+    backend is built, so a `base_url` that `requests` cannot send to raises
+    BackendConfigError there, before any request. A request then costs one
+    copy of that POST, given its API key, body and the session's cookies, and
+    one `session.send` per attempt, not the per-call set-up of
+    `Session.post`. Cookies that the server sets go back as with
+    `Session.post`, a failed attempt's included.
     """
 
     def __init__(
@@ -357,19 +370,28 @@ class HttpBackend:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
-        self._url = f"{self.base_url}/chat/completions"
+        url = f"{self.base_url}/chat/completions"
         import requests
 
-        # Resolve once what `trust_env` would look up on every post: the
-        # proxies (after NO_PROXY), the CA bundle and, unless an API key is
-        # configured, the .netrc login.
         session = requests.Session()
-        settings = session.merge_environment_settings(self._url, {}, None, None, None)
-        session.proxies = settings["proxies"]
-        session.verify = settings["verify"]
-        if not api_key_env:
-            session.auth = requests.utils.get_netrc_auth(self._url)
-        session.trust_env = False
+        try:
+            # Resolve once what `trust_env` would look up on every post: the
+            # proxies (after NO_PROXY), the CA bundle and, unless an API key
+            # is configured, the .netrc login.
+            settings = session.merge_environment_settings(url, {}, None, None, None)
+            session.proxies = settings["proxies"]
+            session.verify = settings["verify"]
+            if not api_key_env:
+                session.auth = requests.utils.get_netrc_auth(url)
+            session.trust_env = False
+            # What `Session.post` builds on every call: the parsed URL, the
+            # session's headers and the login, with a JSON content type.
+            self._post = session.prepare_request(
+                requests.Request("POST", url, headers={"Content-Type": "application/json"})
+            )
+            session.get_adapter(self._post.url)
+        except (ValueError, requests.RequestException) as err:
+            raise BackendConfigError(f"bad base_url {base_url!r}: {err}") from err
         self.session = session
         self._sleep = sleep
         # Per thread, the last image encoded and its base64: a worker sends
@@ -377,15 +399,13 @@ class HttpBackend:
         self._last_image = threading.local()
 
     def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key_env:
-            key = os.environ.get(self.api_key_env)
-            if not key:
-                raise BackendUnavailableError(
-                    f"environment variable {self.api_key_env!r} is not set"
-                )
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
+        """The headers read at each request: the API key, when configured."""
+        if not self.api_key_env:
+            return {}
+        key = os.environ.get(self.api_key_env)
+        if not key:
+            raise BackendUnavailableError(f"environment variable {self.api_key_env!r} is not set")
+        return {"Authorization": f"Bearer {key}"}
 
     def _base64(self, image: ImageRef) -> bytes:
         last = self._last_image
@@ -435,16 +455,18 @@ class HttpBackend:
     def complete(self, request: ModelRequest) -> str:
         import requests
 
-        body = self._body(request)
-        headers = self._headers()
+        post = self._post.copy()
+        post.prepare_body(self._body(request), None)
+        post.headers.update(self._headers())
         last_error = None
         for attempt in range(self.max_attempts):
             if attempt:
                 self._sleep(self.backoff_s * 2 ** (attempt - 1))
+            # The session's cookies as they stand now, a failed attempt's too.
+            post.headers.pop("Cookie", None)
+            post.prepare_cookies(self.session.cookies)
             try:
-                response = self.session.post(
-                    self._url, data=body, headers=headers, timeout=self.timeout
-                )
+                response = self.session.send(post, timeout=self.timeout)
             except requests.RequestException as err:
                 last_error = f"transport error: {err}"
                 log.warning("attempt %d/%d failed: %s", attempt + 1, self.max_attempts, last_error)

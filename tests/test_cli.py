@@ -427,6 +427,24 @@ def test_bad_backend_config_exit_code(toy, tmp_path):
     assert "BackendConfigError" in result.stderr
 
 
+def test_a_base_url_without_a_scheme_exits_23_before_any_request(toy, tmp_path):
+    config = tmp_path / "backend.json"
+    config.write_text(json.dumps({
+        "backend_id": "b", "kind": "http", "model_id": "m", "base_url": "api.example.test/v1",
+    }))
+    result = run_cli(
+        "ablate",
+        "--manifest", toy.manifest_path,
+        "--backend-config", config,
+        "--out", tmp_path / "out",
+        cwd=tmp_path,
+    )
+    assert result.returncode == 23
+    assert "BackendConfigError: bad base_url 'api.example.test/v1'" in result.stderr
+    assert "attempt" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_manifest_exit_code(toy, tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"subset": True, "instances": [{"id": "x"}]}))

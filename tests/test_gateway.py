@@ -78,6 +78,12 @@ def test_image_ref_requires_exactly_one_source(tmp_path):
         ImageRef(media_type="image/png", path=tmp_path / "x.png", data=PNG)
 
 
+@pytest.mark.parametrize("media_type", ["image/gif", 'image/png";base64,x"}'])
+def test_image_ref_refuses_a_media_type_the_http_body_cannot_carry(media_type):
+    with pytest.raises(ValueError, match="unsupported media type"):
+        ImageRef(media_type, data=PNG)
+
+
 def test_image_digest_same_for_path_and_inline(tmp_path):
     path = tmp_path / "x.png"
     path.write_bytes(PNG)
@@ -390,41 +396,59 @@ def test_scripted_backend_fixture_file_missing_or_not_json(tmp_path):
 # ------------------------------------------------------------- http backend
 
 
-class FakeResponse:
+class _Reply:
+    """One scripted reply: a status and a completion payload, "ok" by default."""
+
     def __init__(self, status_code=200, payload=None):
         self.status_code = status_code
-        self._payload = payload if payload is not None else {
-            "choices": [{"message": {"content": "ok"}}]
-        }
-
-    def json(self):
-        return self._payload
+        self.payload = payload
 
 
-class FakeSession:
-    def __init__(self, script):
-        self.script = list(script)
-        self.calls = []
+class _CapturingAdapter(requests.adapters.BaseAdapter):
+    """A transport that keeps a copy of each prepared request as it was sent,
+    and the settings it was sent with. Each send replays the next item of
+    `script` while one is left: an exception is raised, a `_Reply` is
+    answered. Otherwise it replies "ok", or what `reply` gives for the
+    request."""
 
-    def post(self, url, data=None, headers=None, timeout=None):
-        self.calls.append(
-            {"url": url, "json": json.loads(data), "headers": headers, "timeout": timeout}
-        )
-        item = self.script.pop(0)
+    def __init__(self, reply=lambda request: "ok", script=()):
+        super().__init__()
+        self.sent = []
+        self.settings = []
+        self._reply = reply
+        self._script = list(script)
+
+    def send(self, request, **kwargs):
+        self.sent.append(request.copy())
+        self.settings.append(kwargs)
+        item = self._script.pop(0) if self._script else _Reply()
         if isinstance(item, Exception):
             raise item
-        return item
+        payload = item.payload
+        if payload is None:
+            payload = {"choices": [{"message": {"content": self._reply(request)}}]}
+        response = requests.Response()
+        response.status_code = item.status_code
+        response.raw = io.BytesIO(json.dumps(payload).encode("utf-8"))
+        response.request = request
+        response.url = request.url
+        return response
+
+    def close(self):
+        pass
 
 
 def _http(script, **kwargs):
+    """A backend whose own session sends to an adapter replaying `script`."""
     sleeps = []
     backend = HttpBackend(base_url="https://api.example.test/v1", sleep=sleeps.append, **kwargs)
-    backend.session = FakeSession(script)
-    return backend, sleeps
+    adapter = _CapturingAdapter(script=script)
+    backend.session.mount("https://api.example.test/", adapter)
+    return backend, adapter, sleeps
 
 
 def test_http_backend_success_payload_shape():
-    backend, _ = _http([FakeResponse()])
+    backend, adapter, _ = _http([_Reply()])
     request = ModelRequest(
         model_id="vlm-1",
         messages=(Message("user", "look", images=(ImageRef("image/png", data=PNG),)),),
@@ -433,9 +457,10 @@ def test_http_backend_success_payload_shape():
         seed_hint=7,
     )
     assert backend.complete(request) == "ok"
-    call = backend.session.calls[0]
-    assert call["url"] == "https://api.example.test/v1/chat/completions"
-    body = call["json"]
+    (sent,) = adapter.sent
+    assert sent.method == "POST"
+    assert sent.url == "https://api.example.test/v1/chat/completions"
+    body = json.loads(sent.body)
     assert body["model"] == "vlm-1"
     assert body["temperature"] == 0.25
     assert body["max_tokens"] == 99
@@ -448,41 +473,65 @@ def test_http_backend_success_payload_shape():
 
 
 def test_http_backend_retries_server_errors_with_backoff():
-    backend, sleeps = _http(
-        [FakeResponse(status_code=500), FakeResponse(status_code=503), FakeResponse()]
-    )
+    backend, adapter, sleeps = _http([_Reply(500), _Reply(503), _Reply()])
     assert backend.complete(_request()) == "ok"
-    assert len(backend.session.calls) == 3
+    assert len(adapter.sent) == 3
     assert sleeps == [1.0, 2.0]
 
 
 def test_http_backend_retries_transport_errors():
-    backend, sleeps = _http(
-        [requests.ConnectionError("refused"), FakeResponse()]
-    )
+    backend, adapter, sleeps = _http([requests.ConnectionError("refused"), _Reply()])
     assert backend.complete(_request()) == "ok"
+    assert len(adapter.sent) == 2
     assert sleeps == [1.0]
 
 
 def test_http_backend_gives_up_after_three_attempts():
-    backend, sleeps = _http([FakeResponse(status_code=500)] * 3)
+    backend, adapter, sleeps = _http([_Reply(500)] * 3)
     with pytest.raises(BackendUnavailableError, match="after 3 attempts"):
         backend.complete(_request())
-    assert len(backend.session.calls) == 3
+    assert len(adapter.sent) == 3
     assert sleeps == [1.0, 2.0]
+
+
+def test_a_retry_sends_the_same_body_and_headers_with_the_timeout(monkeypatch):
+    monkeypatch.setenv("TEST_GATEWAY_KEY", "sk-123")
+    backend, adapter, _ = _http(
+        [_Reply(503), requests.ConnectionError("reset"), _Reply()], api_key_env="TEST_GATEWAY_KEY"
+    )
+    request = _request(images=[ImageRef("image/png", data=PNG)])
+    assert backend.complete(request) == "ok"
+    first, *retries = adapter.sent
+    assert first.body == _reference_body(request)
+    assert first.headers["Authorization"] == "Bearer sk-123"
+    assert first.headers["Content-Length"] == str(len(first.body))
+    for retry in retries:
+        assert (retry.method, retry.url, retry.body) == (first.method, first.url, first.body)
+        assert dict(retry.headers) == dict(first.headers)
+    assert [settings["timeout"] for settings in adapter.settings] == [60.0] * 3
+
+
+def test_http_backend_never_goes_through_session_request(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Session.request reached")
+
+    monkeypatch.setattr(requests.Session, "request", refuse)
+    backend, adapter, _ = _http([_Reply(500), _Reply()])
+    assert backend.complete(_request()) == "ok"
+    assert len(adapter.sent) == 2
 
 
 @pytest.mark.parametrize("status", [400, 401, 403, 404, 429])
 def test_http_backend_client_errors_fail_fast(status):
-    backend, sleeps = _http([FakeResponse(status_code=status)] * 3)
+    backend, adapter, sleeps = _http([_Reply(status)] * 3)
     with pytest.raises(BackendUnavailableError, match=str(status)):
         backend.complete(_request())
-    assert len(backend.session.calls) == 1
+    assert len(adapter.sent) == 1
     assert sleeps == []
 
 
 def test_http_backend_malformed_reply():
-    backend, _ = _http([FakeResponse(payload={"unexpected": []})])
+    backend, _, _ = _http([_Reply(payload={"unexpected": []})])
     with pytest.raises(MalformedReplyError):
         backend.complete(_request())
 
@@ -492,23 +541,46 @@ def test_http_backend_malformed_reply():
     [(["ok"], "list"), (7, "int"), ({"text": "ok"}, "dict"), (None, "empty reply")],
 )
 def test_http_backend_content_that_is_not_text_is_malformed(content, problem):
-    backend, _ = _http([FakeResponse(payload={"choices": [{"message": {"content": content}}]})])
+    backend, _, _ = _http([_Reply(payload={"choices": [{"message": {"content": content}}]})])
     with pytest.raises(MalformedReplyError, match=problem) as info:
         ModelGateway(backend).complete(_request())
     assert exit_code_for(info.value) == 22
 
 
 def test_http_backend_api_key_handling(monkeypatch):
-    backend, _ = _http([FakeResponse()], api_key_env="TEST_GATEWAY_KEY")
+    backend, adapter, _ = _http([_Reply()], api_key_env="TEST_GATEWAY_KEY")
     monkeypatch.delenv("TEST_GATEWAY_KEY", raising=False)
     with pytest.raises(BackendUnavailableError, match="TEST_GATEWAY_KEY"):
         backend.complete(_request())
-    assert backend.session.calls == []
+    assert adapter.sent == []
 
     monkeypatch.setenv("TEST_GATEWAY_KEY", "sk-123")
-    backend2, _ = _http([FakeResponse()], api_key_env="TEST_GATEWAY_KEY")
+    backend2, adapter2, _ = _http([_Reply()], api_key_env="TEST_GATEWAY_KEY")
     backend2.complete(_request())
-    assert backend2.session.calls[0]["headers"]["Authorization"] == "Bearer sk-123"
+    assert adapter2.sent[0].headers["Authorization"] == "Bearer sk-123"
+
+
+@pytest.mark.parametrize(
+    "base_url", ["http://[::1/v1", "api.example.test/v1", "ftp://api.example.test/v1"]
+)
+def test_a_base_url_that_cannot_be_sent_to_is_a_config_error_when_built(
+    tmp_path, monkeypatch, base_url
+):
+    sent = []
+    monkeypatch.setattr(
+        requests.adapters.HTTPAdapter, "send", lambda self, *args, **kwargs: sent.append(args)
+    )
+    sleeps = []
+    with pytest.raises(BackendConfigError, match="bad base_url") as info:
+        HttpBackend(base_url, sleep=sleeps.append)
+    assert exit_code_for(info.value) == 23
+    config = tmp_path / "backend.json"
+    config.write_text(
+        json.dumps({"backend_id": "b", "kind": "http", "model_id": "m", "base_url": base_url})
+    )
+    with pytest.raises(BackendConfigError, match="bad base_url"):
+        ModelGateway.from_config(config)
+    assert sent == [] and sleeps == []
 
 
 # ------------------------------------------------------------- request body
@@ -596,7 +668,7 @@ def test_http_body_is_the_json_dumps_of_the_payload(spec, tmp_path_factory):
     directory = tmp_path_factory.getbasetemp() / "bodies"
     directory.mkdir(exist_ok=True)
     request = _build_request(spec, directory)
-    backend, _ = _http([])
+    backend, _, _ = _http([])
     assert backend._body(request) == _reference_body(request)
 
 
@@ -606,34 +678,9 @@ def test_http_body_refuses_a_temperature_that_is_not_json(temperature):
     # a request gets one past that check.
     request = _request()
     object.__setattr__(request, "temperature", temperature)
-    backend, _ = _http([])
+    backend, _, _ = _http([])
     with pytest.raises(ValueError, match="not JSON compliant"):
         backend._body(request)
-
-
-class _CapturingAdapter(requests.adapters.BaseAdapter):
-    """A transport that keeps each prepared request and the settings it was
-    sent with, and replies "ok", or what `reply` gives for the request."""
-
-    def __init__(self, reply=lambda request: "ok"):
-        super().__init__()
-        self.sent = []
-        self.settings = []
-        self._reply = reply
-
-    def send(self, request, **kwargs):
-        self.sent.append(request)
-        self.settings.append(kwargs)
-        content = json.dumps({"choices": [{"message": {"content": self._reply(request)}}]})
-        response = requests.Response()
-        response.status_code = 200
-        response.raw = io.BytesIO(content.encode("utf-8"))
-        response.request = request
-        response.url = request.url
-        return response
-
-    def close(self):
-        pass
 
 
 def test_http_backend_sends_the_body_through_a_real_session(tiny_image):
@@ -805,7 +852,7 @@ def test_threads_alternating_two_images_each_get_their_own_bodies(tiny_image, mo
     loads = []
     load_bytes = ImageRef.load_bytes
     monkeypatch.setattr(ImageRef, "load_bytes", lambda self: (loads.append(self), load_bytes(self))[1])
-    backend, _ = _http([])
+    backend, _, _ = _http([])
     wrong = []
     step_together = threading.Barrier(2, timeout=30)
 
@@ -990,10 +1037,10 @@ def test_gateway_rejects_empty_reply():
 
 
 def test_gateway_chat_uses_configured_sampling():
-    backend, _ = _http([FakeResponse()])
+    backend, adapter, _ = _http([_Reply()])
     gateway = ModelGateway(backend, model_id="vlm-2", temperature=0.5, max_tokens=77)
     gateway.chat([Message("user", "hi")], seed_hint=3)
-    body = backend.session.calls[0]["json"]
+    body = json.loads(adapter.sent[0].body)
     assert body["model"] == "vlm-2"
     assert body["temperature"] == 0.5
     assert body["max_tokens"] == 77
