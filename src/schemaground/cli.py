@@ -25,7 +25,7 @@ from .evaluate import (
     report_to_json,
 )
 from .extraction import extract_schema, load_canonical_schema
-from .gateway import ImageRef, ModelGateway
+from .gateway import ImageRef, ModelGateway, json_text
 from .grounding import ground_hierarchical, ground_sequential
 from .qa import AnswerMode, write_predictions_jsonl
 from .runner import load_schemas, run_predictions
@@ -77,13 +77,23 @@ def _image(text: str) -> ImageRef:
         raise argparse.ArgumentTypeError(str(err)) from err
 
 
-def _cache_dir(text: str) -> Path:
+def _output_dir(text: str) -> Path:
     """An argparse type: a directory path, made on first use if it does not
     exist, but never a path under or at an existing file."""
     path = Path(text)
     existing = next((p for p in (path, *path.parents) if p.exists()), None)
     if existing is not None and not existing.is_dir():
         raise argparse.ArgumentTypeError(f"{existing} exists and is not a directory")
+    return path
+
+
+def _output_file(text: str) -> Path:
+    """An argparse type: a file path, overwritten if it exists, that is not
+    an existing directory and does not lie under an existing file."""
+    path = Path(text)
+    _output_dir(str(path.parent))
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{path} is an existing directory")
     return path
 
 
@@ -103,7 +113,7 @@ def _add_backend_flags(parser: argparse.ArgumentParser, required: bool = True) -
         help="JSON backend description (kind, model_id, ...)",
     )
     parser.add_argument(
-        "--cache-dir", type=_cache_dir, default=None, help="response cache directory"
+        "--cache-dir", type=_output_dir, default=None, help="response cache directory"
     )
     parser.add_argument("--temperature", type=_non_negative_float, default=0.0)
     parser.add_argument("--max-tokens", type=_positive_int, default=512)
@@ -210,10 +220,7 @@ def _evaluate_modes(args: argparse.Namespace, modes: list[AnswerMode | str]) -> 
         rows.append((mode.value, report))
     summary = {"metric": report.metric, "runs": args.runs, "modes": reports_json}
     summary_path = args.out / "summary.json"
-    summary_path.write_text(
-        json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    summary_path.write_text(json_text(summary), encoding="utf-8")
     print(format_report_table(rows, by="question_type"))
     print()
     print(format_report_table(rows, by="category"))
@@ -244,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_extract.add_argument("--max-retries", type=_non_negative_int, default=2)
     p_extract.add_argument("--fallback-to-canonical", action="store_true")
-    p_extract.add_argument("--out", type=Path, default=None)
+    p_extract.add_argument("--out", type=_output_file, default=None)
     _add_backend_flags(p_extract, required=False)
     p_extract.set_defaults(func=cmd_extract)
 
@@ -256,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="query components in isolation instead of conditioning on dependencies",
     )
-    p_ground.add_argument("--out", type=Path, default=Path("resolved.json"))
+    p_ground.add_argument("--out", type=_output_file, default="resolved.json")
     _add_backend_flags(p_ground)
     p_ground.set_defaults(func=cmd_ground)
 
@@ -266,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_answer.add_argument("--runs", type=_positive_int, default=1)
     p_answer.add_argument("--concurrency", type=_positive_int, default=4)
     p_answer.add_argument("--schema-dir", type=_schema_dir, default=None)
-    p_answer.add_argument("--out", type=Path, default=Path("out"))
+    p_answer.add_argument("--out", type=_output_dir, default="out")
     _add_choice_flags(p_answer)
     _add_backend_flags(p_answer)
     p_answer.set_defaults(func=cmd_answer)
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="add leave-one-annotator-out accuracy to each report",
         )
-        p_eval.add_argument("--out", type=Path, default=Path("out"))
+        p_eval.add_argument("--out", type=_output_dir, default="out")
         _add_choice_flags(p_eval)
         _add_backend_flags(p_eval)
         p_eval.set_defaults(func=func)

@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import IncompletePredictionsError, ManifestInvalidError, MissingImageError
-from .extraction import CATEGORIES
-from .gateway import ImageRef, read_json
+from .extraction import CATEGORIES, CONCEPT_CATEGORIES
+from .gateway import ImageRef, json_text, read_json
 from .qa import NO_MATCH, QUESTION_TYPES, Prediction, VqaInstance, normalize_answer
 
 METRIC_KINDS = ("exact_match", "graded")
@@ -75,9 +75,10 @@ def load_manifest(path: str | Path, multiple_choice: bool = True) -> DatasetMani
     In a multiple-choice run every instance must declare options; in a
     free-response run any declared options are dropped. Image paths resolve
     relative to the manifest's directory and must exist; instances that name
-    one file share one `ImageRef`, so the file is hashed once. `"subset"` is
-    a JSON boolean, and a manifest without `"subset": true` must be the
-    complete benchmark.
+    one file share one `ImageRef`, so the file is hashed once. An instance
+    of one of the 12 canonical concepts must carry that concept's category.
+    `"subset"` is a JSON boolean, and a manifest without `"subset": true`
+    must be the complete benchmark.
     """
     path = Path(path)
     try:
@@ -107,6 +108,9 @@ def load_manifest(path: str | Path, multiple_choice: bool = True) -> DatasetMani
             _check_field_types(raw)
             if instance_id in seen_ids:
                 raise ValueError("duplicate instance id")
+            category = CONCEPT_CATEGORIES.get(raw.get("concept"))
+            if category is not None and raw.get("category") != category:
+                raise ValueError(f"concept {raw['concept']!r} is in category {category!r}")
             options = raw.get("options")
             if multiple_choice:
                 if not options:
@@ -329,7 +333,7 @@ def report_to_json(report: EvalReport) -> str:
         "by_category": {name: asdict(cell) for name, cell in report.by_category.items()},
         "human": None if report.human is None else asdict(report.human),
     }
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return json_text(payload)
 
 
 def format_report_table(rows: list[tuple[str, EvalReport]], by: str = "question_type") -> str:

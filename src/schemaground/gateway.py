@@ -205,6 +205,14 @@ def read_json(path: str | Path):
         raise ValueError("JSON nested too deeply to decode") from err
 
 
+def json_text(value) -> str:
+    """`value` as the text of a JSON file the package writes: two-space
+    indent, sorted keys, non-ASCII characters as they are and a final
+    newline. NaN and infinity raise ValueError, so `read_json` reads back
+    whatever this writes."""
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
+
+
 class ResponseCache:
     """Content-addressed on-disk store: one JSON file per key, write-once.
 

@@ -10,12 +10,11 @@ exchange as a transcript, whose query for the i-th component is
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .dsl import SchemaProgram, topological_order
 from .errors import GatewayError
-from .gateway import ImageRef, Message, ModelGateway
+from .gateway import ImageRef, Message, ModelGateway, json_text
 from .phrasing import copula, display_name, framing_sentence
 
 MAX_DESCRIPTION_CHARS = 200
@@ -59,7 +58,7 @@ class ResolvedSchema:
                 {"role": message.role, "text": message.text} for message in self.transcript
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        return json_text(payload)
 
 
 def _ground(

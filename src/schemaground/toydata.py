@@ -11,7 +11,6 @@ hierarchical grounding strictly beats sequential on the open questions.
 
 from __future__ import annotations
 
-import json
 import re
 import struct
 import zlib
@@ -20,6 +19,7 @@ from pathlib import Path
 
 from .dsl import render_schema
 from .extraction import CONCEPT_CATEGORIES, load_canonical_schema
+from .gateway import json_text
 from .phrasing import concept_phrase, copula, display_name
 
 TOY_CONCEPTS = ("maze", "atom", "cell", "solar-system")
@@ -340,43 +340,23 @@ def make_toy_dataset(root: str | Path) -> ToyDataset:
                 "modal_answer": spec["modal_answer"],
             }
         )
-    manifest_path = root / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(
-            {"version": "toy-1", "subset": True, "instances": instances},
-            indent=2,
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
-    fixture_path = root / "fixtures.json"
-    fixture_path.write_text(
-        json.dumps(toy_fixture_rules(), indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-
-    backend_config_path = root / "backend.json"
-    backend_config_path.write_text(
-        json.dumps(
-            {
-                "backend_id": "scripted-toy",
-                "kind": "scripted",
-                "model_id": "scripted-vlm",
-                "fixture_path": "fixtures.json",
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    backend_config = {
+        "backend_id": "scripted-toy",
+        "kind": "scripted",
+        "model_id": "scripted-vlm",
+        "fixture_path": "fixtures.json",
+    }
+    files = {
+        "manifest.json": {"version": "toy-1", "subset": True, "instances": instances},
+        "fixtures.json": toy_fixture_rules(),
+        "backend.json": backend_config,
+    }
+    for name, value in files.items():
+        (root / name).write_text(json_text(value), encoding="utf-8")
     return ToyDataset(
         root=root,
-        manifest_path=manifest_path,
-        fixture_path=fixture_path,
-        backend_config_path=backend_config_path,
+        manifest_path=root / "manifest.json",
+        fixture_path=root / "fixtures.json",
+        backend_config_path=root / "backend.json",
         image_paths=image_paths,
     )

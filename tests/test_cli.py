@@ -640,6 +640,69 @@ def test_cache_dir_at_or_under_a_file_exits_two(toy, tmp_path, cache_dir):
     assert not (tmp_path / "out").exists()
 
 
+def _run_without_rules(toy, tmp_path, command, out):
+    """The exit code of `command` with `--out tmp_path/<out>`, against a
+    backend with no fixture rules, so that any backend call fails: 21, or 30
+    from `extract`. `taken` is an existing file there and `made` an
+    existing directory."""
+    (tmp_path / "taken").write_text("not a directory")
+    (tmp_path / "made").mkdir()
+    (tmp_path / "rules.json").write_text("[]")
+    config = tmp_path / "backend.json"
+    config.write_text(json.dumps(
+        {"backend_id": "b", "kind": "scripted", "model_id": "m", "fixture_path": "rules.json"}
+    ))
+    if command == "extract":
+        argv = ["extract", "maze"]
+    elif command == "ground":
+        schema = tmp_path / "maze.schema"
+        schema.write_text(render_schema(load_canonical_schema("maze")))
+        argv = ["ground", "--schema", str(schema), "--image", str(toy.image_paths["maze"])]
+    else:
+        argv = [command, "--manifest", str(toy.manifest_path)]
+    try:
+        return cli.main([*argv, "--backend-config", str(config), "--out", str(tmp_path / out)])
+    except SystemExit as exit_:
+        return exit_.code
+
+
+# A bad --out is a usage error, found when the arguments are parsed, not
+# after the backend calls.
+@pytest.mark.parametrize(
+    ("command", "out"),
+    [
+        (command, out)
+        for command, outs in (
+            ("answer", ("taken", "taken/sub")),
+            ("evaluate", ("taken", "taken/sub")),
+            ("ablate", ("taken", "taken/sub")),
+            ("extract", ("made", "taken/sub")),
+            ("ground", ("made", "taken/sub")),
+        )
+        for out in outs
+    ],
+)
+def test_a_bad_out_exits_two_before_any_backend_call(toy, tmp_path, capsys, command, out):
+    assert _run_without_rules(toy, tmp_path, command, out) == 2
+    err = capsys.readouterr().err
+    if out == "made":
+        assert "made is an existing directory" in err
+    else:
+        assert "taken exists and is not a directory" in err
+    assert (tmp_path / "taken").read_text() == "not a directory"
+
+
+# The control: an existing output file may be overwritten, and an existing
+# output directory is used, so these get as far as the backend call.
+@pytest.mark.parametrize(
+    ("command", "out", "code"),
+    [("extract", "taken", 30), ("ground", "taken", 21), ("ablate", "made", 21)],
+)
+def test_a_good_out_gets_as_far_as_the_backend(toy, tmp_path, capsys, command, out, code):
+    assert _run_without_rules(toy, tmp_path, command, out) == code
+    assert "FixtureMissError" in capsys.readouterr().err
+
+
 def test_a_cache_entry_that_is_a_directory_is_a_miss_and_is_left_alone(toy, tmp_path):
     def ablate(name):
         result = run_cli(

@@ -516,6 +516,19 @@ def test_manifest_rejects_missing_options_in_mc_mode(tmp_path):
     assert load_manifest(path, multiple_choice=False).instances[0].options is None
 
 
+def test_manifest_rejects_a_canonical_concept_in_another_category(tmp_path):
+    path = _write_manifest(tmp_path, [_raw_instance(category="social")])
+    message = "'r1': concept 'maze' is in category 'strategic'"
+    with pytest.raises(ManifestInvalidError, match=message) as info:
+        load_manifest(path)
+    assert exit_code_for(info.value) == 50
+
+
+def test_manifest_keeps_the_category_of_a_concept_with_no_canonical_schema(tmp_path):
+    path = _write_manifest(tmp_path, [_raw_instance(concept="labyrinth", category="social")])
+    assert load_manifest(path).instances[0].category == "social"
+
+
 def test_manifest_rejects_duplicate_ids(tmp_path):
     path = _write_manifest(tmp_path, [_raw_instance(), _raw_instance()])
     with pytest.raises(ManifestInvalidError, match="duplicate instance id"):

@@ -1,6 +1,7 @@
 """Pins of the toy `ablate` outputs: the SHA-256 of each of the 11 `--out`
 files and of stdout, under three flag sets; of the names of the cache files
-it writes; and of the toy fixture file.
+it writes; of the toy dataset's JSON files; and of the resolved schema that
+`ground` writes for the toy maze image, hierarchical and sequential.
 
 A change that must leave outputs byte-identical keeps every pin. A change
 that alters outputs on purpose updates the pins here and says why in
@@ -15,6 +16,8 @@ import hashlib
 import pytest
 
 from schemaground import cli
+from schemaground.dsl import render_schema
+from schemaground.extraction import load_canonical_schema
 
 OUT_TOKEN = "<OUT>"
 
@@ -105,6 +108,17 @@ CACHE_NAMES_PIN = "6e2697e1fa67ae865053a5a3c8432af796651daa854c33e74925ff5113781
 
 FIXTURE_FILE_PIN = "05d4cdc65616e4c9a3a897864f94ef2ecf51d6b29f9c0de024164ea4d420d668"
 
+# The toy dataset's other two JSON files.
+TOY_FILE_PINS = {
+    "manifest.json": "4121aa5f43e594726d82575dc985bb5e5d80688723f43891fbcf586ec52855b8",
+    "backend.json": "d7e1f94fc1130752d2ad4c57c1d8d8a83538a04637ed8a2d7c977357cd67131e",
+}
+
+RESOLVED_PINS = {
+    (): "d47565ad323e9e9843392fa70c0923e5026fc4959c2f1f052ccd9b00a076d2f9",
+    ("--sequential",): "1ca317eb476dbf4f675770107e78bce08be5b93345c4f63e897ebf30d584777a",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -148,3 +162,27 @@ def test_toy_ablate_cache_file_names_are_pinned(toy, tmp_path, capsys):
 
 def test_toy_fixture_file_is_pinned(toy):
     assert _sha256(toy.fixture_path.read_bytes()) == FIXTURE_FILE_PIN
+
+
+@pytest.mark.parametrize("name", list(TOY_FILE_PINS))
+def test_toy_dataset_files_are_pinned(toy, name):
+    assert _sha256((toy.root / name).read_bytes()) == TOY_FILE_PINS[name]
+
+
+@pytest.mark.parametrize(
+    "flags", list(RESOLVED_PINS), ids=lambda flags: " ".join(flags) or "hierarchical"
+)
+def test_ground_resolved_schema_is_pinned(toy, tmp_path, capsys, flags):
+    schema = tmp_path / "maze.schema"
+    schema.write_text(render_schema(load_canonical_schema("maze")), encoding="utf-8")
+    out = tmp_path / "resolved.json"
+    code = cli.main([
+        "ground",
+        "--schema", str(schema),
+        "--image", str(toy.image_paths["maze"]),
+        "--backend-config", str(toy.backend_config_path),
+        "--out", str(out),
+        *flags,
+    ])
+    assert code == 0
+    assert _sha256(out.read_bytes()) == RESOLVED_PINS[flags]
