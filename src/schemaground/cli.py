@@ -147,6 +147,14 @@ def _gateway(args: argparse.Namespace) -> ModelGateway:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    # The default --out names the concept, so argparse cannot type it: check
+    # it here, before any backend call, as the usage error it would have been.
+    out = args.out
+    if out is None:
+        try:
+            out = _output_file(f"{args.concept}.schema")
+        except argparse.ArgumentTypeError as err:
+            args.usage_error(f"argument --out: {err}")
     if args.canonical:
         program = load_canonical_schema(args.concept)
     else:
@@ -160,7 +168,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
             max_retries=args.max_retries,
             fallback_to_canonical=args.fallback_to_canonical,
         )
-    out = args.out or Path(f"{args.concept}.schema")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(render_schema(program), encoding="utf-8")
     print(f"wrote {out}")
@@ -253,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--fallback-to-canonical", action="store_true")
     p_extract.add_argument("--out", type=_output_file, default=None)
     _add_backend_flags(p_extract, required=False)
-    p_extract.set_defaults(func=cmd_extract)
+    p_extract.set_defaults(func=cmd_extract, usage_error=p_extract.error)
 
     p_ground = sub.add_parser("ground", help="resolve a schema's components on an image")
     p_ground.add_argument("--schema", type=_file_text, required=True)

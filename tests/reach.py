@@ -8,7 +8,7 @@ the tests start, which a `sitecustomize.py` put first on PYTHONPATH traces
 name, and each ALLOWED entry that names no such statement, and exits 1 if
 there is any, or if a test fails:
 
-    python tests/reach.py [pytest arguments]
+    python tests/reach.py
 
 A def or class header and a docstring are not statements here; a compound
 statement counts as run when any line of it ran. The file name does not
@@ -122,7 +122,7 @@ def report(lines_run: dict[str, set[int]]) -> int:
     return len(unreached) + len(stale)
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     import pytest
 
     hits: set[tuple[str, int]] = set()
@@ -147,7 +147,7 @@ def main(argv: list[str]) -> int:
         os.chdir(ROOT)
         trace(hits)
         try:
-            code = pytest.main(["-q", "--continue-on-collection-errors", *argv])
+            code = pytest.main(["-q", "--continue-on-collection-errors"])
         finally:
             sys.settrace(None)
             threading.settrace(None)
@@ -161,4 +161,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

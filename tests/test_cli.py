@@ -641,12 +641,15 @@ def test_cache_dir_at_or_under_a_file_exits_two(toy, tmp_path, cache_dir):
 
 
 def _run_without_rules(toy, tmp_path, command, out):
-    """The exit code of `command` with `--out tmp_path/<out>`, against a
-    backend with no fixture rules, so that any backend call fails: 21, or 30
-    from `extract`. `taken` is an existing file there and `made` an
-    existing directory."""
+    """The exit code of `command` with `--out tmp_path/<out>`, or with no
+    `--out` when out is None, against a backend with no fixture rules, so
+    that any backend call fails: 21, or 30 from `extract`. `taken` is an
+    existing file there, and `made` and `maze.schema` (the default `extract
+    maze` output, when tmp_path is the working directory) existing
+    directories."""
     (tmp_path / "taken").write_text("not a directory")
     (tmp_path / "made").mkdir()
+    (tmp_path / "maze.schema").mkdir()
     (tmp_path / "rules.json").write_text("[]")
     config = tmp_path / "backend.json"
     config.write_text(json.dumps(
@@ -655,13 +658,15 @@ def _run_without_rules(toy, tmp_path, command, out):
     if command == "extract":
         argv = ["extract", "maze"]
     elif command == "ground":
-        schema = tmp_path / "maze.schema"
+        schema = tmp_path / "ground.schema"
         schema.write_text(render_schema(load_canonical_schema("maze")))
         argv = ["ground", "--schema", str(schema), "--image", str(toy.image_paths["maze"])]
     else:
         argv = [command, "--manifest", str(toy.manifest_path)]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
     try:
-        return cli.main([*argv, "--backend-config", str(config), "--out", str(tmp_path / out)])
+        return cli.main([*argv, "--backend-config", str(config)])
     except SystemExit as exit_:
         return exit_.code
 
@@ -676,17 +681,22 @@ def _run_without_rules(toy, tmp_path, command, out):
             ("answer", ("taken", "taken/sub")),
             ("evaluate", ("taken", "taken/sub")),
             ("ablate", ("taken", "taken/sub")),
-            ("extract", ("made", "taken/sub")),
+            ("extract", ("made", "taken/sub", None)),
             ("ground", ("made", "taken/sub")),
         )
         for out in outs
     ],
 )
-def test_a_bad_out_exits_two_before_any_backend_call(toy, tmp_path, capsys, command, out):
+def test_a_bad_out_exits_two_before_any_backend_call(
+    toy, tmp_path, capsys, monkeypatch, command, out
+):
+    monkeypatch.chdir(tmp_path)
     assert _run_without_rules(toy, tmp_path, command, out) == 2
     err = capsys.readouterr().err
     if out == "made":
         assert "made is an existing directory" in err
+    elif out is None:
+        assert "argument --out: maze.schema is an existing directory" in err
     else:
         assert "taken exists and is not a directory" in err
     assert (tmp_path / "taken").read_text() == "not a directory"
