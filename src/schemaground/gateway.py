@@ -19,6 +19,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
 
@@ -110,10 +111,16 @@ class Message:
     def __post_init__(self):
         if self.role not in ROLES:
             raise ValueError(f"invalid role {self.role!r}")
+        if not isinstance(self.text, str):
+            raise ValueError(f"text must be a string, got {type(self.text).__name__}")
         if self.role == "assistant" and self.images:
             raise ValueError("assistant messages carry no images")
         if not self.text and not self.images:
             raise ValueError("text may be empty only if images are present")
+
+
+def _is_number(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -125,12 +132,21 @@ class ModelRequest:
     seed_hint: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.model_id, str):
+            raise ValueError(f"model_id must be a string, got {type(self.model_id).__name__}")
         if not self.messages:
             raise ValueError("messages must be non-empty")
+        # A bool is an int to Python but `true` to JSON, and a number in a
+        # string is a string: either would enter the key and the body as the
+        # wrong JSON type.
+        if not _is_number(self.temperature, (int, float)):
+            raise ValueError(f"temperature must be a number, got {self.temperature!r}")
         if not 0 <= self.temperature < float("inf"):  # NaN fails too
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
+        if not _is_number(self.max_tokens, int) or self.max_tokens <= 0:
+            raise ValueError(f"max_tokens must be a positive integer, got {self.max_tokens!r}")
+        if self.seed_hint is not None and not _is_number(self.seed_hint, int):
+            raise ValueError(f"seed_hint must be an integer or None, got {self.seed_hint!r}")
         for index, message in enumerate(self.messages):
             expected = "user" if index % 2 == 0 else "assistant"
             if message.role != expected:
@@ -140,30 +156,46 @@ class ModelRequest:
                 )
 
 
+def _json_number(value: int | float) -> str:
+    """What `json.dumps` writes for a finite int or float that is not a bool."""
+    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+
+
 def cache_key_material(backend_id: str, request: ModelRequest) -> str:
     """Canonical serialization hashed into the cache key.
 
-    Image bytes contribute only through their content digest.
+    Image bytes contribute only through their content digest. The text is
+    what `json.dumps(payload, sort_keys=True, separators=(",", ":"))` writes
+    for the request's payload, built from its pieces in that sorted key
+    order: `json.dumps` sets up a new encoder for every call, which costs
+    more than the escaping itself. Roles and media types come from fixed
+    sets and digests are hex, so none of them needs an escape.
     """
-    payload = {
-        "backend_id": backend_id,
-        "model_id": request.model_id,
-        "temperature": request.temperature,
-        "max_tokens": request.max_tokens,
-        "seed_hint": request.seed_hint,
-        "messages": [
-            {
-                "role": message.role,
-                "text": message.text,
-                "images": [
-                    {"media_type": image.media_type, "sha256": image.digest()}
-                    for image in message.images
-                ],
-            }
-            for message in request.messages
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    messages = ",".join([
+        '{"images":[%s],"role":"%s","text":%s}'
+        % (
+            ",".join([
+                '{"media_type":"%s","sha256":"%s"}' % (image.media_type, image.digest())
+                for image in message.images
+            ]),
+            message.role,
+            encode_basestring_ascii(message.text),
+        )
+        for message in request.messages
+    ])
+    seed_hint = "null" if request.seed_hint is None else _json_number(request.seed_hint)
+    return (
+        '{"backend_id":%s,"max_tokens":%s,"messages":[%s],"model_id":%s,'
+        '"seed_hint":%s,"temperature":%s}'
+        % (
+            encode_basestring_ascii(backend_id),
+            _json_number(request.max_tokens),
+            messages,
+            encode_basestring_ascii(request.model_id),
+            seed_hint,
+            _json_number(request.temperature),
+        )
+    )
 
 
 def cache_key(backend_id: str, request: ModelRequest) -> str:
@@ -230,9 +262,12 @@ class ResponseCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # An entry's path is this prefix and its file name: one string
+        # concatenation per read, not a `Path` join.
+        self._prefix = os.path.join(self.root, "")
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return self._prefix + key + ".json"
 
     def get(self, key: str) -> str | None:
         try:
@@ -253,7 +288,7 @@ class ResponseCache:
             except FileExistsError:
                 if self.get(key) is not None:
                     return
-                path.unlink(missing_ok=True)
+                Path(path).unlink(missing_ok=True)
                 fd = os.open(path, create, 0o600)
             try:
                 view = memoryview(payload)

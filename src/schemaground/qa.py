@@ -10,12 +10,12 @@ grounding conversation as prior turns.
 from __future__ import annotations
 
 import functools
-import json
 import re
 import string
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .dsl import SchemaProgram, render_schema
@@ -96,19 +96,21 @@ class Prediction:
 
 
 def write_predictions_jsonl(predictions, path) -> None:
-    """One Prediction per line, ordered by (run_index, instance_id)."""
+    """One Prediction per line, ordered by (run_index, instance_id).
+
+    Each line is what `json.dumps(..., sort_keys=True, ensure_ascii=False)`
+    writes for the prediction's fields, built from its pieces in that key
+    order without setting up an encoder per line.
+    """
     ordered = sorted(predictions, key=lambda p: (p.run_index, p.instance_id))
     lines = [
-        json.dumps(
-            {
-                "instance_id": p.instance_id,
-                "mode": p.mode.value,
-                "raw_text": p.raw_text,
-                "normalized": p.normalized,
-                "run_index": p.run_index,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
+        '{"instance_id": %s, "mode": %s, "normalized": %s, "raw_text": %s, "run_index": %s}'
+        % (
+            encode_basestring(p.instance_id),
+            encode_basestring(p.mode.value),
+            encode_basestring(p.normalized),
+            encode_basestring(p.raw_text),
+            int.__repr__(p.run_index),
         )
         for p in ordered
     ]

@@ -6,10 +6,14 @@ to `concurrency` threads (on the caller alone at `concurrency` 1), and a
 read that fails raises in the caller. The manifest gives each image file
 one `ImageRef`, which keeps its digest, so an image is read for its digest
 once per command. Instances are then grouped by (concept, image digest).
-One task per (mode, run, group), listed mode by mode, grounds its image
-(grounded modes only) and then answers the group's instances. Only the
-gateway dedups: it sends each distinct request once, and a caller of a
-request already in flight waits for its reply.
+One task per (grounding walk, run, group) grounds its image (grounded modes
+only) and then answers the group's instances under each mode that the walk
+serves: `grounding_hierarchical` and `full_dsg` answer from one
+`ground_hierarchical` walk, and every other mode has a task of its own. The
+tasks are listed longest first: the hierarchical pair, then
+`grounding_sequential`, `schema_only` and `baseline`. Only the gateway
+dedups: it sends each distinct request once, and a caller of a request
+already in flight waits for its reply.
 
 `concurrency` worker threads serve every mode and run of a command, so at
 most that many backend calls are in flight. A worker starts a task only
@@ -70,6 +74,17 @@ def load_schemas(
     return schemas
 
 
+# The modes that each task answers, longest task first, so that the last
+# tasks in flight are the shortest. Both hierarchical modes answer from one
+# `ground_hierarchical` walk.
+_TASK_MODES = (
+    (AnswerMode.GROUNDING_HIERARCHICAL, AnswerMode.FULL_DSG),
+    (AnswerMode.GROUNDING_SEQUENTIAL,),
+    (AnswerMode.SCHEMA_ONLY,),
+    (AnswerMode.BASELINE,),
+)
+
+
 def run_predictions(
     manifest: DatasetManifest,
     modes: list[AnswerMode | str],
@@ -96,13 +111,16 @@ def run_predictions(
     for instance in manifest.instances:
         groups.setdefault((instance.concept, instance.image.digest()), []).append(instance)
 
-    def ground_then_answer(mode: AnswerMode, run_index: int, instances: list[VqaInstance]):
+    def ground_then_answer(
+        task_modes: tuple[AnswerMode, ...], run_index: int, instances: list[VqaInstance]
+    ):
         seed = (seed_hint or 0) + run_index
-        schema = None if mode is AnswerMode.BASELINE else schemas[instances[0].concept]
+        first = task_modes[0]
+        schema = None if first is AnswerMode.BASELINE else schemas[instances[0].concept]
         resolved = None
-        if mode in GROUNDED_MODES:
+        if first in GROUNDED_MODES:
             # Named at call time, so a wrapper set on this module is the one called.
-            sequential = mode is AnswerMode.GROUNDING_SEQUENTIAL
+            sequential = first is AnswerMode.GROUNDING_SEQUENTIAL
             ground = ground_sequential if sequential else ground_hierarchical
             resolved = ground(schema, instances[0].image, gateway, seed_hint=seed)
         return [
@@ -115,12 +133,14 @@ def run_predictions(
                 run_index=run_index,
                 seed_hint=seed,
             )
+            for mode in task_modes
             for instance in instances
         ]
 
     tasks = [
-        (mode, run_index, instances)
-        for mode in modes
+        (task_modes, run_index, instances)
+        for task_modes in (tuple(m for m in kind if m in modes) for kind in _TASK_MODES)
+        if task_modes
         for run_index in range(runs)
         for instances in groups.values()
     ]

@@ -369,6 +369,26 @@ def test_ablate_calls_and_files_do_not_depend_on_concurrency(toy, tmp_path, monk
     assert outputs[1] == outputs[2] == outputs[16]
 
 
+# `full_dsg` answers from the hierarchical walk whether that walk also
+# serves `grounding_hierarchical` or not: alone or beside it, `evaluate`
+# writes the ablate's full_dsg predictions byte for byte.
+def test_full_dsg_predictions_do_not_depend_on_the_other_modes(toy, tmp_path):
+    common = [
+        "--manifest", str(toy.manifest_path),
+        "--backend-config", str(toy.backend_config_path),
+        "--concurrency", "2",
+    ]
+    assert cli.main(["ablate", *common, "--out", str(tmp_path / "ablate")]) == 0
+    expected = (tmp_path / "ablate" / "full_dsg.predictions.jsonl").read_bytes()
+    for name, modes in [
+        ("alone", ["full_dsg"]),
+        ("pair", ["full_dsg", "grounding_hierarchical"]),
+    ]:
+        flags = [flag for mode in modes for flag in ("--mode", mode)]
+        assert cli.main(["evaluate", *common, *flags, "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / name / "full_dsg.predictions.jsonl").read_bytes() == expected
+
+
 def test_readme_quick_start_script(tmp_path):
     script = SCRIPTS / "run_offline_ablation.py"
     result = subprocess.run(

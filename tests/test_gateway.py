@@ -26,6 +26,7 @@ from schemaground.errors import (
     exit_code_for,
 )
 from schemaground.gateway import (
+    ALLOWED_MEDIA_TYPES,
     HttpBackend,
     ImageRef,
     Message,
@@ -149,6 +150,34 @@ def test_request_rejects_a_temperature_that_is_negative_or_not_finite(temperatur
         _request(temperature=temperature)
 
 
+# A bool is `true` to JSON, a string is a string: none of these may enter a
+# cache key or a request body as the number the field means.
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_tokens", True),
+        ("max_tokens", 2.5),
+        ("max_tokens", "7"),
+        ("seed_hint", True),
+        ("seed_hint", 1.5),
+        ("seed_hint", "7"),
+        ("temperature", True),
+        ("temperature", "0.5"),
+        ("temperature", None),
+    ],
+)
+def test_request_rejects_a_number_field_of_another_type(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        ModelRequest("m", (Message("user", "x"),), **{field: value})
+
+
+def test_request_and_message_reject_text_that_is_not_a_string():
+    with pytest.raises(ValueError, match="model_id must be a string"):
+        ModelRequest(7, (Message("user", "x"),))
+    with pytest.raises(ValueError, match="text must be a string"):
+        Message("user", b"x")
+
+
 # --------------------------------------------------------------- cache keys
 
 
@@ -173,6 +202,76 @@ def test_cache_key_uses_image_digest_not_bytes(tmp_path):
     encoded = base64.b64encode(PNG).decode("ascii")
     assert encoded[:16] not in material
     assert "\\x89" not in material and "IHDR" not in material
+
+
+def _reference_key_material(backend_id: str, request: ModelRequest) -> str:
+    payload = {
+        "backend_id": backend_id,
+        "model_id": request.model_id,
+        "temperature": request.temperature,
+        "max_tokens": request.max_tokens,
+        "seed_hint": request.seed_hint,
+        "messages": [
+            {
+                "role": message.role,
+                "text": message.text,
+                "images": [
+                    {"media_type": image.media_type, "sha256": image.digest()}
+                    for image in message.images
+                ],
+            }
+            for message in request.messages
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+# Any character, lone surrogates included, with the ones JSON escapes drawn
+# often: quotes, backslashes, control characters and non-ASCII.
+_KEY_TEXT = st.text(
+    alphabet=st.characters(exclude_categories=())
+    | st.sampled_from('"\\/\x00\x1f\x7f\b\t\n\u00e9\u2028\ud800\udfff\U0001f600')
+)
+
+
+@st.composite
+def _key_requests(draw):
+    messages = []
+    for index in range(draw(st.integers(min_value=1, max_value=3))):
+        images = ()
+        if index % 2 == 0:
+            images = tuple(
+                ImageRef(media_type, data=data)
+                for media_type, data in draw(
+                    st.lists(
+                        st.tuples(st.sampled_from(ALLOWED_MEDIA_TYPES), st.binary(max_size=8)),
+                        max_size=2,
+                    )
+                )
+            )
+        text = draw(_KEY_TEXT if images else _KEY_TEXT.filter(bool))
+        messages.append(Message("user" if index % 2 == 0 else "assistant", text, images))
+    temperature = draw(
+        st.sampled_from([0, 0.0, 1e-7, 1e16, 0.1 + 0.2])
+        | st.integers(min_value=0, max_value=2**70)
+        | st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+    )
+    return draw(_KEY_TEXT), ModelRequest(
+        draw(_KEY_TEXT),
+        tuple(messages),
+        temperature,
+        draw(st.integers(min_value=1, max_value=2**70)),
+        draw(st.none() | st.integers(min_value=-(2**70), max_value=2**70)),
+    )
+
+
+@settings(max_examples=300)
+@given(backend_and_request=_key_requests())
+def test_cache_key_material_is_the_json_dumps_of_the_payload(backend_and_request):
+    backend_id, request = backend_and_request
+    assert cache_key_material(backend_id, request) == _reference_key_material(
+        backend_id, request
+    )
 
 
 # ------------------------------------------------------------ response cache

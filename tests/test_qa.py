@@ -360,3 +360,54 @@ def test_predictions_jsonl_roundtrip_and_ordering(tmp_path):
     assert loaded[2]["raw_text"] == "Raw B"
     write_predictions_jsonl([], tmp_path / "empty.jsonl")
     assert (tmp_path / "empty.jsonl").read_text(encoding="utf-8") == ""
+
+
+# Any character, lone surrogates included, with the ones JSON escapes drawn
+# often: quotes, backslashes, control characters and non-ASCII.
+_LINE_TEXT = st.text(
+    alphabet=st.characters(exclude_categories=())
+    | st.sampled_from('"\\/\x00\x1f\x7f\b\t\n\r\u00e9\u2028\ud800\udfff\U0001f600')
+)
+_PREDICTIONS = st.lists(
+    st.builds(
+        Prediction,
+        instance_id=_LINE_TEXT,
+        mode=st.sampled_from(AnswerMode),
+        raw_text=_LINE_TEXT,
+        normalized=_LINE_TEXT,
+        run_index=st.integers(min_value=0, max_value=2**70),
+    ),
+    max_size=4,
+)
+
+
+# Each line is the `json.dumps` of the prediction's fields. A lone surrogate
+# has no UTF-8 form, so a file holding one cannot be written, as before.
+@settings(max_examples=300)
+@given(predictions=_PREDICTIONS)
+def test_a_prediction_line_is_the_json_dumps_of_its_fields(predictions, tmp_path_factory):
+    ordered = sorted(predictions, key=lambda p: (p.run_index, p.instance_id))
+    lines = [
+        json.dumps(
+            {
+                "instance_id": p.instance_id,
+                "mode": p.mode.value,
+                "raw_text": p.raw_text,
+                "normalized": p.normalized,
+                "run_index": p.run_index,
+            },
+            sort_keys=True,
+            ensure_ascii=False,
+        )
+        for p in ordered
+    ]
+    expected = "".join(line + "\n" for line in lines)
+    path = tmp_path_factory.getbasetemp() / "predictions.jsonl"
+    try:
+        data = expected.encode("utf-8")
+    except UnicodeEncodeError:
+        with pytest.raises(UnicodeEncodeError):
+            write_predictions_jsonl(predictions, path)
+        return
+    write_predictions_jsonl(predictions, path)
+    assert path.read_bytes() == data

@@ -83,6 +83,37 @@ def test_prompt_fingerprint_of_the_five_modes(toy, toy_manifest):
     assert digest == "f59e87b5d0c378ff988080abcf86e7a4008ec18cdd052c1d206aa7c21a904c35"
 
 
+# `grounding_hierarchical` and `full_dsg` answer from one hierarchical walk:
+# on the toy ablate, one walk of each kind per (run, group), and each
+# distinct request still sent once.
+@pytest.mark.parametrize("runs", [1, 2])
+def test_one_grounding_walk_per_kind_run_and_group(toy, tmp_path, monkeypatch, runs):
+    walks = []
+
+    def recording(name):
+        walk = getattr(runner, name)
+
+        def recorded(*args, **kwargs):
+            walks.append(name)
+            return walk(*args, **kwargs)
+
+        return recorded
+
+    for name in ("ground_hierarchical", "ground_sequential"):
+        monkeypatch.setattr(runner, name, recording(name))
+    calls = []
+    complete = ScriptedBackend.complete
+    monkeypatch.setattr(
+        ScriptedBackend,
+        "complete",
+        lambda self, request: (calls.append(request), complete(self, request))[1],
+    )
+    argv = ablate_argv(toy, tmp_path)
+    assert cli.main([*argv, "--runs", str(runs), "--out", str(tmp_path / "out")]) == 0
+    assert walks.count("ground_hierarchical") == walks.count("ground_sequential") == 4 * runs
+    assert len(calls) == 72 * runs
+
+
 def test_five_modes_read_each_image_once(toy, monkeypatch):
     manifest = load_manifest(toy.manifest_path)
     assert len(manifest.instances) == 12
@@ -286,11 +317,12 @@ def test_the_turn_is_let_go_at_the_backend(toy, toy_manifest, concurrency):
     assert all(len(predictions) == 12 for predictions in found[0].values())
 
 
-# One image, and tasks in the order hierarchical, full_dsg, baseline. The
-# first worker's grounding request waits at the gate; the second worker asks
-# for the same request and waits on its flight. Only if that wait lets the
-# turn go can the third worker start the baseline task, whose answer is the
-# second call the gate needs.
+# One image, and tasks in the order hierarchical, sequential, baseline. The
+# first worker's grounding request waits at the gate; the second worker's
+# sequential walk asks the same request first (the first component has no
+# dependency to describe) and waits on its flight. Only if that wait lets
+# the turn go can the third worker start the baseline task, whose answer is
+# the second call the gate needs.
 def test_a_wait_on_a_flight_lets_the_turn_go(toy, toy_manifest):
     image = toy_manifest.instances[0].image
     manifest = DatasetManifest(
@@ -298,7 +330,11 @@ def test_a_wait_on_a_flight_lets_the_turn_go(toy, toy_manifest):
     )
     gateway = ModelGateway.from_config(toy.backend_config_path)
     gate = Gate(gateway, 2)
-    modes = [AnswerMode.GROUNDING_HIERARCHICAL, AnswerMode.FULL_DSG, AnswerMode.BASELINE]
+    modes = [
+        AnswerMode.GROUNDING_SEQUENTIAL,
+        AnswerMode.GROUNDING_HIERARCHICAL,
+        AnswerMode.BASELINE,
+    ]
     found = []
     run_in_thread(lambda: found.append(
         run_predictions(manifest, modes, gateway, concurrency=3)
