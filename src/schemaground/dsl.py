@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     ConceptMismatchError,
@@ -53,6 +54,11 @@ class SchemaProgram:
 
     concept: str
     nodes: tuple[ComponentNode, ...]
+
+    @cached_property
+    def text(self) -> str:
+        """What render_schema gives, rendered on first use and kept."""
+        return render_schema(self)
 
     def node(self, component_id: str) -> ComponentNode:
         for node in self.nodes:

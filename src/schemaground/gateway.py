@@ -13,13 +13,13 @@ import base64
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
 
@@ -157,8 +157,13 @@ class ModelRequest:
 
 
 def _json_number(value: int | float) -> str:
-    """What `json.dumps` writes for a finite int or float that is not a bool."""
-    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+    """What `json.dumps(value, allow_nan=False)` writes for an int or float
+    that is not a bool: NaN and infinity raise ValueError."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    return int.__repr__(value)
 
 
 def cache_key_material(backend_id: str, request: ModelRequest) -> str:
@@ -237,6 +242,16 @@ def read_json(path: str | Path):
         raise ValueError("JSON nested too deeply to decode") from err
 
 
+# Any surrogate code point in a str stands alone: JSON can carry one as an
+# escape ("\ud800"), but UTF-8 cannot encode it.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def _is_unicode(text: str) -> bool:
+    """Whether UTF-8 can encode `text`, so that it can be cached and written."""
+    return text.isascii() or _SURROGATE_RE.search(text) is None
+
+
 def json_text(value) -> str:
     """`value` as the text of a JSON file the package writes: two-space
     indent, sorted keys, non-ASCII characters as they are and a final
@@ -249,14 +264,15 @@ class ResponseCache:
     """Content-addressed on-disk store: one JSON file per key, write-once.
 
     An entry that cannot be read, does not hold JSON with a string "text",
-    or whose text is blank reads as a miss, and the next put replaces it; a
-    readable entry is never overwritten. A put creates its entry in place,
-    one file create and one write; where the path already holds an entry
-    that reads as a miss (blank, corrupt, or cut short by a crash), it
-    removes that entry and creates it once more. A reader that meets an
-    entry still being written, or none, reads a miss, never a torn reply. A
-    put that cannot write its entry (the path is a directory, or the root is
-    gone, say) logs a warning and leaves the cache as it was.
+    or whose text is blank or holds a lone surrogate escape reads as a miss,
+    and the next put replaces it; a readable entry is never overwritten. A
+    put creates its entry in place, one file create and one write; where the
+    path already holds an entry that reads as a miss (blank, corrupt, or cut
+    short by a crash), it removes that entry and creates it once more. A
+    reader that meets an entry still being written, or none, reads a miss,
+    never a torn reply. A put that cannot write its entry (the path is a
+    directory, or the root is gone, say) logs a warning and leaves the cache
+    as it was.
     """
 
     def __init__(self, root: str | Path):
@@ -275,12 +291,16 @@ class ResponseCache:
         except (OSError, ValueError):
             return None
         text = payload.get("text") if isinstance(payload, dict) else None
-        # A blank reply is no reply: the backend path rejects one too.
-        return text if isinstance(text, str) and text.strip() else None
+        # A blank reply is no reply, nor one that UTF-8 cannot encode: the
+        # backend path rejects both.
+        if isinstance(text, str) and text.strip() and _is_unicode(text):
+            return text
+        return None
 
     def put(self, key: str, text: str) -> None:
         path = self._path(key)
-        payload = json.dumps({"text": text}, ensure_ascii=False).encode("utf-8")
+        # What `json.dumps({"text": text}, ensure_ascii=False)` writes.
+        payload = ('{"text": %s}' % encode_basestring(text)).encode("utf-8")
         create = os.O_WRONLY | os.O_CREAT | os.O_EXCL
         try:
             try:
@@ -369,13 +389,12 @@ class ScriptedBackend:
         )
 
 
-# `json.dumps` with its default settings, except that NaN and infinity, which
-# are not JSON, raise rather than go out.
-_ENCODER = json.JSONEncoder(allow_nan=False)
-
-
-def _json(value) -> bytes:
-    return _ENCODER.encode(value).encode("utf-8")
+def _json(value: str | int | float) -> bytes:
+    """What `json.dumps` writes for a string or a number, with its default
+    settings, except that NaN and infinity, which are not JSON, raise
+    ValueError rather than go out."""
+    text = encode_basestring_ascii(value) if isinstance(value, str) else _json_number(value)
+    return text.encode("ascii")
 
 
 class HttpBackend:
@@ -390,11 +409,13 @@ class HttpBackend:
 
     The POST to `<base_url>/chat/completions` is also prepared once, when the
     backend is built, so a `base_url` that `requests` cannot send to raises
-    BackendConfigError there, before any request. A request then costs one
-    copy of that POST, given its API key, body and the session's cookies, and
-    one `session.send` per attempt, not the per-call set-up of
-    `Session.post`. Cookies that the server sets go back as with
-    `Session.post`, a failed attempt's included.
+    BackendConfigError there, before any request. A request then costs a new
+    `PreparedRequest` with that POST's method, URL, hooks and a copy of its
+    headers, given its body, API key and the session's cookies, and one
+    `session.send` per attempt, not the per-call set-up of `Session.post`.
+    Cookies that the server sets go back as with `Session.post`, a failed
+    attempt's included; the Cookie header is built only while the session's
+    jar holds a cookie.
     """
 
     def __init__(
@@ -441,14 +462,14 @@ class HttpBackend:
         # one task's image in several requests before it moves to the next.
         self._last_image = threading.local()
 
-    def _headers(self) -> dict[str, str]:
-        """The headers read at each request: the API key, when configured."""
+    def _api_key(self) -> str | None:
+        """The API key, read at each request, when one is configured."""
         if not self.api_key_env:
-            return {}
+            return None
         key = os.environ.get(self.api_key_env)
         if not key:
             raise BackendUnavailableError(f"environment variable {self.api_key_env!r} is not set")
-        return {"Authorization": f"Bearer {key}"}
+        return key
 
     def _base64(self, image: ImageRef) -> bytes:
         last = self._last_image
@@ -458,12 +479,14 @@ class HttpBackend:
         return last.encoded
 
     def _wire_message(self, message: Message) -> Iterator[bytes]:
+        # Roles come from a fixed set and need no JSON escape.
+        role = message.role.encode("ascii")
         if not message.images:
-            yield _json({"role": message.role, "content": message.text})
+            yield b'{"role": "%s", "content": %s}' % (role, _json(message.text))
             return
-        yield b'{"role": %s, "content": [' % _json(message.role)
+        yield b'{"role": "%s", "content": [' % role
         if message.text:
-            yield _json({"type": "text", "text": message.text})
+            yield b'{"type": "text", "text": %s}' % _json(message.text)
         for index, image in enumerate(message.images):
             if index or message.text:
                 yield b", "
@@ -478,9 +501,10 @@ class HttpBackend:
 
     def _body(self, request: ModelRequest) -> bytes:
         """The request body, byte for byte what `json.dumps` writes for the
-        chat-completions payload, joined once from its pieces. No image goes
-        through the JSON encoder, whose escaping of a data URL costs about
-        twice its base64."""
+        chat-completions payload, joined once from its pieces. No JSON encoder
+        is set up: each string goes through the escape that `json.dumps`
+        applies, and no image goes through any, since escaping a data URL
+        would cost about twice its base64."""
         chunks = [b'{"model": %s, "messages": [' % _json(request.model_id)]
         for index, message in enumerate(request.messages):
             if index:
@@ -498,16 +522,31 @@ class HttpBackend:
     def complete(self, request: ModelRequest) -> str:
         import requests
 
-        post = self._post.copy()
-        post.prepare_body(self._body(request), None)
-        post.headers.update(self._headers())
+        # What `PreparedRequest.copy` gives, but for the copy of the cookie jar
+        # that the first attempt replaces, and with the body that
+        # `prepare_body` sets for bytes.
+        template = self._post
+        post = requests.PreparedRequest()
+        post.method, post.url, post.hooks = template.method, template.url, template.hooks
+        post.headers = headers = template.headers.copy()
+        post.body = self._body(request)
+        headers["Content-Length"] = str(len(post.body))
+        key = self._api_key()
+        if key is not None:
+            headers["Authorization"] = f"Bearer {key}"
+        cookies = self.session.cookies
         last_error = None
         for attempt in range(self.max_attempts):
             if attempt:
                 self._sleep(self.backoff_s * 2 ** (attempt - 1))
+                headers.pop("Cookie", None)
             # The session's cookies as they stand now, a failed attempt's too.
-            post.headers.pop("Cookie", None)
-            post.prepare_cookies(self.session.cookies)
+            # The jar's own dict of domains is read, not the jar iterated:
+            # another worker's response may be adding to it, and
+            # `CookieJar.__len__` iterates without taking the jar's lock.
+            post._cookies = cookies
+            if cookies._cookies:
+                post.prepare_cookies(cookies)
             try:
                 response = self.session.send(post, timeout=self.timeout)
             except requests.RequestException as err:
@@ -536,6 +575,18 @@ class HttpBackend:
         raise BackendUnavailableError(
             f"backend unreachable after {self.max_attempts} attempts ({last_error})"
         )
+
+
+class _Flight:
+    """A request in flight: its outcome, and the Event that its waiters wait
+    on, made only once a second caller of the request waits."""
+
+    __slots__ = ("done", "text", "error")
+
+    def __init__(self):
+        self.done: threading.Event | None = None
+        self.text: str | None = None
+        self.error: BaseException | None = None
 
 
 class ModelGateway:
@@ -569,11 +620,11 @@ class ModelGateway:
         self.max_tokens = max_tokens
         # Every reply this gateway returned, by cache key, so each distinct
         # request reaches the backend at most once. Single-flight: the first
-        # caller of a key puts a Future there and later callers wait on it. On
-        # success the reply string replaces the Future; a failure removes it,
+        # caller of a key puts a _Flight there and later callers wait on it. On
+        # success the reply string replaces the flight; a failure removes it,
         # so a later call sends the request again.
         self._lock = threading.Lock()
-        self._replies: dict[str, str | Future] = {}
+        self._replies: dict[str, str | _Flight] = {}
         self._turn = threading.Lock()
         self._holds_turn = threading.local()
 
@@ -651,14 +702,19 @@ class ModelGateway:
         with self._lock:
             entry = self._replies.get(key)
             if entry is None:
-                flight = self._replies[key] = Future()
+                flight = self._replies[key] = _Flight()
+            elif not isinstance(entry, str) and entry.done is None:
+                entry.done = threading.Event()
         if entry is not None:
             if isinstance(entry, str):
                 return entry
             # Its fetcher never waits on another flight or on the turn, so
             # this wait ends.
             self.give_turn()
-            return entry.result()
+            entry.done.wait()
+            if entry.error is not None:
+                raise entry.error
+            return entry.text
         try:
             text = self.cache.get(key) if self.cache is not None else None
             if text is not None:
@@ -669,17 +725,26 @@ class ModelGateway:
                 text = self.backend.complete(request)
                 if not text.strip():
                     raise MalformedReplyError("backend returned an empty reply")
+                if not _is_unicode(text):
+                    raise MalformedReplyError(
+                        "backend returned a reply that is not valid Unicode text "
+                        "(a lone surrogate)"
+                    )
                 if self.cache is not None:
                     self.cache.put(key, text)
                 log.debug("completed %s model=%s", key[:12], request.model_id)
         except BaseException as err:
             with self._lock:
                 del self._replies[key]
-            flight.set_exception(err)
+                flight.error, done = err, flight.done
+            if done is not None:
+                done.set()
             raise
         with self._lock:
             self._replies[key] = text
-        flight.set_result(text)
+            flight.text, done = text, flight.done
+        if done is not None:
+            done.set()
         return text
 
     def chat(

@@ -11,6 +11,7 @@ exchange as a transcript, whose query for the i-th component is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dsl import SchemaProgram, topological_order
 from .errors import GatewayError
@@ -45,6 +46,17 @@ class ResolvedSchema:
     image_digest: str
     descriptions: dict[str, str]
     transcript: tuple[Message, ...]
+
+    @cached_property
+    def framing(self) -> str:
+        """The framing sentence of the concept with every description folded
+        in, without its closing period; worded on first use and kept."""
+        return framing_sentence(self.concept, self.descriptions)
+
+    @cached_property
+    def text_turns(self) -> tuple[Message, ...]:
+        """The transcript with its images dropped, made on first use and kept."""
+        return tuple(Message(message.role, message.text) for message in self.transcript)
 
     def to_json(self) -> str:
         payload = {

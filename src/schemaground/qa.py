@@ -18,7 +18,7 @@ from enum import Enum
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from .dsl import SchemaProgram, render_schema
+from .dsl import SchemaProgram
 from .errors import GatewayError
 from .extraction import CATEGORIES
 from .gateway import ImageRef, Message, ModelGateway
@@ -206,12 +206,18 @@ def prompt_blocks(
     Later modes extend earlier ones: the framing sentence (with grounded
     descriptions folded in for grounded modes), the schema text for all
     non-baseline modes, the question, and the option instruction if present.
+    The schema text and a grounded framing sentence come from `schema` and
+    `resolved`, which word them once; a grounded mode frames the concept of
+    `resolved`, the others the instance's.
     """
     mode = AnswerMode(mode)
-    descriptions = resolved.descriptions if mode in GROUNDED_MODES else {}
-    blocks = [framing_sentence(instance.concept, descriptions) + "."]
+    if mode in GROUNDED_MODES:
+        framing = resolved.framing
+    else:
+        framing = framing_sentence(instance.concept, {})
+    blocks = [framing + "."]
     if mode is not AnswerMode.BASELINE:
-        blocks.append(render_schema(schema).rstrip("\n"))
+        blocks.append(schema.text.rstrip("\n"))
     blocks.append(instance.question)
     if instance.options is not None:
         blocks.append("Answer with exactly one of: " + ", ".join(instance.options) + ".")
@@ -234,8 +240,7 @@ def build_augmented_prompt(
     blocks = prompt_blocks(instance, mode, schema=schema, resolved=resolved)
     final = Message("user", "\n".join(blocks), images=(instance.image,))
     if mode is AnswerMode.FULL_DSG:
-        prior = [Message(message.role, message.text) for message in resolved.transcript]
-        return prior + [final]
+        return [*resolved.text_turns, final]
     return [final]
 
 

@@ -517,6 +517,35 @@ def test_fixture_miss_exit_code(toy, tmp_path):
     assert "FixtureMissError" in result.stderr
 
 
+@pytest.mark.parametrize("cached", [True, False], ids=["cache-dir", "no-cache"])
+def test_a_reply_that_is_not_valid_unicode_exits_22(toy, tmp_path, capsys, cached):
+    # JSON carries a lone surrogate as an escape; UTF-8, and so no cache entry
+    # or predictions file, can hold one.
+    question = {"contains": "Is the layout rectangular or circular?"}
+    rules = [
+        {**rule, "reply": "yes \ud800"} if rule["match"] == question else rule
+        for rule in toy_fixture_rules()
+    ]
+    (tmp_path / "rules.json").write_text(json.dumps(rules))
+    config = tmp_path / "backend.json"
+    config.write_text(
+        json.dumps(
+            {"backend_id": "b", "kind": "scripted", "model_id": "m", "fixture_path": "rules.json"}
+        )
+    )
+    argv = ["ablate", "--manifest", toy.manifest_path, "--backend-config", config]
+    if cached:
+        argv += ["--cache-dir", tmp_path / "cache"]
+    assert cli.main([*map(str, argv), "--out", str(tmp_path / "out")]) == 22
+    err = capsys.readouterr().err
+    assert "MalformedReplyError" in err
+    assert "not valid Unicode text" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("out/*.predictions.jsonl"))
+    for entry in tmp_path.glob("cache/*.json"):
+        assert "\\ud800" not in entry.read_text(encoding="utf-8")
+
+
 def test_a_failure_in_a_later_mode_writes_no_predictions(toy, tmp_path):
     # Without the replies that only sequential grounding gets, every mode but
     # grounding_sequential, the third, has its replies.

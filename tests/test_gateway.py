@@ -18,6 +18,7 @@ import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from schemaground import cli
 from schemaground.errors import (
     BackendConfigError,
     BackendUnavailableError,
@@ -305,6 +306,38 @@ def test_response_cache_reads_an_entry_longer_than_one_read(tmp_path):
     text = "é" * 100_000  # 200 KB of UTF-8, so several reads of 64 KiB
     cache.put("k", text)
     assert cache.get("k") == text
+
+
+# Text with non-ASCII characters, quotes, backslashes and control characters,
+# as `json.dumps` escapes them.
+_ENTRY_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",))
+    | st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\u2028", "\U0001f600"])
+)
+
+
+@settings(max_examples=200)
+@example(text='"quoted" \\ caf\u00e9 \x00\t\n \U0001f600')
+@given(text=_ENTRY_TEXT)
+def test_a_cache_entry_is_the_json_dumps_of_its_text(text, tmp_path_factory):
+    cache = ResponseCache(tmp_path_factory.getbasetemp() / "entries")
+    key = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    cache.put(key, text)
+    entry = cache.root / f"{key}.json"
+    assert entry.read_bytes() == json.dumps({"text": text}, ensure_ascii=False).encode("utf-8")
+    assert cache.get(key) == (text if text.strip() else None)
+
+
+def test_a_cached_reply_with_a_lone_surrogate_is_a_miss_that_the_next_fetch_replaces(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    backend = ScriptedBackend([{"match": {"contains": "q"}, "reply": "r"}])
+    request = _request("q?")
+    key = cache_key(backend.backend_id, request)
+    entry = tmp_path / "cache" / f"{key}.json"
+    entry.write_text('{"text": "yes \\ud800"}')
+    assert cache.get(key) is None
+    assert ModelGateway(backend, cache=cache).complete(request) == "r"
+    assert entry.read_text() == '{"text": "r"}'
 
 
 def test_a_put_creates_its_entry_in_place(tmp_path):
@@ -618,6 +651,36 @@ def test_http_backend_never_goes_through_session_request(monkeypatch):
     backend, adapter, _ = _http([_Reply(500), _Reply()])
     assert backend.complete(_request()) == "ok"
     assert len(adapter.sent) == 2
+
+
+def test_a_request_copies_no_cookie_jar_and_builds_a_cookie_header_only_for_a_cookie(
+    monkeypatch,
+):
+    built, copied = [], []
+    prepare_cookies = requests.PreparedRequest.prepare_cookies
+    copy = requests.cookies.RequestsCookieJar.copy
+
+    def record_build(self, cookies):
+        built.append(cookies)
+        prepare_cookies(self, cookies)
+
+    def record_copy(self):
+        copied.append(self)
+        return copy(self)
+
+    backend, adapter, _ = _http([_Reply(503), _Reply()])
+    monkeypatch.setattr(requests.PreparedRequest, "prepare_cookies", record_build)
+    monkeypatch.setattr(requests.cookies.RequestsCookieJar, "copy", record_copy)
+    assert backend.complete(_request()) == "ok"
+    assert built == []
+    assert [sent.headers.get("Cookie") for sent in adapter.sent] == [None, None]
+
+    backend.session.cookies.set("session", "s1", domain="api.example.test", path="/")
+    assert backend.complete(_request()) == "ok"
+    assert built == [backend.session.cookies]
+    assert adapter.sent[-1].headers["Cookie"] == "session=s1"
+    # The only copies are the ones the capturing adapter keeps of what it sent.
+    assert len(copied) == len(adapter.sent) == 3
 
 
 @pytest.mark.parametrize("status", [400, 401, 403, 404, 429])
@@ -1135,6 +1198,21 @@ def test_gateway_rejects_empty_reply():
         gateway.complete(_request("q"))
 
 
+@pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+def test_gateway_rejects_a_reply_that_is_not_valid_unicode_text(tmp_path, cached):
+    # JSON can carry a lone surrogate as an escape; UTF-8 cannot encode it.
+    backend = ScriptedBackend(json.loads('[{"match": {"contains": "q"}, "reply": "yes \\ud800"}]'))
+    cache = ResponseCache(tmp_path / "cache") if cached else None
+    gateway = ModelGateway(backend, cache=cache)
+    with pytest.raises(MalformedReplyError, match="not valid Unicode text") as info:
+        gateway.complete(_request("q"))
+    assert exit_code_for(info.value) == 22
+    assert not list((tmp_path / "cache").glob("*"))
+    # Nothing is memoized: the request goes to the backend again.
+    with pytest.raises(MalformedReplyError, match="not valid Unicode text"):
+        gateway.complete(_request("q"))
+
+
 def test_gateway_chat_uses_configured_sampling():
     backend, adapter, _ = _http([_Reply()])
     gateway = ModelGateway(backend, model_id="vlm-2", temperature=0.5, max_tokens=77)
@@ -1236,3 +1314,48 @@ def test_concurrent_callers_all_get_the_failure_and_a_later_call_resends():
     assert gateway.backend.calls == 1
     assert gateway.complete(_request("q")) == "r"
     assert gateway.backend.calls == 2
+
+
+@pytest.fixture()
+def package_events(monkeypatch):
+    """The module names of package code that makes a `threading.Event`."""
+    made = []
+    real = threading.Event
+
+    def event(*args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.startswith("schemaground"):
+            made.append(caller)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Event", event)
+    return made
+
+
+def test_the_waiters_on_one_flight_share_one_event_and_get_its_reply(package_events):
+    gateway = ModelGateway(_GatedBackend("r"))
+    results = _complete_in_threads(gateway, _request("q"), 8)
+    assert results == ["r"] * 8
+    assert package_events == ["schemaground.gateway"]
+
+
+def test_the_waiters_on_one_flight_all_get_the_backends_exception(package_events):
+    failure = BackendUnavailableError("down")
+    gateway = ModelGateway(_GatedBackend(failure))
+    results = _complete_in_threads(gateway, _request("q"), 8)
+    assert all(result is failure for result in results)
+    assert package_events == ["schemaground.gateway"]
+
+
+def test_a_cold_scripted_ablate_and_its_warm_replay_make_no_event(toy, tmp_path, package_events):
+    for name in ("cold", "warm"):
+        assert cli.main([
+            "ablate",
+            "--manifest", str(toy.manifest_path),
+            "--backend-config", str(toy.backend_config_path),
+            "--cache-dir", str(tmp_path / "cache"),
+            "--concurrency", "4",
+            "--out", str(tmp_path / name),
+        ]) == 0
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 72
+    assert package_events == []

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import NamedTuple
@@ -208,3 +209,34 @@ def test_each_request_goes_out_as_session_post_sends_it_cookies_included(serve):
     assert [wire(seen) for seen in backend_server.seen] == [
         wire(seen) for seen in post_server.seen
     ]
+
+
+@pytest.mark.parametrize("concurrency", [10, 16])
+def test_a_loopback_ablate_opens_at_most_one_connection_per_worker(
+    toy, tmp_path, serve, concurrency
+):
+    scripted = _fixture_reply(ScriptedBackend(toy_fixture_rules()))
+
+    def reply(body: bytes) -> str:
+        # Each reply takes a while, as a live one does, so every worker has a
+        # request in flight at once.
+        time.sleep(0.02)
+        return scripted(body)
+
+    server = serve(reply)
+    config = tmp_path / "backend.json"
+    config.write_text(json.dumps({
+        "backend_id": "scripted-toy",
+        "kind": "http",
+        "model_id": "scripted-vlm",
+        "base_url": server.url,
+    }))
+    assert cli.main([
+        "ablate",
+        "--manifest", str(toy.manifest_path),
+        "--backend-config", str(config),
+        "--concurrency", str(concurrency),
+        "--out", str(tmp_path / "out"),
+    ]) == 0
+    assert len(server.seen) == 72
+    assert 1 <= server.connections <= concurrency
