@@ -143,6 +143,8 @@ def _gateway(args: argparse.Namespace) -> ModelGateway:
         cache_dir=args.cache_dir,
         temperature=args.temperature,
         max_tokens=args.max_tokens,
+        # `extract` and `ground` make one call at a time.
+        concurrency=getattr(args, "concurrency", 1),
     )
 
 

@@ -4,7 +4,8 @@ Two backends share one request/response shape: an HTTP backend speaking the
 chat-completions wire format (base64 inline images), and a scripted backend
 that replays fixture rules for offline, fully deterministic runs. Responses
 are cached on disk in a content-addressed, write-once store keyed by a hash
-of the request; raw image bytes never enter keys or logs, only their digests.
+of the request; raw image bytes never enter keys or logs, only their digests,
+which the store also keeps, by file identity, for a later command.
 """
 
 from __future__ import annotations
@@ -80,10 +81,12 @@ class ImageRef:
         """SHA-256 of the image content; the only form that enters cache keys.
 
         Computed on first use and kept on the instance, outside the dataclass
-        fields, so equality and hashing are unchanged. A file is hashed as it
-        is read, 64 KiB at a time, so threads hashing at once never hold whole
-        images; neither the bytes nor the blocks are kept. Two threads racing
-        on the first call compute the same value.
+        fields, so equality and hashing are unchanged; `ResponseCache`'s
+        image-digest memo may set it first, from a digest recorded for the
+        file as it stands. A file is hashed as it is read, 64 KiB at a time,
+        so threads hashing at once never hold whole images; neither the bytes
+        nor the blocks are kept. Two threads racing on the first call compute
+        the same value.
         """
         digest = self.__dict__.get("_digest")
         if digest is None:
@@ -260,6 +263,48 @@ def json_text(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
 
 
+def _create_once(path: str, payload: bytes, holds_entry) -> None:
+    """Create the file at `path` holding `payload` in place: one file create
+    and one write. Where `path` already exists, keep it if `holds_entry()`
+    is true, else remove it and create it once more. A file that cannot be
+    written logs a warning: only a later command pays for it."""
+    create = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    try:
+        try:
+            fd = os.open(path, create, 0o600)
+        except FileExistsError:
+            if holds_entry():
+                return
+            Path(path).unlink(missing_ok=True)
+            fd = os.open(path, create, 0o600)
+        try:
+            view = memoryview(payload)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+    except OSError as err:
+        log.warning("cache entry %s not written: %s", path, err)
+
+
+def _stat_identity(path) -> tuple[int, ...]:
+    """What the image-digest memo knows a file by: its device, inode, size,
+    and mtime and ctime in nanoseconds."""
+    stat = os.stat(path)
+    return (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns)
+
+
+# A file's digest is recorded only once its ctime is this many seconds old:
+# any later change to the file then moves its ctime, even on a file system
+# that keeps whole seconds, so the memo never holds a digest for a file
+# changed within a timestamp tick of its recording (git's "racy" rule).
+_SETTLED_S = 2.0
+# The wall clock that the rule reads.
+_clock = time.time
+
+_HEX_DIGEST = re.compile("[0-9a-f]{64}")
+
+
 class ResponseCache:
     """Content-addressed on-disk store: one JSON file per key, write-once.
 
@@ -273,6 +318,12 @@ class ResponseCache:
     never a torn reply. A put that cannot write its entry (the path is a
     directory, or the root is gone, say) logs a warning and leaves the cache
     as it was.
+
+    Beside the replies, `images/` holds the image-digest memo: each image
+    file's digest, as a JSON string, in an entry named by the SHA-256 of the
+    file's `_stat_identity`. Entries are written once, as replies are, and
+    one that is torn, corrupt or not 64 lowercase hex reads as a miss. `get`
+    and `put` see replies only.
     """
 
     def __init__(self, root: str | Path):
@@ -281,6 +332,7 @@ class ResponseCache:
         # An entry's path is this prefix and its file name: one string
         # concatenation per read, not a `Path` join.
         self._prefix = os.path.join(self.root, "")
+        self._memo_prefix = os.path.join(self.root, "images", "")
 
     def _path(self, key: str) -> str:
         return self._prefix + key + ".json"
@@ -298,27 +350,54 @@ class ResponseCache:
         return None
 
     def put(self, key: str, text: str) -> None:
-        path = self._path(key)
         # What `json.dumps({"text": text}, ensure_ascii=False)` writes.
         payload = ('{"text": %s}' % encode_basestring(text)).encode("utf-8")
-        create = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+        _create_once(self._path(key), payload, lambda: self.get(key) is not None)
+
+    def _memo_path(self, identity: tuple[int, ...]) -> str:
+        key = hashlib.sha256(b"%d %d %d %d %d" % identity).hexdigest()
+        return self._memo_prefix + key + ".json"
+
+    def _memo_get(self, path: str) -> str | None:
         try:
+            digest = read_json(path)
+        except (OSError, ValueError):
+            return None
+        return digest if isinstance(digest, str) and _HEX_DIGEST.fullmatch(digest) else None
+
+    def known_digest(self, image: ImageRef) -> bool:
+        """Whether `image`'s digest is known without reading a file: it was
+        computed before, the image holds its bytes, or the image-digest memo
+        holds it for the file as the file stands, and it becomes the image's."""
+        if image.path is None or "_digest" in image.__dict__:
+            return True
+        try:
+            identity = _stat_identity(image.path)
+        except OSError:
+            return False
+        digest = self._memo_get(self._memo_path(identity))
+        if digest is None:
+            return False
+        object.__setattr__(image, "_digest", digest)
+        return True
+
+    def record_digest(self, image: ImageRef) -> str:
+        """`image.digest()` of a file, kept in the image-digest memo when the
+        file's stat did not move while it was read and its ctime is at least
+        _SETTLED_S seconds old."""
+        before = _stat_identity(image.path)
+        digest = image.digest()
+        after = _stat_identity(image.path)
+        ctime = after[-1] / 1e9
+        if after == before and _clock() - ctime >= _SETTLED_S:
+            path = self._memo_path(after)
             try:
-                fd = os.open(path, create, 0o600)
-            except FileExistsError:
-                if self.get(key) is not None:
-                    return
-                Path(path).unlink(missing_ok=True)
-                fd = os.open(path, create, 0o600)
-            try:
-                view = memoryview(payload)
-                while view:
-                    view = view[os.write(fd, view):]
-            finally:
-                os.close(fd)
-        except OSError as err:
-            # The caller has the reply; only a later command pays for it.
-            log.warning("cache entry %s not written: %s", path, err)
+                os.mkdir(self._memo_prefix)
+            except OSError:
+                pass  # it exists; if it is no directory, the create says so
+            payload = ('"%s"' % digest).encode("ascii")
+            _create_once(path, payload, lambda: self._memo_get(path) is not None)
+        return digest
 
 
 class ScriptedBackend:
@@ -415,7 +494,9 @@ class HttpBackend:
     `session.send` per attempt, not the per-call set-up of `Session.post`.
     Cookies that the server sets go back as with `Session.post`, a failed
     attempt's included; the Cookie header is built only while the session's
-    jar holds a cookie.
+    jar holds a cookie. The session's pool keeps up to `concurrency`
+    connections per host, one for each worker that sends at once (10 by
+    default, as `requests` keeps).
     """
 
     def __init__(
@@ -427,6 +508,7 @@ class HttpBackend:
         max_attempts: int = 3,
         backoff_s: float = 1.0,
         sleep=time.sleep,
+        concurrency: int = 10,
     ):
         self.backend_id = backend_id
         self.base_url = base_url.rstrip("/")
@@ -438,6 +520,11 @@ class HttpBackend:
         import requests
 
         session = requests.Session()
+        # A pool that keeps a connection per worker: one that keeps fewer
+        # closes each connection returned past its size. An adapter mounted
+        # on a longer prefix still serves its URLs.
+        for scheme in ("http://", "https://"):
+            session.mount(scheme, requests.adapters.HTTPAdapter(pool_maxsize=concurrency))
         try:
             # Resolve once what `trust_env` would look up on every post: the
             # proxies (after NO_PROXY), the CA bundle and, unless an API key
@@ -635,10 +722,12 @@ class ModelGateway:
         cache_dir: str | Path | None = None,
         temperature: float = 0.0,
         max_tokens: int = 512,
+        concurrency: int = 10,
     ) -> ModelGateway:
         """The gateway to the backend that the JSON object in `config_path`
-        describes: "http" at its base_url, or "scripted" replaying its
-        fixture_path, which is relative to the file."""
+        describes: "http" at its base_url, keeping a connection for each of
+        `concurrency` workers, or "scripted" replaying its fixture_path,
+        which is relative to the file."""
         config_path = Path(config_path)
         bad = f"bad backend config {config_path}"
         try:
@@ -665,7 +754,10 @@ class ModelGateway:
             if not fields["base_url"]:
                 raise BackendConfigError("http backend requires base_url")
             backend = HttpBackend(
-                fields["base_url"], backend_id=backend_id, api_key_env=fields["api_key_env"]
+                fields["base_url"],
+                backend_id=backend_id,
+                api_key_env=fields["api_key_env"],
+                concurrency=concurrency,
             )
         elif kind == "scripted":
             if not fields["fixture_path"]:

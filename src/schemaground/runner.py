@@ -1,11 +1,13 @@
 """Orchestration: schemas + grounding + answering over a manifest, with
 bounded concurrency, per-run seed offsets, and deterministic output order.
 
-Before the first task, each distinct image of the manifest is hashed on up
-to `concurrency` threads (on the caller alone at `concurrency` 1), and a
-read that fails raises in the caller. The manifest gives each image file
-one `ImageRef`, which keeps its digest, so an image is read for its digest
-once per command. Instances are then grouped by (concept, image digest).
+Before the first task, each distinct image of the manifest gets its digest.
+With a cache, an image file that the cache's image-digest memo knows as it
+stands is not read. The others are hashed on up to `concurrency` threads (on
+the caller alone at `concurrency` 1, or when one image is left), and a read
+that fails raises in the caller. The manifest gives each image file one
+`ImageRef`, which keeps its digest, so an image is read for its digest at
+most once per command. Instances are then grouped by (concept, image digest).
 One task per (grounding walk, run, group) grounds its image (grounded modes
 only) and then answers the group's instances under each mode that the walk
 serves: `grounding_hierarchical` and `full_dsg` answer from one
@@ -99,6 +101,10 @@ def run_predictions(
     if schemas is None:
         schemas = load_schemas(manifest)
     images = list(dict.fromkeys(instance.image for instance in manifest.instances))
+    cache, digest = gateway.cache, ImageRef.digest
+    if cache is not None:
+        images = [image for image in images if not cache.known_digest(image)]
+        digest = cache.record_digest
     hashers = min(concurrency, len(images))
     if hashers > 1:
         # File reads and SHA-256 let the interpreter lock go, so the images
@@ -106,7 +112,10 @@ def run_predictions(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(hashers) as pool:
-            list(pool.map(ImageRef.digest, images))
+            list(pool.map(digest, images))
+    else:
+        for image in images:
+            digest(image)
     groups: dict[tuple[str, str], list[VqaInstance]] = {}
     for instance in manifest.instances:
         groups.setdefault((instance.concept, instance.image.digest()), []).append(instance)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import builtins
 import io
+import json
 import os
 import random
 import re
@@ -19,6 +20,7 @@ from itertools import permutations
 from pathlib import Path
 
 import schemaground
+from schemaground import gateway
 from schemaground.dsl import SchemaProgram
 from schemaground.evaluate import DatasetManifest
 from schemaground.extraction import canonical_concepts, load_canonical_schema
@@ -170,6 +172,20 @@ def record_reads(monkeypatch, paths, before=None) -> list[threading.Thread]:
     monkeypatch.setattr(io, "open", recording_open)
     monkeypatch.setattr(builtins, "open", recording_open)
     return reads
+
+
+def settle_images(monkeypatch, settled: bool = True) -> None:
+    """From here on, every image file is settled (its ctime old enough for
+    the image-digest memo to record its digest) or, with `settled` false,
+    fresh, whatever its real ctime: the clock that the memo's age rule reads
+    gives the end or the start of time."""
+    now = float("inf") if settled else float("-inf")
+    monkeypatch.setattr(gateway, "_clock", lambda: now)
+
+
+def memo_digests(cache_dir) -> list[str]:
+    """The digests that the image-digest memo under `cache_dir` holds, sorted."""
+    return sorted(json.loads(path.read_text()) for path in Path(cache_dir, "images").iterdir())
 
 
 def checkout_env() -> dict[str, str]:

@@ -43,7 +43,7 @@ from schemaground.qa import AnswerMode
 from schemaground.runner import run_predictions
 from schemaground.toydata import tiny_png, toy_fixture_rules
 
-from helpers import record_reads
+from helpers import memo_digests, record_reads, settle_images
 
 PNG = tiny_png((9, 9, 9))
 
@@ -955,6 +955,26 @@ def test_an_api_key_beats_a_netrc_entry_for_the_host(clean_env, tmp_path):
     assert authorization == "Bearer sk-123"
 
 
+# The pool keeps a connection per worker on both schemes; an adapter mounted
+# on a longer prefix still serves its URLs.
+@pytest.mark.parametrize("concurrency", [None, 1, 16])
+def test_http_backend_pools_a_connection_per_worker(tmp_path, concurrency):
+    config = tmp_path / "backend.json"
+    config.write_text(
+        json.dumps({"backend_id": "b", "kind": "http", "model_id": "m", "base_url": _URL})
+    )
+    if concurrency is None:
+        backend = ModelGateway.from_config(config).backend
+    else:
+        backend = ModelGateway.from_config(config, concurrency=concurrency).backend
+    for url in ("http://example.test/", f"{_URL}/chat/completions"):
+        assert backend.session.get_adapter(url)._pool_maxsize == (concurrency or 10)
+    adapter = _CapturingAdapter()
+    backend.session.mount("https://api.example.test/", adapter)
+    assert backend.complete(_request()) == "ok"
+    assert len(adapter.sent) == 1
+
+
 # ---------------------------------------------------------- image encodings
 
 
@@ -1347,7 +1367,12 @@ def test_the_waiters_on_one_flight_all_get_the_backends_exception(package_events
     assert package_events == ["schemaground.gateway"]
 
 
-def test_a_cold_scripted_ablate_and_its_warm_replay_make_no_event(toy, tmp_path, package_events):
+def test_a_cold_scripted_ablate_and_its_warm_replay_make_no_event(
+    toy, tmp_path, package_events, monkeypatch
+):
+    # Settled images: the cold run records each one's digest in the memo, and
+    # the warm replay reads no image, whatever the age of the toy images.
+    settle_images(monkeypatch)
     for name in ("cold", "warm"):
         assert cli.main([
             "ablate",
@@ -1358,4 +1383,5 @@ def test_a_cold_scripted_ablate_and_its_warm_replay_make_no_event(toy, tmp_path,
             "--out", str(tmp_path / name),
         ]) == 0
         assert len(list((tmp_path / "cache").glob("*.json"))) == 72
+        assert len(memo_digests(tmp_path / "cache")) == 4
     assert package_events == []

@@ -133,7 +133,9 @@ def test_no_mutated_input_file_escapes_the_exit_codes(warm, data):
         shutil.copytree(dataset, root)
         shutil.copytree(warm_cache, cache)
         name = data.draw(st.sampled_from(["manifest.json", "backend.json", "fixtures.json", ""]))
-        target = root / name if name else data.draw(st.sampled_from(sorted(cache.iterdir())))
+        # A reply entry: the image-digest memo, once it is there, is a directory.
+        entries = sorted(cache.glob("*.json"))
+        target = root / name if name else data.draw(st.sampled_from(entries))
         target.write_bytes(data.draw(_mutation(target.read_text(encoding="utf-8"))))
         assert _evaluate(root, cache) in ALLOWED_CODES
 

@@ -1,6 +1,7 @@
 """Pins of the toy `ablate` outputs: the SHA-256 of each of the 11 `--out`
-files and of stdout, under three flag sets; of the names of the cache files
-it writes; of the toy dataset's JSON files; and of the resolved schema that
+files and of stdout, under three flag sets; of the names of the reply
+entries it writes to the cache, and of the image digests its memo there
+holds; of the toy dataset's JSON files; and of the resolved schema that
 `ground` writes for the toy maze image, hierarchical and sequential.
 
 A change that must leave outputs byte-identical keeps every pin. A change
@@ -18,6 +19,8 @@ import pytest
 from schemaground import cli
 from schemaground.dsl import render_schema
 from schemaground.extraction import load_canonical_schema
+
+from helpers import memo_digests, settle_images
 
 OUT_TOKEN = "<OUT>"
 
@@ -105,6 +108,9 @@ PINS = {
 
 # SHA-256 of the sorted cache file names, joined by newlines.
 CACHE_NAMES_PIN = "6e2697e1fa67ae865053a5a3c8432af796651daa854c33e74925ff51137814c1"
+# SHA-256 of the sorted values of the image-digest memo, joined by newlines:
+# the SHA-256 of each of the 4 toy image files.
+MEMO_VALUES_PIN = "26c0d8241f4ddb5ab9e7573ebb95abfed05b512272903eeb05ff483f40d2ad21"
 
 FIXTURE_FILE_PIN = "05d4cdc65616e4c9a3a897864f94ef2ecf51d6b29f9c0de024164ea4d420d668"
 
@@ -146,7 +152,10 @@ def test_toy_ablate_outputs_are_pinned(toy, tmp_path, capsys, flags):
     assert digests == PINS[flags]
 
 
-def test_toy_ablate_cache_file_names_are_pinned(toy, tmp_path, capsys):
+def test_toy_ablate_cache_file_names_are_pinned(toy, tmp_path, capsys, monkeypatch):
+    # Settled images are recorded in the memo, so the reply names are pinned
+    # beside it, whatever the age of the toy images.
+    settle_images(monkeypatch)
     code = cli.main([
         "ablate",
         "--manifest", str(toy.manifest_path),
@@ -155,9 +164,12 @@ def test_toy_ablate_cache_file_names_are_pinned(toy, tmp_path, capsys):
         "--out", str(tmp_path / "out"),
     ])
     assert code == 0
-    names = sorted(path.name for path in (tmp_path / "cache").iterdir())
+    names = sorted(path.name for path in (tmp_path / "cache").glob("*.json"))
     assert len(names) == 72
     assert _sha256("\n".join(names).encode("utf-8")) == CACHE_NAMES_PIN
+    values = memo_digests(tmp_path / "cache")
+    assert len(values) == 4
+    assert _sha256("\n".join(values).encode("utf-8")) == MEMO_VALUES_PIN
 
 
 def test_toy_fixture_file_is_pinned(toy):

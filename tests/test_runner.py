@@ -28,7 +28,7 @@ from schemaground.gateway import (
 from schemaground.qa import AnswerMode, answer
 from schemaground.runner import load_schemas, run_predictions
 
-from helpers import PassThrough, record_reads, scripted_gateway
+from helpers import PassThrough, record_reads, scripted_gateway, settle_images
 
 
 # Backend calls per command on the 12-instance toy manifest: all five modes
@@ -189,14 +189,16 @@ def test_a_warm_ablate_runs_on_one_thread(toy, tmp_path, monkeypatch):
     assert len(threads) == 1
 
 
-# A warm replay reads every image for its digest before its first request:
-# on several threads at once above one worker, on the calling thread alone
-# at one. At 4 workers the first two reads wait for each other, so hashing
-# that stays on one thread fails here rather than passing by chance.
+# A warm replay of fresh images, too young for the image-digest memo to
+# record, reads every image for its digest before its first request: on
+# several threads at once above one worker, on the calling thread alone at
+# one. At 4 workers the first two reads wait for each other, so hashing that
+# stays on one thread fails here rather than passing by chance.
 @pytest.mark.parametrize("concurrency", [1, 4])
 def test_a_warm_ablate_hashes_every_image_before_the_first_request(
     toy, tmp_path, monkeypatch, concurrency
 ):
+    settle_images(monkeypatch, settled=False)
     argv = ablate_argv(toy, tmp_path)
     argv[argv.index("--concurrency") + 1] = str(concurrency)
     assert cli.main([*argv, "--out", str(tmp_path / "cold")]) == 0
@@ -241,6 +243,7 @@ def test_a_warm_ablate_hashes_every_image_before_the_first_request(
         assert set(reads) == {threading.current_thread()}
     first_request = events.index("complete")
     assert events[:first_request] == ["hashed"] * len(paths)
+    assert not (tmp_path / "cache" / "images").exists()
 
 
 # A scripted backend never waits, so a call to it keeps the turn, and a cold
