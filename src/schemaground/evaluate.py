@@ -16,7 +16,7 @@ from typing import Callable
 
 from .errors import IncompletePredictionsError, ManifestInvalidError, MissingImageError
 from .extraction import CATEGORIES, CONCEPT_CATEGORIES
-from .gateway import ImageRef, json_text, read_json
+from .gateway import ImageRef, _is_unicode, json_text, read_json
 from .qa import NO_MATCH, QUESTION_TYPES, Prediction, VqaInstance, normalize_answer
 
 METRIC_KINDS = ("exact_match", "graded")
@@ -27,6 +27,9 @@ COMPLETE_CATEGORY_COUNT = 4
 COMPLETE_PER_CONCEPT = COMPLETE_INSTANCE_COUNT // COMPLETE_CONCEPT_COUNT
 
 _TEXT_FIELDS = ("id", "concept", "category", "image", "question", "question_type", "modal_answer")
+# Every text field but the image path reaches a prompt or an output file, so
+# UTF-8 must encode it.
+_UNICODE_FIELDS = (*(f for f in _TEXT_FIELDS if f != "image"), "options", "annotator_answers")
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,8 @@ class DatasetManifest:
 
 
 def _check_field_types(raw: dict) -> None:
-    """Reject a present field of the wrong JSON type; an absent one fails later."""
+    """Reject a present field of the wrong JSON type, or text in it that UTF-8
+    cannot encode; an absent one fails later."""
     for field in _TEXT_FIELDS:
         if field in raw and not isinstance(raw[field], str):
             raise ValueError(f"field {field!r} must be a string, got {type(raw[field]).__name__}")
@@ -67,6 +71,11 @@ def _check_field_types(raw: dict) -> None:
         for option in raw.get("options") or ()
     ):
         raise ValueError("field 'options' must hold strings or numbers")
+    for field in _UNICODE_FIELDS:
+        value = raw.get(field)
+        texts = value if isinstance(value, list) else (value,)
+        if not all(_is_unicode(text) for text in texts if isinstance(text, str)):
+            raise ValueError(f"field {field!r} holds a lone surrogate, which UTF-8 cannot encode")
 
 
 def load_manifest(path: str | Path, multiple_choice: bool = True) -> DatasetManifest:

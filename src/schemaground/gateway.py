@@ -83,24 +83,12 @@ class ImageRef:
         Computed on first use and kept on the instance, outside the dataclass
         fields, so equality and hashing are unchanged; `ResponseCache`'s
         image-digest memo may set it first, from a digest recorded for the
-        file as it stands. A file is hashed as it is read, 64 KiB at a time,
-        so threads hashing at once never hold whole images; neither the bytes
-        nor the blocks are kept. Two threads racing on the first call compute
-        the same value.
+        file as it stands. A command hashes its images one at a time, on
+        its calling thread, so a file is read whole; its bytes are not kept.
         """
         digest = self.__dict__.get("_digest")
         if digest is None:
-            if self.data is not None:
-                digest = hashlib.sha256(self.data).hexdigest()
-            else:
-                sha = hashlib.sha256()
-                fd = os.open(self.path, os.O_RDONLY)
-                try:
-                    while block := os.read(fd, 1 << 16):
-                        sha.update(block)
-                finally:
-                    os.close(fd)
-                digest = sha.hexdigest()
+            digest = hashlib.sha256(self.load_bytes()).hexdigest()
             object.__setattr__(self, "_digest", digest)
         return digest
 
@@ -322,8 +310,9 @@ class ResponseCache:
     Beside the replies, `images/` holds the image-digest memo: each image
     file's digest, as a JSON string, in an entry named by the SHA-256 of the
     file's `_stat_identity`. Entries are written once, as replies are, and
-    one that is torn, corrupt or not 64 lowercase hex reads as a miss. `get`
-    and `put` see replies only.
+    one that is torn, corrupt or not 64 lowercase hex reads as a miss.
+    `image_digest` alone reads and writes the memo, and `get` and `put` see
+    replies only.
     """
 
     def __init__(self, root: str | Path):
@@ -365,32 +354,24 @@ class ResponseCache:
             return None
         return digest if isinstance(digest, str) and _HEX_DIGEST.fullmatch(digest) else None
 
-    def known_digest(self, image: ImageRef) -> bool:
-        """Whether `image`'s digest is known without reading a file: it was
-        computed before, the image holds its bytes, or the image-digest memo
-        holds it for the file as the file stands, and it becomes the image's."""
+    def image_digest(self, image: ImageRef) -> str:
+        """`image.digest()`. For a file not hashed yet, the memo's entry for
+        the file as it stands gives it without a read; on a miss the file is
+        hashed, and its digest recorded when its stat did not move while it
+        was read and its ctime is at least _SETTLED_S seconds old."""
         if image.path is None or "_digest" in image.__dict__:
-            return True
-        try:
-            identity = _stat_identity(image.path)
-        except OSError:
-            return False
-        digest = self._memo_get(self._memo_path(identity))
-        if digest is None:
-            return False
-        object.__setattr__(image, "_digest", digest)
-        return True
-
-    def record_digest(self, image: ImageRef) -> str:
-        """`image.digest()` of a file, kept in the image-digest memo when the
-        file's stat did not move while it was read and its ctime is at least
-        _SETTLED_S seconds old."""
-        before = _stat_identity(image.path)
+            return image.digest()
+        identity = _stat_identity(image.path)
+        path = self._memo_path(identity)
+        digest = self._memo_get(path)
+        if digest is not None:
+            object.__setattr__(image, "_digest", digest)
+            return digest
         digest = image.digest()
-        after = _stat_identity(image.path)
-        ctime = after[-1] / 1e9
-        if after == before and _clock() - ctime >= _SETTLED_S:
-            path = self._memo_path(after)
+        if (
+            _stat_identity(image.path) == identity
+            and _clock() - identity[-1] / 1e9 >= _SETTLED_S
+        ):
             try:
                 os.mkdir(self._memo_prefix)
             except OSError:

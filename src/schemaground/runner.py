@@ -1,16 +1,15 @@
 """Orchestration: schemas + grounding + answering over a manifest, with
 bounded concurrency, per-run seed offsets, and deterministic output order.
 
-Before the first task, each distinct image of the manifest gets its digest.
-With a cache, an image file that the cache's image-digest memo knows as it
-stands is not read. The others are hashed on up to `concurrency` threads (on
-the caller alone at `concurrency` 1, or when one image is left), and a read
-that fails raises in the caller. The manifest gives each image file one
+Before the first task, instances are grouped by (concept, image digest).
+Each image gets its digest on the calling thread, in manifest order, and a
+read that fails raises there. The manifest gives each image file one
 `ImageRef`, which keeps its digest, so an image is read for its digest at
-most once per command. Instances are then grouped by (concept, image digest).
-One task per (grounding walk, run, group) grounds its image (grounded modes
-only) and then answers the group's instances under each mode that the walk
-serves: `grounding_hierarchical` and `full_dsg` answer from one
+most once per command; with a cache, a file that the cache's image-digest
+memo knows as it stands is not read at all. One task per (grounding walk,
+run, group) grounds its image (grounded modes only) and then answers the
+group's instances under each mode that the walk serves:
+`grounding_hierarchical` and `full_dsg` answer from one
 `ground_hierarchical` walk, and every other mode has a task of its own. The
 tasks are listed longest first: the hierarchical pair, then
 `grounding_sequential`, `schema_only` and `baseline`. Only the gateway
@@ -100,25 +99,10 @@ def run_predictions(
     modes = list(dict.fromkeys(map(AnswerMode, modes)))
     if schemas is None:
         schemas = load_schemas(manifest)
-    images = list(dict.fromkeys(instance.image for instance in manifest.instances))
-    cache, digest = gateway.cache, ImageRef.digest
-    if cache is not None:
-        images = [image for image in images if not cache.known_digest(image)]
-        digest = cache.record_digest
-    hashers = min(concurrency, len(images))
-    if hashers > 1:
-        # File reads and SHA-256 let the interpreter lock go, so the images
-        # hash side by side. Imported here: a one-thread command never needs it.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(hashers) as pool:
-            list(pool.map(digest, images))
-    else:
-        for image in images:
-            digest(image)
+    digest = ImageRef.digest if gateway.cache is None else gateway.cache.image_digest
     groups: dict[tuple[str, str], list[VqaInstance]] = {}
     for instance in manifest.instances:
-        groups.setdefault((instance.concept, instance.image.digest()), []).append(instance)
+        groups.setdefault((instance.concept, digest(instance.image)), []).append(instance)
 
     def ground_then_answer(
         task_modes: tuple[AnswerMode, ...], run_index: int, instances: list[VqaInstance]

@@ -145,18 +145,16 @@ class PassThrough:
         return self._complete(request)
 
 
-def record_reads(monkeypatch, paths, before=None) -> list[threading.Thread]:
+def record_reads(monkeypatch, paths) -> list[threading.Thread]:
     """From here on, the thread of each open for reading of a file in
     `paths`, made with `os.open` or with `open` (which `Path.read_bytes`
-    uses). `before()`, when given, runs as each such open is recorded."""
+    uses)."""
     wanted = {os.fspath(path) for path in paths}
     reads: list[threading.Thread] = []
 
     def record(file, reading: bool) -> None:
         if reading and isinstance(file, (str, os.PathLike)) and os.fspath(file) in wanted:
             reads.append(threading.current_thread())
-            if before is not None:
-                before()
 
     os_open, io_open = os.open, io.open
 

@@ -546,6 +546,43 @@ def test_a_reply_that_is_not_valid_unicode_exits_22(toy, tmp_path, capsys, cache
         assert "\\ud800" not in entry.read_text(encoding="utf-8")
 
 
+# A manifest string that UTF-8 cannot encode could reach neither a cache key
+# nor a predictions file: it is refused before any backend call is paid.
+@pytest.mark.parametrize("field", ["id", "options"])
+def test_a_manifest_string_that_is_not_valid_unicode_exits_50_before_any_call(
+    toy, tmp_path, capsys, monkeypatch, field
+):
+    manifest = json.loads(toy.manifest_path.read_text(encoding="utf-8"))
+    first = manifest["instances"][0]
+    if field == "id":
+        first["id"] = "maze-\ud800"
+    else:
+        first["options"][-1] += " \ud800"
+    for instance in manifest["instances"]:
+        instance["image"] = str(toy.root / instance["image"])
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    calls = []
+    complete = ScriptedBackend.complete
+    monkeypatch.setattr(
+        ScriptedBackend,
+        "complete",
+        lambda self, request: (calls.append(request), complete(self, request))[1],
+    )
+    argv = [
+        "ablate",
+        "--manifest", tmp_path / "manifest.json",
+        *_backend_args(toy, tmp_path),
+        "--out", tmp_path / "out",
+    ]
+    assert cli.main(list(map(str, argv))) == 50
+    err = capsys.readouterr().err
+    assert f"ManifestInvalidError: instance {first['id']!r}: field {field!r}" in err
+    assert "Traceback" not in err
+    assert calls == []
+    assert not list(tmp_path.glob("cache/**/*.json"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_failure_in_a_later_mode_writes_no_predictions(toy, tmp_path):
     # Without the replies that only sequential grounding gets, every mode but
     # grounding_sequential, the third, has its replies.

@@ -92,8 +92,8 @@ def test_image_digest_same_for_path_and_inline(tmp_path):
     assert ImageRef.from_file(path).digest() == ImageRef("image/png", data=PNG).digest()
 
 
-# A file is hashed as it is read, 64 KiB at a time: one of several blocks,
-# the last cut short, has the digest of its bytes.
+# A file of several 64 KiB blocks, the last cut short, has the digest of
+# its bytes.
 def test_image_digest_of_a_file_of_several_blocks(tmp_path):
     data = PNG + bytes(range(256)) * 1000
     path = tmp_path / "x.png"

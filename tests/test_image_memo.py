@@ -8,7 +8,6 @@ so no test sleeps past the rule and none depends on how old its files are.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import logging
@@ -81,17 +80,9 @@ def test_a_replay_of_settled_images_opens_no_image_file(
     _ablate(dataset, cache, tmp_path / "cold", concurrency)
     images = list(dataset.image_paths.values())
     assert memo_digests(cache) == _file_digests(images)
-    pools = []
-    pool_class = concurrent.futures.ThreadPoolExecutor
-    monkeypatch.setattr(
-        concurrent.futures,
-        "ThreadPoolExecutor",
-        lambda *args, **kwargs: (pools.append(args), pool_class(*args, **kwargs))[1],
-    )
     reads = record_reads(monkeypatch, images)
     _ablate(dataset, cache, tmp_path / "warm", concurrency)
     assert reads == []
-    assert pools == []
     assert _same_files(tmp_path / "cold", tmp_path / "warm")
     assert len(memo_digests(cache)) == 4
 
@@ -226,18 +217,24 @@ def test_an_image_copied_or_renamed_keeps_its_keys_and_outputs(dataset, tmp_path
     assert len(memo_digests(cache)) == 8
 
 
-def test_the_digest_of_inline_or_hashed_images_is_known_and_a_missing_file_raises(tmp_path):
+def test_the_digest_of_inline_or_hashed_images_is_known_and_a_missing_file_raises(
+    tmp_path, monkeypatch
+):
     cache = ResponseCache(tmp_path / "cache")
-    assert cache.known_digest(ImageRef("image/png", data=tiny_png((1, 2, 3))))
     path = tmp_path / "probe.png"
     path.write_bytes(tiny_png((4, 5, 6)))
     hashed = ImageRef.from_file(path)
-    hashed.digest()
+    digest = hashed.digest()
     path.unlink()
-    assert cache.known_digest(hashed)
-    gone = ImageRef.from_file(path)
-    assert not cache.known_digest(gone)
-    with pytest.raises(FileNotFoundError):
-        cache.record_digest(gone)
+    inline = ImageRef("image/png", data=tiny_png((1, 2, 3)))
+    stats = []
+    stat = os.stat
+    monkeypatch.setattr(
+        os, "stat", lambda *args, **kwargs: (stats.append(args), stat(*args, **kwargs))[1]
+    )
+    assert cache.image_digest(inline) == hashlib.sha256(inline.data).hexdigest()
+    assert cache.image_digest(hashed) == digest
+    assert stats == []
+    with pytest.raises(OSError):
+        cache.image_digest(ImageRef.from_file(path))
     assert not (tmp_path / "cache" / "images").exists()
-

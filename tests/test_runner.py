@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import _thread
 import hashlib
-import itertools
 import json
 import signal
 import sys
@@ -190,10 +189,8 @@ def test_a_warm_ablate_runs_on_one_thread(toy, tmp_path, monkeypatch):
 
 
 # A warm replay of fresh images, too young for the image-digest memo to
-# record, reads every image for its digest before its first request: on
-# several threads at once above one worker, on the calling thread alone at
-# one. At 4 workers the first two reads wait for each other, so hashing that
-# stays on one thread fails here rather than passing by chance.
+# record, reads every image for its digest before its first request, on the
+# calling thread, whatever the number of workers.
 @pytest.mark.parametrize("concurrency", [1, 4])
 def test_a_warm_ablate_hashes_every_image_before_the_first_request(
     toy, tmp_path, monkeypatch, concurrency
@@ -204,14 +201,7 @@ def test_a_warm_ablate_hashes_every_image_before_the_first_request(
     assert cli.main([*argv, "--out", str(tmp_path / "cold")]) == 0
     paths = {instance.image.path for instance in load_manifest(toy.manifest_path).instances}
     events = []
-    pair = threading.Barrier(2, timeout=10)
-    counter = itertools.count()
-
-    def pair_the_first_two_reads():
-        if concurrency > 1 and next(counter) < 2:
-            pair.wait()
-
-    reads = record_reads(monkeypatch, paths, before=pair_the_first_two_reads)
+    reads = record_reads(monkeypatch, paths)
     digest, complete = ImageRef.digest, ModelGateway.complete
 
     def recording_digest(self):
@@ -237,10 +227,7 @@ def test_a_warm_ablate_hashes_every_image_before_the_first_request(
     for cold in sorted((tmp_path / "cold").iterdir()):
         assert (tmp_path / "warm" / cold.name).read_bytes() == cold.read_bytes()
     assert len(reads) == len(paths) == 4
-    if concurrency > 1:
-        assert len(set(reads)) > 1
-    else:
-        assert set(reads) == {threading.current_thread()}
+    assert set(reads) == {threading.current_thread()}
     first_request = events.index("complete")
     assert events[:first_request] == ["hashed"] * len(paths)
     assert not (tmp_path / "cache" / "images").exists()
