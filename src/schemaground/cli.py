@@ -62,9 +62,10 @@ def _concept(text: str) -> str:
 
 
 def _file_text(text: str) -> str:
-    """An argparse type: the UTF-8 contents of the named file."""
+    """An argparse type: the UTF-8 contents of the named file, without the
+    byte-order mark that it may start with."""
     try:
-        return Path(text).read_text(encoding="utf-8")
+        return Path(text).read_text(encoding="utf-8-sig")
     except (OSError, ValueError) as err:
         raise argparse.ArgumentTypeError(f"cannot read {text}: {err}") from err
 

@@ -36,7 +36,8 @@ IDENT_RE = re.compile(r"[a-z][a-z0-9]*(?:-[a-z0-9]+)*\Z")
 # block; anything else around the block is tolerated as prose.
 _GEN_LINE_RE = re.compile(r"\s*gen\s*\(")
 
-_TOKEN_RE = re.compile(r"[a-z0-9-]+|[()|,=]|\S")
+# Names and punctuation; any other visible character is group 1.
+_TOKEN_RE = re.compile(r"[a-z0-9-]+|[()|,=]|(\S)")
 
 
 @dataclass(frozen=True)
@@ -60,102 +61,55 @@ class SchemaProgram:
         """What render_schema gives, rendered on first use and kept."""
         return render_schema(self)
 
-    def node(self, component_id: str) -> ComponentNode:
-        for node in self.nodes:
-            if node.id == component_id:
-                return node
-        raise KeyError(component_id)
 
+def _read_line(line: str, lineno: int, header: bool) -> tuple[str | None, str, tuple[str, ...]]:
+    """Read the header line (`header` true) or one component line, and return
+    its component id (None for the header), concept and dependency ids.
 
-@dataclass(frozen=True)
-class _Token:
-    value: str
-    column: int  # 1-based
-
-
-def _tokenize(line: str, lineno: int) -> list[_Token]:
+    An unexpected character anywhere on the line is reported before any
+    grammar error; a token missing at the end of the line is reported just
+    past its last character.
+    """
     tokens = []
     for match in _TOKEN_RE.finditer(line):
-        value = match.group(0)
-        col = match.start() + 1
-        if value not in "()|,=" and not re.fullmatch(r"[a-z0-9-]+", value):
-            raise SchemaSyntaxError(f"unexpected character {value!r}", lineno, col)
-        tokens.append(_Token(value, col))
-    return tokens
+        column = match.start() + 1
+        if match[1]:
+            raise SchemaSyntaxError(f"unexpected character {match[1]!r}", lineno, column)
+        tokens.append((match[0], column))
+    tokens.append(("", len(line) + 1))  # the end of the line, never taken
+    tokens.reverse()  # so that the next token is the last
 
+    def take(want: str, ident: bool = False) -> str:
+        """The next token, which must be `want`, or with `ident` an
+        identifier, `want` naming what it identifies."""
+        value, column = tokens[-1]
+        label = want if ident else repr(want)
+        if not value:
+            raise SchemaSyntaxError(f"expected {label}", lineno, column)
+        if not (IDENT_RE.match(value) if ident else value == want):
+            kebab = " (lowercase kebab-case)" if ident else ""
+            raise SchemaSyntaxError(f"expected {label}{kebab}, found {value!r}", lineno, column)
+        tokens.pop()
+        return value
 
-class _LineParser:
-    """Parses a single program line from its token stream."""
-
-    def __init__(self, line: str, lineno: int):
-        self.tokens = _tokenize(line, lineno)
-        self.lineno = lineno
-        self.pos = 0
-        self.end_column = len(line) + 1
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: str) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise SchemaSyntaxError(f"expected {expected!r}", self.lineno, self.end_column)
-        if token.value != expected:
-            raise SchemaSyntaxError(
-                f"expected {expected!r}, found {token.value!r}", self.lineno, token.column
-            )
-        self.pos += 1
-        return token
-
-    def take_ident(self, what: str) -> str:
-        token = self.peek()
-        if token is None:
-            raise SchemaSyntaxError(f"expected {what}", self.lineno, self.end_column)
-        if not IDENT_RE.match(token.value):
-            raise SchemaSyntaxError(
-                f"expected {what} (lowercase kebab-case), found {token.value!r}",
-                self.lineno,
-                token.column,
-            )
-        self.pos += 1
-        return token.value
-
-    def expect_end(self) -> None:
-        token = self.peek()
-        if token is not None:
-            raise SchemaSyntaxError(
-                f"unexpected trailing {token.value!r}", self.lineno, token.column
-            )
-
-
-def _parse_header(line: str, lineno: int) -> str:
-    parser = _LineParser(line, lineno)
-    parser.take("gen")
-    parser.take("(")
-    parser.take("concept")
-    parser.take("=")
-    concept = parser.take_ident("concept name")
-    parser.take(")")
-    parser.take("=")
-    parser.expect_end()
-    return concept
-
-
-def _parse_node(line: str, lineno: int) -> tuple[str, str, tuple[str, ...]]:
-    parser = _LineParser(line, lineno)
-    parser.take("gen")
-    parser.take("(")
-    component = parser.take_ident("component id")
-    parser.take("|")
-    parser.take("concept")
-    parser.take("=")
-    concept = parser.take_ident("concept name")
+    take("gen")
+    take("(")
+    component = None if header else take("component id", ident=True)
+    if not header:
+        take("|")
+    take("concept")
+    take("=")
+    concept = take("concept name", ident=True)
     deps = []
-    while parser.peek() is not None and parser.peek().value == ",":
-        parser.take(",")
-        deps.append(parser.take_ident("dependency id"))
-    parser.take(")")
-    parser.expect_end()
+    while not header and tokens[-1][0] == ",":
+        tokens.pop()
+        deps.append(take("dependency id", ident=True))
+    take(")")
+    if header:
+        take("=")
+    value, column = tokens[-1]
+    if value:
+        raise SchemaSyntaxError(f"unexpected trailing {value!r}", lineno, column)
     return component, concept, tuple(deps)
 
 
@@ -171,39 +125,30 @@ def parse_schema(text: str) -> SchemaProgram:
         TooManyComponentsError: semantic violations (see validate_program).
     """
     lines = text.splitlines()
-    header_index = None
-    for index, line in enumerate(lines):
-        if _GEN_LINE_RE.match(line):
-            header_index = index
-            break
+    header_index = next((i for i, line in enumerate(lines) if _GEN_LINE_RE.match(line)), None)
     if header_index is None:
         raise SchemaSyntaxError("no schema header found", len(lines) or 1, 1)
 
-    concept = _parse_header(lines[header_index], header_index + 1)
+    _, concept, _ = _read_line(lines[header_index], header_index + 1, header=True)
 
-    raw_nodes: list[tuple[str, str, tuple[str, ...]]] = []
+    nodes: list[ComponentNode] = []
     for offset, line in enumerate(lines[header_index + 1 :]):
         lineno = header_index + 2 + offset
         if not line.strip():
-            if raw_nodes:
+            if nodes:
                 break  # blank line ends the block
             continue
         if _GEN_LINE_RE.match(line):
-            raw_nodes.append(_parse_node(line, lineno))
+            nodes.append(ComponentNode(*_read_line(line, lineno, header=False)))
             continue
-        if not raw_nodes:
+        if not nodes:
             raise SchemaSyntaxError("expected a component line after the header", lineno, 1)
         break  # prose after the block
 
-    if not raw_nodes:
-        lineno = header_index + 2
-        raise SchemaSyntaxError("program declares no components", lineno, 1)
+    if not nodes:
+        raise SchemaSyntaxError("program declares no components", header_index + 2, 1)
 
-    nodes = tuple(
-        ComponentNode(id=cid, concept=node_concept, deps=deps)
-        for cid, node_concept, deps in raw_nodes
-    )
-    program = SchemaProgram(concept=concept, nodes=nodes)
+    program = SchemaProgram(concept=concept, nodes=tuple(nodes))
     validate_program(program)
     return program
 

@@ -457,6 +457,10 @@ def _json(value: str | int | float) -> bytes:
     return text.encode("ascii")
 
 
+# What an HTTP header value may hold (RFC 9110, field-value).
+_HEADER_VALUE_RE = re.compile(r"[\t\x20-\x7e\x80-\xff]*\Z")
+
+
 class HttpBackend:
     """Chat-completions HTTP backend with bounded retries.
 
@@ -531,12 +535,18 @@ class HttpBackend:
         self._last_image = threading.local()
 
     def _api_key(self) -> str | None:
-        """The API key, read at each request, when one is configured."""
+        """The API key, read at each request, when one is configured. It must be
+        a header value: tabs, spaces, visible ASCII and bytes 0x80-0xFF."""
         if not self.api_key_env:
             return None
         key = os.environ.get(self.api_key_env)
         if not key:
             raise BackendUnavailableError(f"environment variable {self.api_key_env!r} is not set")
+        if not _HEADER_VALUE_RE.match(key):
+            raise BackendUnavailableError(
+                f"environment variable {self.api_key_env!r} holds a key that cannot be sent "
+                "in an HTTP header"
+            )
         return key
 
     def _base64(self, image: ImageRef) -> bytes:

@@ -82,8 +82,9 @@ def _ground(
 ) -> ResolvedSchema:
     descriptions: dict[str, str] = {}
     transcript: list[Message] = []
+    nodes = {node.id: node for node in schema.nodes}
     for component_id in topological_order(schema):
-        deps = schema.node(component_id).deps if include_deps else ()
+        deps = nodes[component_id].deps if include_deps else ()
         clauses = {dep: descriptions[dep] for dep in deps}
         query = Message(
             "user", build_grounding_query(schema.concept, component_id, clauses), images=(image,)

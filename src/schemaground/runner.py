@@ -52,8 +52,8 @@ def load_schemas(
     manifest: DatasetManifest, schema_dir: Path | None = None
 ) -> dict[str, SchemaProgram]:
     """One schema per concept: a `<concept>.schema` file from schema_dir when
-    present, which must be a readable UTF-8 file declaring that concept, the
-    canonical store otherwise."""
+    present, which must be a readable UTF-8 file (a byte-order mark may open
+    it) declaring that concept, the canonical store otherwise."""
     schemas: dict[str, SchemaProgram] = {}
     for concept in manifest.concepts:
         override = None if schema_dir is None else Path(schema_dir) / f"{concept}.schema"
@@ -61,7 +61,7 @@ def load_schemas(
             if not override.is_file():
                 raise SchemaSyntaxError(f"schema file {override} is not a regular file")
             try:
-                source = override.read_text(encoding="utf-8")
+                source = override.read_text(encoding="utf-8-sig")
             except (OSError, UnicodeDecodeError) as err:
                 raise SchemaSyntaxError(f"cannot read schema file {override}: {err}") from err
             program = parse_schema(source)

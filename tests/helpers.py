@@ -1,5 +1,5 @@
-"""Shared test utilities: independent oracles, generators, and the
-environment for subprocess runs.
+"""Shared test utilities: independent oracles, generators, an echo backend,
+and the environment for subprocess runs.
 
 The topological-order oracle enumerates every permutation, so it stays
 honest for programs of up to 4 components regardless of how the library
@@ -9,6 +9,7 @@ implementation evolves.
 from __future__ import annotations
 
 import builtins
+import hashlib
 import io
 import json
 import os
@@ -18,6 +19,8 @@ import string
 import threading
 from itertools import permutations
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 import schemaground
 from schemaground import gateway
@@ -93,6 +96,42 @@ def random_program_source(rng: random.Random) -> tuple[str, str, list[tuple[str,
         )
         spec.append((component_id, deps))
     return "\n".join(lines) + "\n", concept, spec
+
+
+_ident = st.from_regex(r"[a-z][a-z0-9]{0,4}(?:-[a-z0-9]{1,3}){0,2}", fullmatch=True)
+
+
+@st.composite
+def program_specs(draw):
+    """A valid program of 1-4 components as (concept, [(component_id, deps)]):
+    each component's deps are distinct components declared before it."""
+    concept = draw(_ident)
+    ids = draw(st.lists(_ident, min_size=1, max_size=4, unique=True))
+    nodes = []
+    for position, component_id in enumerate(ids):
+        pool = ids[:position]
+        deps = (
+            draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+            if pool
+            else []
+        )
+        nodes.append((component_id, deps))
+    return concept, nodes
+
+
+class EchoBackend:
+    """A backend whose reply is a short digest of the last user text, so
+    that each reply names the query it answers."""
+
+    backend_id = "echo"
+
+    def complete(self, request) -> str:
+        text = next(m.text for m in reversed(request.messages) if m.role == "user")
+        return echo_reply(text)
+
+
+def echo_reply(text: str) -> str:
+    return "echo-" + hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 def fixture_grounding_rules(reply_for=None) -> list[dict]:

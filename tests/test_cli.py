@@ -153,6 +153,24 @@ def test_ground_sequential_diverges_on_dependent_component(toy, tmp_path, maze_s
     assert all(", and the" not in query for query in queries)
 
 
+# A schema file may open with a UTF-8 byte-order mark, as some editors write
+# one: it is dropped, not read as the start of the header.
+def test_a_schema_with_a_byte_order_mark_grounds_as_the_plain_file(
+    toy, tmp_path, maze_schema_file
+):
+    marked = tmp_path / "marked.schema"
+    marked.write_bytes(b"\xef\xbb\xbf" + maze_schema_file.read_bytes())
+    for schema in (maze_schema_file, marked):
+        assert cli.main([
+            "ground",
+            "--schema", str(schema),
+            "--image", str(toy.image_paths["maze"]),
+            "--out", str(tmp_path / f"{schema.stem}.json"),
+            *map(str, _backend_args(toy, tmp_path)),
+        ]) == 0
+    assert (tmp_path / "marked.json").read_bytes() == (tmp_path / "maze.json").read_bytes()
+
+
 def test_ground_missing_image(toy, tmp_path, maze_schema_file):
     result = run_cli(
         "ground",
@@ -623,6 +641,29 @@ def test_schema_dir_override_for_another_concept(toy, tmp_path):
     assert "ConceptMismatchError" in result.stderr
     assert str(schema_dir / "maze.schema") in result.stderr
     assert not list((tmp_path / "cache").glob("*.json"))
+
+
+def test_schema_dir_files_with_a_byte_order_mark_ablate_as_the_plain_files(toy, tmp_path):
+    outs = []
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        schema_dir = tmp_path / f"{name}-schemas"
+        schema_dir.mkdir()
+        for concept in TOY_BINDINGS:
+            text = render_schema(load_canonical_schema(concept)).encode("utf-8")
+            (schema_dir / f"{concept}.schema").write_bytes(mark + text)
+        outs.append(tmp_path / f"{name}-out")
+        assert cli.main([
+            "ablate",
+            "--manifest", str(toy.manifest_path),
+            "--schema-dir", str(schema_dir),
+            *map(str, _backend_args(toy, tmp_path)),
+            "--out", str(outs[-1]),
+        ]) == 0
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert len(names) == 11
+    assert sorted(path.name for path in outs[1].iterdir()) == names
+    for name in names:
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
 
 # A `<concept>.schema` that is not a readable UTF-8 file is a schema error

@@ -240,8 +240,97 @@ def test_independent_acyclicity_check():
         topological_order(cyclic)
 
 
-def test_node_lookup():
-    program = load_canonical_schema("atom")
-    assert program.node("energy-levels").deps == ("nucleus", "electrons")
-    with pytest.raises(KeyError):
-        program.node("valence")
+# What the reader says about each kind of malformed text, in full: `extract`
+# sends this text back to the model on a corrective retry. Each row is
+# (source, str(err), err.line, err.column).
+SYNTAX_MESSAGES = [
+    (
+        "gen(concept=Maze) =\n    gen(a | concept=Maze)\n",
+        "line 1, column 13: unexpected character 'M'",
+        1,
+        13,
+    ),
+    (
+        "gen(concept=maze) =\n    gen(entry—exit | concept=maze)\n",
+        "line 2, column 14: unexpected character '—'",
+        2,
+        14,
+    ),
+    # A character the grammar has no token for is reported before an earlier
+    # grammar error on its line.
+    (
+        "gen(concept=maze) =\n    gen(a concept=maze) .\n",
+        "line 2, column 25: unexpected character '.'",
+        2,
+        25,
+    ),
+    (
+        "gen(concept=maze) =\n    gen(a concept=maze)\n",
+        "line 2, column 11: expected '|', found 'concept'",
+        2,
+        11,
+    ),
+    ("gen(concept=maze)\n    gen(a | concept=maze)\n", "line 1, column 18: expected '='", 1, 18),
+    ("gen(concept=maze) =\n    gen(a | concept=maze\n", "line 2, column 25: expected ')'", 2, 25),
+    ("gen(concept=maze) =\n    gen(\n", "line 2, column 9: expected component id", 2, 9),
+    (
+        "gen(concept=maze) =\n    gen(ma--ze | concept=maze)\n",
+        "line 2, column 9: expected component id (lowercase kebab-case), found 'ma--ze'",
+        2,
+        9,
+    ),
+    ("gen(concept=", "line 1, column 13: expected concept name", 1, 13),
+    (
+        "gen(concept=maze) =\n    gen(a | concept=\n",
+        "line 2, column 21: expected concept name",
+        2,
+        21,
+    ),
+    (
+        "gen(concept=ma--ze) =\n    gen(a | concept=ma--ze)\n",
+        "line 1, column 13: expected concept name (lowercase kebab-case), found 'ma--ze'",
+        1,
+        13,
+    ),
+    (
+        "gen(concept=maze) =\n    gen(a | concept=maze)\n    gen(b | concept=maze,\n",
+        "line 3, column 26: expected dependency id",
+        3,
+        26,
+    ),
+    (
+        "gen(concept=maze) =\n    gen(a | concept=maze)\n    gen(b | concept=maze, 1a)\n",
+        "line 3, column 27: expected dependency id (lowercase kebab-case), found '1a'",
+        3,
+        27,
+    ),
+    (
+        "gen(concept=maze) =\n    gen(a | concept=maze) junk\n",
+        "line 2, column 27: unexpected trailing 'junk'",
+        2,
+        27,
+    ),
+    ("no program here at all\n", "line 1, column 1: no schema header found", 1, 1),
+    ("", "line 1, column 1: no schema header found", 1, 1),
+    (
+        "gen(concept=x) =\nsome prose instead of a component\n",
+        "line 2, column 1: expected a component line after the header",
+        2,
+        1,
+    ),
+    ("gen(concept=x) =\n", "line 2, column 1: program declares no components", 2, 1),
+    (
+        "Here it is:\ngen(concept=x) =\n\n",
+        "line 3, column 1: program declares no components",
+        3,
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("source,message,line,column", SYNTAX_MESSAGES)
+def test_syntax_error_text_line_and_column(source, message, line, column):
+    with pytest.raises(SchemaSyntaxError) as excinfo:
+        parse_schema(source)
+    err = excinfo.value
+    assert (str(err), err.line, err.column) == (message, line, column)

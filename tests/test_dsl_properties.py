@@ -7,27 +7,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_topological_order, random_program_source
+from helpers import brute_force_topological_order, program_specs, random_program_source
 from schemaground.dsl import parse_schema, render_schema, topological_order
 
-ident = st.from_regex(r"[a-z][a-z0-9]{0,4}(?:-[a-z0-9]{1,3}){0,2}", fullmatch=True)
 pad = st.text(alphabet=" ", max_size=2)
-
-
-@st.composite
-def program_specs(draw):
-    concept = draw(ident)
-    ids = draw(st.lists(ident, min_size=1, max_size=4, unique=True))
-    nodes = []
-    for position, component_id in enumerate(ids):
-        pool = ids[:position]
-        deps = (
-            draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
-            if pool
-            else []
-        )
-        nodes.append((component_id, deps))
-    return concept, nodes
 
 
 @st.composite

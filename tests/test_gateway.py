@@ -722,6 +722,20 @@ def test_http_backend_api_key_handling(monkeypatch):
     assert adapter2.sent[0].headers["Authorization"] == "Bearer sk-123"
 
 
+# A line break, or a character that Latin-1 cannot encode (a pasted em dash),
+# cannot go in the Authorization header: the key is refused as an unset one
+# is, before any request, and the message does not echo it.
+@pytest.mark.parametrize("key", ["sk-a\nb", "sk-\u2014pasted"])
+def test_an_api_key_that_cannot_be_a_header_value_is_refused_before_sending(monkeypatch, key):
+    monkeypatch.setenv("TEST_GATEWAY_KEY", key)
+    backend, adapter, _ = _http([_Reply()], api_key_env="TEST_GATEWAY_KEY")
+    with pytest.raises(BackendUnavailableError, match="'TEST_GATEWAY_KEY'") as info:
+        ModelGateway(backend).complete(_request())
+    assert exit_code_for(info.value) == 20
+    assert "pasted" not in str(info.value) and "sk-" not in str(info.value)
+    assert adapter.sent == []
+
+
 @pytest.mark.parametrize(
     "base_url", ["http://[::1/v1", "api.example.test/v1", "ftp://api.example.test/v1"]
 )

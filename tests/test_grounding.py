@@ -6,15 +6,22 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given
 
-from schemaground.dsl import ComponentNode
+from schemaground.dsl import ComponentNode, SchemaProgram
 from schemaground.errors import FixtureMissError
 from schemaground.extraction import load_canonical_schema
-from schemaground.gateway import ImageRef
+from schemaground.gateway import ImageRef, ModelGateway
 from schemaground.grounding import build_grounding_query, ground_hierarchical, ground_sequential
 from schemaground.toydata import TOY_BINDINGS, TOY_SEQUENTIAL_DRIFT
 
-from helpers import fixture_grounding_rules, scripted_gateway
+from helpers import (
+    EchoBackend,
+    echo_reply,
+    fixture_grounding_rules,
+    program_specs,
+    scripted_gateway,
+)
 
 MAZE = load_canonical_schema("maze")
 ATOM = load_canonical_schema("atom")
@@ -155,7 +162,7 @@ def test_gateway_errors_carry_component_context(toy):
 
 def test_long_reply_truncated_in_binding_but_kept_in_transcript(toy):
     long_reply = "x" * 300
-    layout_only = dataclasses.replace(MAZE, nodes=(MAZE.node("layout"),))
+    layout_only = dataclasses.replace(MAZE, nodes=MAZE.nodes[:1])
     gateway = scripted_gateway(
         [{"match": {"equals": LAYOUT_QUERY}, "reply": long_reply}]
     )
@@ -164,7 +171,49 @@ def test_long_reply_truncated_in_binding_but_kept_in_transcript(toy):
     assert resolved.transcript[1].text == long_reply
 
 
-def test_node_lookup_used_by_queries():
-    node = CELL.node("organelles")
-    assert isinstance(node, ComponentNode)
-    assert node.deps == ()
+# ------------------------------------------------------- generated schemas
+
+
+def _walk(ground, schema, image):
+    """Ground `schema` through a fresh echo gateway; the resolved schema and
+    the number of gateway calls the walk made."""
+    gateway = ModelGateway(EchoBackend())
+    calls = []
+    chat = gateway.chat
+
+    def counted(messages, **kwargs):
+        calls.append(messages)
+        return chat(messages, **kwargs)
+
+    gateway.chat = counted
+    return ground(schema, image, gateway), len(calls)
+
+
+@given(program_specs())
+def test_each_hierarchical_query_holds_exactly_its_dependencies_replies(tiny_image, spec):
+    concept, specs = spec
+    schema = SchemaProgram(
+        concept, tuple(ComponentNode(cid, concept, tuple(deps)) for cid, deps in specs)
+    )
+    hier, hier_calls = _walk(ground_hierarchical, schema, tiny_image)
+    seq, seq_calls = _walk(ground_sequential, schema, tiny_image)
+    n = len(specs)
+    assert hier_calls == seq_calls == n
+    assert len(hier.transcript) == len(seq.transcript) == 2 * n
+
+    queries = [message.text for message in hier.transcript[::2]]
+    replies = dict(zip((cid for cid, _ in specs), (m.text for m in hier.transcript[1::2])))
+    assert list(replies.values()) == [echo_reply(query) for query in queries]
+    for query, (_, deps) in zip(queries, specs):
+        assert [query.count(replies[dep]) for dep in deps] == [1] * len(deps)
+        positions = [query.index(replies[dep]) for dep in deps]
+        assert positions == sorted(positions)
+        others = replies.keys() - set(deps)
+        assert not any(replies[other] in query for other in others)
+
+    every_reply = [m.text for m in seq.transcript[1::2]] + list(replies.values())
+    for query in seq.transcript[::2]:
+        assert not any(reply in query.text for reply in every_reply)
+
+    if not any(deps for _, deps in specs):
+        assert hier.descriptions == seq.descriptions

@@ -24,6 +24,8 @@ import pytest
 import requests
 
 from schemaground import cli
+from schemaground.dsl import render_schema
+from schemaground.extraction import load_canonical_schema
 from schemaground.gateway import HttpBackend, Message, ModelRequest, ScriptedBackend
 from schemaground.toydata import toy_fixture_rules
 
@@ -174,6 +176,42 @@ def test_toy_ablate_over_a_loopback_socket_writes_what_the_scripted_run_writes(
     # and the last one, sent long after that reply, does.
     assert "Cookie" not in server.seen[0].headers
     assert server.seen[-1].headers["Cookie"] == "loopback=0"
+
+
+def test_an_api_key_that_cannot_be_a_header_value_exits_20_and_sends_nothing(
+    toy, tmp_path, serve
+):
+    server = serve(lambda body: "unused")
+    config = tmp_path / "backend.json"
+    config.write_text(json.dumps({
+        "backend_id": "loopback",
+        "kind": "http",
+        "model_id": "m",
+        "base_url": server.url,
+        "api_key_env": "LOOPBACK_API_KEY",
+    }))
+    schema = tmp_path / "maze.schema"
+    schema.write_text(render_schema(load_canonical_schema("maze")), encoding="utf-8")
+    env = checkout_env()
+    env["LOOPBACK_API_KEY"] = "sk-\u2014pasted"
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "schemaground.cli", "ground",
+            "--schema", str(schema),
+            "--image", str(toy.image_paths["maze"]),
+            "--backend-config", str(config),
+            "--out", str(tmp_path / "resolved.json"),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 20, result.stderr
+    assert "LOOPBACK_API_KEY" in result.stderr and "pasted" not in result.stderr
+    assert "Traceback" not in result.stderr
+    assert server.seen == [] and server.connections == 0
+    assert not (tmp_path / "resolved.json").exists()
 
 
 def test_each_request_goes_out_as_session_post_sends_it_cookies_included(serve):
