@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .dsl import parse_schema, render_schema
+from .dsl import IDENT_RE, parse_schema, render_schema
 from .errors import BackendConfigError, MissingImageError, PipelineError, exit_code_for
 from .evaluate import (
     exact_match_accuracy,
@@ -55,9 +55,9 @@ _non_negative_float = _at_least(float, 0.0)
 
 
 def _concept(text: str) -> str:
-    """An argparse type: a non-empty concept name."""
-    if not text:
-        raise argparse.ArgumentTypeError("must be non-empty")
+    """An argparse type: a concept name, which a schema header accepts."""
+    if not IDENT_RE.match(text):
+        raise argparse.ArgumentTypeError(f"must be an identifier, got {text!r}")
     return text
 
 
@@ -197,10 +197,10 @@ def _predict(args: argparse.Namespace, modes: list[AnswerMode | str]):
         manifest,
         modes,
         _gateway(args),
+        load_schemas(manifest, args.schema_dir),
         runs=args.runs,
         concurrency=args.concurrency,
         seed_hint=args.seed_hint,
-        schemas=load_schemas(manifest, args.schema_dir),
     )
 
 
@@ -214,8 +214,9 @@ def cmd_answer(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluate_modes(args: argparse.Namespace, modes: list[AnswerMode | str]) -> int:
-    manifest, by_mode = _predict(args, modes)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    # run_predictions answers a repeated --mode once; `ablate` sets every mode.
+    manifest, by_mode = _predict(args, args.mode or [AnswerMode.FULL_DSG])
     score = graded_accuracy if args.metric == "graded" else exact_match_accuracy
     human = human_leave_one_out(manifest) if args.human_row else None
     args.out.mkdir(parents=True, exist_ok=True)
@@ -236,15 +237,6 @@ def _evaluate_modes(args: argparse.Namespace, modes: list[AnswerMode | str]) -> 
     print(format_report_table(rows, by="category"))
     print(f"wrote {summary_path}")
     return 0
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    # run_predictions answers a repeated --mode once.
-    return _evaluate_modes(args, args.mode or [AnswerMode.FULL_DSG])
-
-
-def cmd_ablate(args: argparse.Namespace) -> int:
-    return _evaluate_modes(args, list(AnswerMode))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flags(p_answer)
     p_answer.set_defaults(func=cmd_answer)
 
-    for name, help_text, func in (
-        ("evaluate", "answer a manifest and score the predictions", cmd_evaluate),
-        ("ablate", "evaluate across all five answer modes", cmd_ablate),
+    for name, help_text in (
+        ("evaluate", "answer a manifest and score the predictions"),
+        ("ablate", "evaluate across all five answer modes"),
     ):
         p_eval = sub.add_parser(name, help=help_text)
         p_eval.add_argument("--manifest", type=Path, required=True)
@@ -301,6 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
                 action="append",
                 help="repeatable; default full_dsg",
             )
+        else:
+            p_eval.set_defaults(mode=list(AnswerMode))
         p_eval.add_argument("--runs", type=_positive_int, default=1)
         p_eval.add_argument("--metric", choices=METRIC_CHOICES, default="exact")
         p_eval.add_argument("--concurrency", type=_positive_int, default=4)
@@ -313,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_eval.add_argument("--out", type=_output_dir, default="out")
         _add_choice_flags(p_eval)
         _add_backend_flags(p_eval)
-        p_eval.set_defaults(func=func)
+        p_eval.set_defaults(func=cmd_evaluate)
 
     return parser
 

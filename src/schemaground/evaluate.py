@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
+from .dsl import IDENT_RE
 from .errors import IncompletePredictionsError, ManifestInvalidError, MissingImageError
 from .extraction import CATEGORIES, CONCEPT_CATEGORIES
 from .gateway import ImageRef, _is_unicode, json_text, read_json
@@ -117,6 +118,9 @@ def load_manifest(path: str | Path, multiple_choice: bool = True) -> DatasetMani
             _check_field_types(raw)
             if instance_id in seen_ids:
                 raise ValueError("duplicate instance id")
+            # A concept names its `--schema-dir` file; a schema declares only identifiers.
+            if "concept" in raw and not IDENT_RE.match(raw["concept"]):
+                raise ValueError(f"concept {raw['concept']!r} is not an identifier")
             category = CONCEPT_CATEGORIES.get(raw.get("concept"))
             if category is not None and raw.get("category") != category:
                 raise ValueError(f"concept {raw['concept']!r} is in category {category!r}")

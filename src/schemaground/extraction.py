@@ -45,10 +45,6 @@ CONCEPT_CATEGORIES = {
 CATEGORIES = ("strategic", "scientific", "social", "domestic")
 
 
-def canonical_concepts() -> tuple[str, ...]:
-    return tuple(CONCEPT_CATEGORIES)
-
-
 def build_extraction_prompt(concept: str) -> str:
     if not concept:
         raise ValueError("concept must be non-empty")
@@ -60,7 +56,7 @@ def load_canonical_schema(concept: str) -> SchemaProgram:
     if concept not in CONCEPT_CATEGORIES:
         raise UnknownConceptError(
             f"no canonical schema for {concept!r}; known concepts: "
-            + ", ".join(canonical_concepts())
+            + ", ".join(CONCEPT_CATEGORIES)
         )
     resource = importlib.resources.files("schemaground").joinpath(
         "schemas", f"{concept}.schema"

@@ -157,12 +157,12 @@ def _json_number(value: int | float) -> str:
     return int.__repr__(value)
 
 
-def cache_key_material(backend_id: str, request: ModelRequest) -> str:
-    """Canonical serialization hashed into the cache key.
+def cache_key(backend_id: str, request: ModelRequest) -> str:
+    """SHA-256 hex digest of the request's canonical serialization.
 
-    Image bytes contribute only through their content digest. The text is
-    what `json.dumps(payload, sort_keys=True, separators=(",", ":"))` writes
-    for the request's payload, built from its pieces in that sorted key
+    Image bytes contribute only through their content digest. The hashed
+    text is what `json.dumps(payload, sort_keys=True, separators=(",", ":"))`
+    writes for the request's payload, built from its pieces in that sorted key
     order: `json.dumps` sets up a new encoder for every call, which costs
     more than the escaping itself. Roles and media types come from fixed
     sets and digests are hex, so none of them needs an escape.
@@ -180,7 +180,7 @@ def cache_key_material(backend_id: str, request: ModelRequest) -> str:
         for message in request.messages
     ])
     seed_hint = "null" if request.seed_hint is None else _json_number(request.seed_hint)
-    return (
+    material = (
         '{"backend_id":%s,"max_tokens":%s,"messages":[%s],"model_id":%s,'
         '"seed_hint":%s,"temperature":%s}'
         % (
@@ -192,11 +192,6 @@ def cache_key_material(backend_id: str, request: ModelRequest) -> str:
             _json_number(request.temperature),
         )
     )
-
-
-def cache_key(backend_id: str, request: ModelRequest) -> str:
-    """SHA-256 hex digest of the request's canonical serialization."""
-    material = cache_key_material(backend_id, request)
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 

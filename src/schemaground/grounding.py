@@ -4,8 +4,8 @@ what realizes it in an image, querying a vision backend in dependency order.
 Hierarchical grounding inlines already-resolved dependency descriptions into
 each query; sequential grounding asks about every component in isolation.
 The result is plain data: the descriptions in grounding order and the full
-exchange as a transcript, whose query for the i-th component is
-``transcript[2 * i]`` and whose reply is ``transcript[2 * i + 1]``.
+exchange as a text-only transcript (each query went out with the image),
+whose i-th query is ``transcript[2 * i]`` and reply ``transcript[2 * i + 1]``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ class ResolvedSchema:
     """One schema grounded on one image.
 
     descriptions maps component id to its (truncated) description, in
-    grounding order; transcript alternates each query with its full reply.
+    grounding order; transcript alternates each query, without its image,
+    with its full reply.
     """
 
     concept: str
@@ -52,11 +53,6 @@ class ResolvedSchema:
         """The framing sentence of the concept with every description folded
         in, without its closing period; worded on first use and kept."""
         return framing_sentence(self.concept, self.descriptions)
-
-    @cached_property
-    def text_turns(self) -> tuple[Message, ...]:
-        """The transcript with its images dropped, made on first use and kept."""
-        return tuple(Message(message.role, message.text) for message in self.transcript)
 
     def to_json(self) -> str:
         payload = {
@@ -86,16 +82,14 @@ def _ground(
     for component_id in topological_order(schema):
         deps = nodes[component_id].deps if include_deps else ()
         clauses = {dep: descriptions[dep] for dep in deps}
-        query = Message(
-            "user", build_grounding_query(schema.concept, component_id, clauses), images=(image,)
-        )
+        query = build_grounding_query(schema.concept, component_id, clauses)
         try:
-            reply = gateway.chat([query], seed_hint=seed_hint)
+            reply = gateway.chat([Message("user", query, images=(image,))], seed_hint=seed_hint)
         except GatewayError as err:
             raise type(err)(
                 f"while grounding component {component_id!r}: {err}"
             ) from err
-        transcript.append(query)
+        transcript.append(Message("user", query))
         transcript.append(Message("assistant", reply))
         descriptions[component_id] = reply.strip()[:MAX_DESCRIPTION_CHARS]
     return ResolvedSchema(

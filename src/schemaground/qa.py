@@ -177,7 +177,7 @@ def normalize_answer(raw: str, options: tuple[str, ...] | list[str] | None = Non
     return _normalize(raw, None if options is None else tuple(options))
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _normalize(raw: str, options: tuple[str, ...] | None) -> str:
     cleaned = _clean(raw)
     if options is None:
@@ -195,20 +195,19 @@ def _normalize(raw: str, options: tuple[str, ...] | None) -> str:
     return best[0] if len(best) == 1 else NO_MATCH
 
 
-def prompt_blocks(
+def build_augmented_prompt(
     instance: VqaInstance,
     mode: AnswerMode,
     schema: SchemaProgram | None = None,
     resolved: ResolvedSchema | None = None,
-) -> list[str]:
-    """The text blocks whose newline-join forms the final user message.
+) -> list[Message]:
+    """Assemble the message list for one instance under one mode.
 
-    Later modes extend earlier ones: the framing sentence (with grounded
-    descriptions folded in for grounded modes), the schema text for all
-    non-baseline modes, the question, and the option instruction if present.
-    The schema text and a grounded framing sentence come from `schema` and
-    `resolved`, which word them once; a grounded mode frames the concept of
-    `resolved`, the others the instance's.
+    The final user message, which carries the image, holds one block per
+    line, each mode extending the one before: the framing sentence (for
+    grounded modes, `resolved.framing`), the schema text (`schema.text`) for
+    all non-baseline modes, the question, and the option instruction if
+    present. full_dsg prepends the text-only grounding transcript.
     """
     mode = AnswerMode(mode)
     if mode in GROUNDED_MODES:
@@ -221,26 +220,9 @@ def prompt_blocks(
     blocks.append(instance.question)
     if instance.options is not None:
         blocks.append("Answer with exactly one of: " + ", ".join(instance.options) + ".")
-    return blocks
-
-
-def build_augmented_prompt(
-    instance: VqaInstance,
-    mode: AnswerMode,
-    schema: SchemaProgram | None = None,
-    resolved: ResolvedSchema | None = None,
-) -> list[Message]:
-    """Assemble the message list for one instance under one mode.
-
-    full_dsg prepends the grounding transcript as prior text turns; every
-    other mode sends a single user message. The image rides on the final
-    user message.
-    """
-    mode = AnswerMode(mode)
-    blocks = prompt_blocks(instance, mode, schema=schema, resolved=resolved)
     final = Message("user", "\n".join(blocks), images=(instance.image,))
     if mode is AnswerMode.FULL_DSG:
-        return [*resolved.text_turns, final]
+        return [*resolved.transcript, final]
     return [final]
 
 

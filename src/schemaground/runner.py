@@ -90,15 +90,13 @@ def run_predictions(
     manifest: DatasetManifest,
     modes: list[AnswerMode | str],
     gateway: ModelGateway,
+    schemas: dict[str, SchemaProgram],
     runs: int = 1,
     concurrency: int = 4,
     seed_hint: int | None = None,
-    schemas: dict[str, SchemaProgram] | None = None,
 ) -> dict[AnswerMode, list[Prediction]]:
     """Answer every manifest instance under each mode, `runs` times."""
     modes = list(dict.fromkeys(map(AnswerMode, modes)))
-    if schemas is None:
-        schemas = load_schemas(manifest)
     digest = ImageRef.digest if gateway.cache is None else gateway.cache.image_digest
     groups: dict[tuple[str, str], list[VqaInstance]] = {}
     for instance in manifest.instances:

@@ -26,7 +26,7 @@ import schemaground
 from schemaground import gateway
 from schemaground.dsl import SchemaProgram
 from schemaground.evaluate import DatasetManifest
-from schemaground.extraction import canonical_concepts, load_canonical_schema
+from schemaground.extraction import CONCEPT_CATEGORIES, load_canonical_schema
 from schemaground.gateway import ModelGateway, ResponseCache, ScriptedBackend
 from schemaground.phrasing import concept_phrase, copula, display_name
 from schemaground.qa import VqaInstance
@@ -143,7 +143,7 @@ def fixture_grounding_rules(reply_for=None) -> list[dict]:
     if reply_for is None:
         reply_for = lambda concept, component: f"{concept}--{component}--essence"
     rules = []
-    for concept in canonical_concepts():
+    for concept in CONCEPT_CATEGORIES:
         schema = load_canonical_schema(concept)
         phrase = re.escape(concept_phrase(concept))
         for node in schema.nodes:

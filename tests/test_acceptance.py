@@ -21,16 +21,16 @@ from schemaground.evaluate import (
     graded_accuracy,
     load_manifest,
 )
-from schemaground.extraction import canonical_concepts, load_canonical_schema
+from schemaground.extraction import CONCEPT_CATEGORIES, load_canonical_schema
 from schemaground.gateway import ImageRef, ModelGateway
 from schemaground.grounding import ground_hierarchical, ground_sequential
 from schemaground.qa import (
     AnswerMode,
     Prediction,
     VqaInstance,
-    prompt_blocks,
+    build_augmented_prompt,
 )
-from schemaground.runner import run_predictions
+from schemaground.runner import load_schemas, run_predictions
 from schemaground.toydata import tiny_png
 
 from helpers import (
@@ -62,7 +62,7 @@ LADDER_MODES = [
 
 def test_c1_fixture_schemas_parse_validate_roundtrip():
     started = time.perf_counter()
-    for concept in canonical_concepts():
+    for concept in CONCEPT_CATEGORIES:
         program = load_canonical_schema(concept)
         assert program.concept == concept
         assert 1 <= len(program.nodes) <= 4
@@ -105,7 +105,7 @@ def test_c3_hierarchical_queries_contain_ancestor_descriptions_verbatim():
     image = ImageRef("image/png", data=tiny_png((50, 60, 70)))
     gateway = scripted_gateway(fixture_grounding_rules())
     checked_dependent = 0
-    for concept in canonical_concepts():
+    for concept in CONCEPT_CATEGORIES:
         schema = load_canonical_schema(concept)
         description_of = {
             node.id: f"{concept}--{node.id}--essence" for node in schema.nodes
@@ -140,8 +140,10 @@ def test_c4_full_dsg_reproduces_the_maze_framing_sentence(toy, toy_manifest, toy
     schema = load_canonical_schema("maze")
     instance = instance_by_id(toy_manifest, "maze-open")
     resolved = ground_hierarchical(schema, instance.image, toy_gateway)
-    blocks = prompt_blocks(instance, AnswerMode.FULL_DSG, schema=schema, resolved=resolved)
-    assert blocks[0] == expected
+    messages = build_augmented_prompt(
+        instance, AnswerMode.FULL_DSG, schema=schema, resolved=resolved
+    )
+    assert messages[-1].text.split("\n")[0] == expected
     print("PASS: C4 full_dsg framing sentence matches the documented maze example byte-for-byte")
 
 
@@ -252,13 +254,15 @@ def test_c6_ablation_is_deterministic_and_prompt_monotone(toy, toy_manifest, toy
         ]
     checked_pairs = 0
     for instance in toy_manifest.instances:
+        # The lines of each mode's final prompt: its blocks, with the schema
+        # text split into its lines.
         blocks_by_mode = {
-            mode: prompt_blocks(
+            mode: build_augmented_prompt(
                 instance,
                 mode,
                 schema=schemas[instance.concept],
                 resolved=resolved_for[instance.concept].get(mode),
-            )
+            )[-1].text.split("\n")
             for mode in LADDER_MODES
         }
         for earlier, later in ((LADDER_MODES[0], LADDER_MODES[1]),):
@@ -317,7 +321,9 @@ def test_c7_live_five_instance_smoke(toy, tmp_path):
     manifest = load_manifest(manifest_path)
     started = time.perf_counter()
     gateway = ModelGateway.from_config(config_path, cache_dir=cache_dir)
-    predictions = run_predictions(manifest, [AnswerMode.FULL_DSG], gateway)[AnswerMode.FULL_DSG]
+    predictions = run_predictions(
+        manifest, [AnswerMode.FULL_DSG], gateway, load_schemas(manifest)
+    )[AnswerMode.FULL_DSG]
     report = exact_match_accuracy(predictions, manifest)
     elapsed = time.perf_counter() - started
     assert elapsed < 180.0, f"live smoke took {elapsed:.1f}s"
@@ -327,6 +333,6 @@ def test_c7_live_five_instance_smoke(toy, tmp_path):
     cached_files = len(list(cache_dir.glob("*.json")))
     assert cached_files > 0
     gateway2 = ModelGateway.from_config(config_path, cache_dir=cache_dir)
-    run_predictions(manifest, [AnswerMode.FULL_DSG], gateway2)
+    run_predictions(manifest, [AnswerMode.FULL_DSG], gateway2, load_schemas(manifest))
     assert len(list(cache_dir.glob("*.json"))) == cached_files
     print(f"PASS: C7 live 5-instance smoke finished in {elapsed:.1f}s with all responses cached")

@@ -643,6 +643,65 @@ def test_schema_dir_override_for_another_concept(toy, tmp_path):
     assert not list((tmp_path / "cache").glob("*.json"))
 
 
+# A concept names its file under --schema-dir, so one that is no identifier,
+# such as `../outside`, could name a file outside it; no schema could declare
+# such a concept, so the manifest is refused before any file is read.
+def test_a_manifest_concept_that_is_no_identifier_exits_50_before_any_read(
+    toy, tmp_path, capsys, monkeypatch
+):
+    schema_dir = tmp_path / "schemas"
+    schema_dir.mkdir()
+    (tmp_path / "outside.schema").write_text(
+        "gen(concept=secret-name) =\n    gen(x | concept=secret-name)\n"
+    )
+    manifest = json.loads(toy.manifest_path.read_text(encoding="utf-8"))
+    for instance in manifest["instances"]:
+        instance["image"] = str(toy.root / instance["image"])
+    manifest["instances"][0]["concept"] = "../outside"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    calls = []
+    complete = ScriptedBackend.complete
+    monkeypatch.setattr(
+        ScriptedBackend,
+        "complete",
+        lambda self, request: (calls.append(request), complete(self, request))[1],
+    )
+    argv = [
+        "ablate",
+        "--manifest", tmp_path / "manifest.json",
+        "--schema-dir", schema_dir,
+        *_backend_args(toy, tmp_path),
+        "--out", tmp_path / "out",
+    ]
+    assert cli.main(list(map(str, argv))) == 50
+    err = capsys.readouterr().err
+    assert "ManifestInvalidError" in err
+    assert "'../outside' is not an identifier" in err
+    assert "secret-name" not in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_extract_concept_that_is_no_identifier_exits_two_before_any_call(
+    toy, tmp_path, capsys, monkeypatch
+):
+    # The default --out, `<concept>.schema`, would lie outside the work dir.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    calls = []
+    monkeypatch.setattr(ScriptedBackend, "complete", lambda self, request: calls.append(request))
+    for extra in ((), ("--canonical",)):
+        argv = ["extract", "../outside", *extra, "--backend-config", str(toy.backend_config_path)]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be an identifier, got '../outside'" in err
+    assert calls == []
+    assert list(tmp_path.rglob("*")) == [work]
+
+
 def test_schema_dir_files_with_a_byte_order_mark_ablate_as_the_plain_files(toy, tmp_path):
     outs = []
     for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
@@ -722,7 +781,7 @@ def test_usage_errors_exit_two(tmp_path):
     for extra in ((), ("--canonical",)):
         result = run_cli("extract", "", *extra, "--backend-config", "b.json", cwd=tmp_path)
         assert result.returncode == 2
-        assert "must be non-empty" in result.stderr
+        assert "must be an identifier, got ''" in result.stderr
     (tmp_path / "maze.schema").write_text(render_schema(load_canonical_schema("maze")))
     (tmp_path / "x.gif").write_bytes(b"GIF89a")
     for schema, image, message in (

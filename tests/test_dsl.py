@@ -21,7 +21,7 @@ from schemaground.errors import (
     TooManyComponentsError,
     UnknownDependencyError,
 )
-from schemaground.extraction import canonical_concepts, load_canonical_schema
+from schemaground.extraction import CONCEPT_CATEGORIES, load_canonical_schema
 
 # Expected structure of every stored fixture: component id -> dependency ids.
 EXPECTED_STRUCTURES = {
@@ -62,7 +62,7 @@ def test_fixture_structure(concept):
 
 
 def test_fixture_set_is_exactly_the_twelve():
-    assert sorted(canonical_concepts()) == sorted(EXPECTED_STRUCTURES)
+    assert sorted(CONCEPT_CATEGORIES) == sorted(EXPECTED_STRUCTURES)
 
 
 @pytest.mark.parametrize("concept", sorted(EXPECTED_STRUCTURES))
@@ -79,7 +79,7 @@ def test_fixture_roundtrip_and_canonical_bytes(concept):
 
 
 def test_topological_order_matches_declaration_order_for_fixtures():
-    for concept in canonical_concepts():
+    for concept in CONCEPT_CATEGORIES:
         program = load_canonical_schema(concept)
         assert topological_order(program) == _ids(program)
 

@@ -17,7 +17,6 @@ from schemaground.extraction import (
     CATEGORIES,
     CONCEPT_CATEGORIES,
     build_extraction_prompt,
-    canonical_concepts,
     extract_schema,
     load_canonical_schema,
 )
@@ -84,7 +83,7 @@ def test_prompt_rejects_empty_concept():
 
 
 def test_canonical_store_covers_twelve_concepts_four_categories():
-    assert len(canonical_concepts()) == 12
+    assert len(CONCEPT_CATEGORIES) == 12
     for category in CATEGORIES:
         members = [c for c, cat in CONCEPT_CATEGORIES.items() if cat == category]
         assert len(members) == 3

@@ -36,11 +36,10 @@ from schemaground.gateway import (
     ResponseCache,
     ScriptedBackend,
     cache_key,
-    cache_key_material,
     read_json,
 )
 from schemaground.qa import AnswerMode
-from schemaground.runner import run_predictions
+from schemaground.runner import load_schemas, run_predictions
 from schemaground.toydata import tiny_png, toy_fixture_rules
 
 from helpers import memo_digests, record_reads, settle_images
@@ -197,15 +196,14 @@ def test_cache_key_uses_image_digest_not_bytes(tmp_path):
     from_path = _request(images=[ImageRef.from_file(path)])
     inline = _request(images=[ImageRef("image/png", data=PNG)])
     assert cache_key("b", from_path) == cache_key("b", inline)
+    # The key hashes the image's digest and nothing else of the image: the
+    # reference key below names the image by its digest alone.
+    assert cache_key("b", inline) == _reference_key("b", inline)
+    other = _request(images=[ImageRef("image/png", data=PNG + b"x")])
+    assert cache_key("b", inline) != cache_key("b", other)
 
-    material = cache_key_material("b", inline)
-    assert hashlib.sha256(PNG).hexdigest() in material
-    encoded = base64.b64encode(PNG).decode("ascii")
-    assert encoded[:16] not in material
-    assert "\\x89" not in material and "IHDR" not in material
 
-
-def _reference_key_material(backend_id: str, request: ModelRequest) -> str:
+def _reference_key(backend_id: str, request: ModelRequest) -> str:
     payload = {
         "backend_id": backend_id,
         "model_id": request.model_id,
@@ -224,7 +222,8 @@ def _reference_key_material(backend_id: str, request: ModelRequest) -> str:
             for message in request.messages
         ],
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    material = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
 # Any character, lone surrogates included, with the ones JSON escapes drawn
@@ -268,11 +267,9 @@ def _key_requests(draw):
 
 @settings(max_examples=300)
 @given(backend_and_request=_key_requests())
-def test_cache_key_material_is_the_json_dumps_of_the_payload(backend_and_request):
+def test_cache_key_hashes_the_json_dumps_of_the_payload(backend_and_request):
     backend_id, request = backend_and_request
-    assert cache_key_material(backend_id, request) == _reference_key_material(
-        backend_id, request
-    )
+    assert cache_key(backend_id, request) == _reference_key(backend_id, request)
 
 
 # ------------------------------------------------------------ response cache
@@ -1026,7 +1023,13 @@ def test_each_worker_task_encodes_its_image_once(toy_manifest, monkeypatch):
         adapter = _CapturingAdapter(lambda prepared: _fixture_reply(scripted, prepared))
         backend.session.mount("https://api.example.test/", adapter)
         gateway = ModelGateway(backend)
-        run_predictions(toy_manifest, list(AnswerMode), gateway, concurrency=concurrency)
+        run_predictions(
+            toy_manifest,
+            list(AnswerMode),
+            gateway,
+            load_schemas(toy_manifest),
+            concurrency=concurrency,
+        )
         counts[concurrency] = len(loads) - before[0]
         assert len(bodies) - before[1] == 72
         # No thread encodes the image it encoded last.

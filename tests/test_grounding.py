@@ -72,17 +72,26 @@ def test_hierarchical_grounding_binds_dependent_components(toy, toy_gateway):
     assert resolved.image_digest == _maze_image(toy).digest()
 
 
+# The transcript records each query as text; the request that carried it
+# to the gateway also carried the image.
 def test_hierarchical_transcript_shape(toy, toy_gateway):
     image = _maze_image(toy)
+    sent = []
+    chat = toy_gateway.chat
+
+    def recorded(messages, **kwargs):
+        sent.append(messages)
+        return chat(messages, **kwargs)
+
+    toy_gateway.chat = recorded
     resolved = ground_hierarchical(MAZE, image, toy_gateway)
     assert len(resolved.transcript) == 2 * len(MAZE.nodes)
     for index, message in enumerate(resolved.transcript):
-        if index % 2 == 0:
-            assert message.role == "user"
-            assert message.images == (image,)
-        else:
-            assert message.role == "assistant"
-            assert not message.images
+        assert not message.images
+        assert message.role == ("user" if index % 2 == 0 else "assistant")
+    assert sent == [
+        [dataclasses.replace(query, images=(image,))] for query in resolved.transcript[::2]
+    ]
     queries = [message.text for message in resolved.transcript[::2]]
     assert len(queries) == len(resolved.descriptions)
     for component, query in zip(resolved.descriptions, queries):

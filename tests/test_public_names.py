@@ -1,12 +1,13 @@
 """Every public name in the package has a caller.
 
 A caller is a reference outside the name's own definition: in the package
-source or in `scripts/*.py` (both read with `ast`), or in README.md. A
-module-level function, class or assignment counts any use of its name. A
-method or property counts only an attribute reference (`x.name`) or a
-keyword of that name, since a plain variable that happens to share the name
-(`instance`, say) calls nothing. Tests are not callers: a name that only a
-test uses is dead code with a test.
+source or in `scripts/*.py` (both read with `ast`), or in a code span or
+fenced block of README.md, since a prose word that shares a name's spelling
+calls nothing. A module-level function, class or assignment counts any use
+of its name. A method or property counts only an attribute reference
+(`x.name`) or a keyword of that name, since a plain variable that happens
+to share the name (`instance`, say) calls nothing. Tests are not callers: a
+name that only a test uses is dead code with a test.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ def _references(tree: ast.Module):
             yield node.arg, node.lineno, True
 
 
+# A fenced block, from an opening fence line to the next fence line, or an
+# inline code span; a fence is matched first, so its backticks open no span.
+_README_CODE_RE = re.compile(r"^```.*?^```|`[^`]+`", re.MULTILINE | re.DOTALL)
+
+
 def uncalled_public_names(
     package: dict[str, str], scripts: dict[str, str], readme: str
 ) -> list[str]:
@@ -77,8 +83,9 @@ def uncalled_public_names(
     for label, tree in trees.items():
         for name, line, is_attribute in _references(tree):
             references.setdefault(name, []).append((label, line, is_attribute))
-    readme_words = set(re.findall(r"\w+", readme))
-    readme_attributes = set(re.findall(r"\.(\w+)", readme))
+    code = "\n".join(_README_CODE_RE.findall(readme))
+    readme_words = set(re.findall(r"\w+", code))
+    readme_attributes = set(re.findall(r"\.(\w+)", code))
 
     uncalled = []
     for label in package:
@@ -129,6 +136,14 @@ def test_the_guard_needs_an_attribute_reference_to_call_a_method():
         "m.py:4 Manifest.__len__",
     ]
     assert uncalled_public_names(package, script, "Call `Manifest.instance(key)`.") == [
+        "m.py:4 Manifest.__len__",
+    ]
+    fenced = "```py\nManifest().instance(key)\n```\n"
+    assert uncalled_public_names(package, script, fenced) == ["m.py:4 Manifest.__len__"]
+    # Prose is no caller, even where it spells the name.
+    prose = "Each Manifest.instance is looked up by key; `load` reads none."
+    assert uncalled_public_names(package, script, prose) == [
+        "m.py:2 Manifest.instance",
         "m.py:4 Manifest.__len__",
     ]
     assert uncalled_public_names(package, {}, "") == [

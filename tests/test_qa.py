@@ -21,7 +21,6 @@ from schemaground.qa import (
     answer,
     build_augmented_prompt,
     normalize_answer,
-    prompt_blocks,
     write_predictions_jsonl,
 )
 from schemaground.toydata import tiny_png
@@ -154,6 +153,18 @@ def test_the_normalize_memo_returns_what_the_uncached_function_does(calls):
             assert normalize_answer(raw, tuple(options)) == expected
 
 
+def test_the_normalize_memo_keeps_every_pair_it_has_seen():
+    # "Once per process" holds past any fixed size: after 4,097 distinct
+    # pairs, the first pair is still a memo hit.
+    first = ("memo probe 0", ("0",))
+    normalize_answer(*first)
+    for n in range(1, 4097):
+        normalize_answer(f"memo probe {n}", ("0",))
+    hits = qa._normalize.cache_info().hits
+    normalize_answer(*first)
+    assert qa._normalize.cache_info().hits == hits + 1
+
+
 def test_one_reply_under_other_options_is_never_a_stale_memo_hit():
     assert normalize_answer("Two.", ["1", "2"]) == "2"
     assert normalize_answer("Two.", ("two", "three")) == "two"
@@ -174,8 +185,11 @@ def test_reply_equal_to_an_option_resolves_to_it(options, data):
 # ------------------------------------------------------------ prompt ladder
 
 
-def _joined(blocks):
-    return "\n".join(blocks)
+def _lines(instance, mode, schema=None, resolved=None):
+    """The lines of the final user message: its blocks, with the schema
+    text split into its lines."""
+    messages = build_augmented_prompt(instance, mode, schema=schema, resolved=resolved)
+    return messages[-1].text.split("\n")
 
 
 def _contained_mod_period(block, text):
@@ -183,8 +197,7 @@ def _contained_mod_period(block, text):
 
 
 def test_baseline_blocks(maze_binary):
-    blocks = prompt_blocks(maze_binary, AnswerMode.BASELINE)
-    assert blocks == [
+    assert _lines(maze_binary, AnswerMode.BASELINE) == [
         "Imagine that the image represents a maze.",
         "Is the layout rectangular or circular?",
         "Answer with exactly one of: rectangular, circular.",
@@ -192,34 +205,32 @@ def test_baseline_blocks(maze_binary):
 
 
 def test_schema_only_adds_program_text(maze_binary):
-    blocks = prompt_blocks(maze_binary, AnswerMode.SCHEMA_ONLY, schema=MAZE)
-    baseline = prompt_blocks(maze_binary, AnswerMode.BASELINE)
-    assert set(baseline) <= set(blocks)
-    assert blocks[1].startswith("gen(concept=maze) =")
-    assert "gen(entry-exit | concept=maze, layout)" in blocks[1]
+    lines = _lines(maze_binary, AnswerMode.SCHEMA_ONLY, schema=MAZE)
+    baseline = _lines(maze_binary, AnswerMode.BASELINE)
+    assert lines == [baseline[0], *MAZE.text.rstrip("\n").split("\n"), *baseline[1:]]
+    assert lines[1] == "gen(concept=maze) ="
+    assert "    gen(entry-exit | concept=maze, layout)" in lines
 
 
 def test_grounded_blocks_fold_descriptions_into_framing(maze_binary, maze_resolved):
-    blocks = prompt_blocks(
+    lines = _lines(
         maze_binary,
         AnswerMode.GROUNDING_HIERARCHICAL,
         schema=MAZE,
         resolved=maze_resolved,
     )
-    assert blocks[0] == (
+    assert lines[0] == (
         "Imagine that the image represents a maze, and the layout is rectangular, "
         "and the walls are coffee beans, and the entry and exit are coffee cups."
     )
-    schema_only = prompt_blocks(maze_binary, AnswerMode.SCHEMA_ONLY, schema=MAZE)
-    joined = _joined(blocks)
-    assert all(_contained_mod_period(block, joined) for block in schema_only)
+    schema_only = _lines(maze_binary, AnswerMode.SCHEMA_ONLY, schema=MAZE)
+    assert lines[1:] == schema_only[1:]
+    assert _contained_mod_period(schema_only[0], lines[0])
 
 
 def test_ladder_is_cumulative_across_all_modes(maze_binary, maze_resolved):
     by_mode = {
-        mode: _joined(
-            prompt_blocks(maze_binary, mode, schema=MAZE, resolved=maze_resolved)
-        )
+        mode: "\n".join(_lines(maze_binary, mode, schema=MAZE, resolved=maze_resolved))
         for mode in AnswerMode
     }
     ladder = [
@@ -228,43 +239,37 @@ def test_ladder_is_cumulative_across_all_modes(maze_binary, maze_resolved):
         AnswerMode.GROUNDING_HIERARCHICAL,
     ]
     for earlier, later in zip(ladder, ladder[1:]):
-        earlier_blocks = prompt_blocks(
-            maze_binary, earlier, schema=MAZE, resolved=maze_resolved
-        )
         assert all(
-            _contained_mod_period(block, by_mode[later]) for block in earlier_blocks
+            _contained_mod_period(line, by_mode[later])
+            for line in by_mode[earlier].split("\n")
         )
     assert by_mode[AnswerMode.GROUNDING_HIERARCHICAL] == by_mode[AnswerMode.FULL_DSG]
 
 
 def test_options_line_only_when_options_present(maze_binary, toy_manifest):
-    assert prompt_blocks(maze_binary, AnswerMode.BASELINE)[-1].startswith(
+    assert _lines(maze_binary, AnswerMode.BASELINE)[-1].startswith(
         "Answer with exactly one of: "
     )
     import dataclasses
 
     free = dataclasses.replace(maze_binary, options=None)
-    blocks = prompt_blocks(free, AnswerMode.BASELINE)
-    assert blocks[-1] == free.question
+    assert _lines(free, AnswerMode.BASELINE)[-1] == free.question
 
 
 def test_modes_accept_plain_strings(maze_binary):
-    assert prompt_blocks(maze_binary, "baseline") == prompt_blocks(
+    assert build_augmented_prompt(maze_binary, "baseline") == build_augmented_prompt(
         maze_binary, AnswerMode.BASELINE
     )
     with pytest.raises(ValueError):
-        prompt_blocks(maze_binary, "no_such_mode")
+        build_augmented_prompt(maze_binary, "no_such_mode")
 
 
 def test_full_dsg_prepends_text_only_transcript(maze_binary, maze_resolved):
     messages = build_augmented_prompt(
         maze_binary, AnswerMode.FULL_DSG, schema=MAZE, resolved=maze_resolved
     )
-    assert len(messages) == len(maze_resolved.transcript) + 1
-    for prior, original in zip(messages, maze_resolved.transcript):
-        assert prior.text == original.text
-        assert prior.role == original.role
-        assert prior.images == ()
+    assert messages[:-1] == list(maze_resolved.transcript)
+    assert all(prior.images == () for prior in messages[:-1])
     assert messages[-1].images == (maze_binary.image,)
     single = build_augmented_prompt(
         maze_binary, AnswerMode.GROUNDING_HIERARCHICAL, schema=MAZE, resolved=maze_resolved

@@ -49,7 +49,11 @@ def test_backend_calls_per_command(toy, toy_manifest, tmp_path, cached, concurre
     sys.setswitchinterval(1e-6)
     try:
         by_mode = run_predictions(
-            toy_manifest, list(AnswerMode), gateway, concurrency=concurrency
+            toy_manifest,
+            list(AnswerMode),
+            gateway,
+            load_schemas(toy_manifest),
+            concurrency=concurrency,
         )
     finally:
         sys.setswitchinterval(interval)
@@ -76,7 +80,7 @@ def test_prompt_fingerprint_of_the_five_modes(toy, toy_manifest):
         return complete(request)
 
     gateway.backend.complete = record
-    run_predictions(toy_manifest, list(AnswerMode), gateway)
+    run_predictions(toy_manifest, list(AnswerMode), gateway, load_schemas(toy_manifest))
     digest = hashlib.sha256("\n".join(sorted(records)).encode("utf-8")).hexdigest()
     assert (len(records), len(set(records))) == (72, 72)
     assert digest == "f59e87b5d0c378ff988080abcf86e7a4008ec18cdd052c1d206aa7c21a904c35"
@@ -119,7 +123,7 @@ def test_five_modes_read_each_image_once(toy, monkeypatch):
     assert len({id(instance.image) for instance in manifest.instances}) == 4
     reads = record_reads(monkeypatch, {instance.image.path for instance in manifest.instances})
     gateway = ModelGateway.from_config(toy.backend_config_path)
-    run_predictions(manifest, list(AnswerMode), gateway)
+    run_predictions(manifest, list(AnswerMode), gateway, load_schemas(manifest))
     assert len(reads) == 4
 
 
@@ -131,7 +135,13 @@ def test_more_workers_than_cores_answer_each_instance_once_per_run(toy, toy_mani
     sys.setswitchinterval(1e-6)
     try:
         predictions = run_predictions(
-            toy_manifest, [AnswerMode.FULL_DSG], gateway, runs=3, concurrency=8, seed_hint=5
+            toy_manifest,
+            [AnswerMode.FULL_DSG],
+            gateway,
+            load_schemas(toy_manifest),
+            runs=3,
+            concurrency=8,
+            seed_hint=5,
         )[AnswerMode.FULL_DSG]
     finally:
         sys.setswitchinterval(interval)
@@ -147,7 +157,14 @@ def test_more_workers_than_cores_answer_each_instance_once_per_run(toy, toy_mani
 def test_grounding_failure_propagates_from_the_pool(toy_manifest):
     gateway = scripted_gateway([])
     with pytest.raises(FixtureMissError, match="while grounding component"):
-        run_predictions(toy_manifest, [AnswerMode.FULL_DSG], gateway, runs=3, concurrency=2)
+        run_predictions(
+            toy_manifest,
+            [AnswerMode.FULL_DSG],
+            gateway,
+            load_schemas(toy_manifest),
+            runs=3,
+            concurrency=2,
+        )
 
 
 # ---------------------------------------------------------------- the turn
@@ -300,7 +317,13 @@ def test_the_turn_is_let_go_at_the_backend(toy, toy_manifest, concurrency):
     gate = Gate(gateway, concurrency)
     found = []
     run_in_thread(lambda: found.append(
-        run_predictions(toy_manifest, list(AnswerMode), gateway, concurrency=concurrency)
+        run_predictions(
+            toy_manifest,
+            list(AnswerMode),
+            gateway,
+            load_schemas(toy_manifest),
+            concurrency=concurrency,
+        )
     ))
     assert not gate.timed_out
     assert gate.peak == concurrency
@@ -327,7 +350,7 @@ def test_a_wait_on_a_flight_lets_the_turn_go(toy, toy_manifest):
     ]
     found = []
     run_in_thread(lambda: found.append(
-        run_predictions(manifest, modes, gateway, concurrency=3)
+        run_predictions(manifest, modes, gateway, load_schemas(manifest), concurrency=3)
     ))
     assert not gate.timed_out
     assert [len(found[0][mode]) for mode in modes] == [len(manifest.instances)] * 3
@@ -345,7 +368,14 @@ def test_after_a_failure_no_new_task_starts(toy_manifest, monkeypatch):
     monkeypatch.setattr(runner, "answer", fail)
     gateway = ModelGateway(ScriptedBackend([]))
     with pytest.raises(RuntimeError) as excinfo:
-        run_predictions(toy_manifest, [AnswerMode.BASELINE], gateway, runs=3, concurrency=4)
+        run_predictions(
+            toy_manifest,
+            [AnswerMode.BASELINE],
+            gateway,
+            load_schemas(toy_manifest),
+            runs=3,
+            concurrency=4,
+        )
     assert len(raised) == 1
     assert excinfo.value is raised[0]
 
@@ -393,7 +423,13 @@ def interrupt_while_both_workers_wait(toy_manifest, monkeypatch, interrupt) -> f
     monkeypatch.setattr(runner, "answer", record_task)
     with pytest.raises(KeyboardInterrupt):
         try:
-            run_predictions(toy_manifest, [AnswerMode.BASELINE], gateway, concurrency=concurrency)
+            run_predictions(
+                toy_manifest,
+                [AnswerMode.BASELINE],
+                gateway,
+                load_schemas(toy_manifest),
+                concurrency=concurrency,
+            )
         finally:
             raised_at = time.perf_counter()
     assert release.is_set()
