@@ -170,6 +170,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             _gateway(args),
             max_retries=args.max_retries,
             fallback_to_canonical=args.fallback_to_canonical,
+            seed_hint=args.seed_hint,
         )
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(render_schema(program), encoding="utf-8")

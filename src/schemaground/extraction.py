@@ -69,6 +69,7 @@ def extract_schema(
     gateway: ModelGateway,
     max_retries: int = 2,
     fallback_to_canonical: bool = False,
+    seed_hint: int | None = None,
 ) -> SchemaProgram:
     """Ask the backend for a schema program and validate the reply.
 
@@ -79,7 +80,7 @@ def extract_schema(
     corrective user turn and the exchange retried, up to max_retries extra
     rounds. Exhausted retries fall back to the canonical fixture when
     fallback_to_canonical is set, else raise ExtractionFailed carrying the
-    last reason.
+    last reason. Every request of the exchange carries seed_hint.
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
@@ -87,7 +88,7 @@ def extract_schema(
     last_reason: Exception | None = None
     for _ in range(max_retries + 1):
         try:
-            reply = gateway.chat(messages)
+            reply = gateway.chat(messages, seed_hint=seed_hint)
         except GatewayError as err:
             last_reason = err
             break

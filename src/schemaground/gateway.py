@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator
 
 from .errors import (
     BackendConfigError,
@@ -95,19 +94,21 @@ class ImageRef:
 
 @dataclass(frozen=True)
 class Message:
+    """One turn: non-empty text and, in a user message, at most one image."""
+
     role: str
     text: str
-    images: tuple[ImageRef, ...] = ()
+    image: ImageRef | None = None
 
     def __post_init__(self):
         if self.role not in ROLES:
             raise ValueError(f"invalid role {self.role!r}")
         if not isinstance(self.text, str):
             raise ValueError(f"text must be a string, got {type(self.text).__name__}")
-        if self.role == "assistant" and self.images:
-            raise ValueError("assistant messages carry no images")
-        if not self.text and not self.images:
-            raise ValueError("text may be empty only if images are present")
+        if not self.text:
+            raise ValueError("text must be non-empty")
+        if self.role == "assistant" and self.image is not None:
+            raise ValueError("assistant messages carry no image")
 
 
 def _is_number(value, types) -> bool:
@@ -125,8 +126,6 @@ class ModelRequest:
     def __post_init__(self):
         if not isinstance(self.model_id, str):
             raise ValueError(f"model_id must be a string, got {type(self.model_id).__name__}")
-        if not self.messages:
-            raise ValueError("messages must be non-empty")
         # A bool is an int to Python but `true` to JSON, and a number in a
         # string is a string: either would enter the key and the body as the
         # wrong JSON type.
@@ -145,6 +144,8 @@ class ModelRequest:
                     f"roles must alternate user/assistant from a user message; "
                     f"message {index} is {message.role!r}"
                 )
+        if not self.messages or self.messages[-1].role != "user":
+            raise ValueError("messages must be non-empty and end on a user message")
 
 
 def _json_number(value: int | float) -> str:
@@ -170,10 +171,10 @@ def cache_key(backend_id: str, request: ModelRequest) -> str:
     messages = ",".join([
         '{"images":[%s],"role":"%s","text":%s}'
         % (
-            ",".join([
-                '{"media_type":"%s","sha256":"%s"}' % (image.media_type, image.digest())
-                for image in message.images
-            ]),
+            ""
+            if message.image is None
+            else '{"media_type":"%s","sha256":"%s"}'
+            % (message.image.media_type, message.image.digest()),
             message.role,
             encode_basestring_ascii(message.text),
         )
@@ -379,8 +380,8 @@ class ResponseCache:
 class ScriptedBackend:
     """Deterministic fixture-driven backend for offline tests.
 
-    Rules are matched in order against the text of the request's last user
-    message; the first matching rule's reply is returned.
+    Rules are matched in order against the text of the request's last
+    message, a user message; the first matching rule's reply is returned.
     """
 
     def __init__(self, rules: list[dict], backend_id: str = "scripted"):
@@ -426,11 +427,7 @@ class ScriptedBackend:
         return cls(rules, backend_id=backend_id)
 
     def complete(self, request: ModelRequest) -> str:
-        target = ""
-        for message in reversed(request.messages):
-            if message.role == "user":
-                target = message.text
-                break
+        target = request.messages[-1].text
         for kind, needle, reply in self._rules:
             if kind == "equals" and target == needle:
                 return reply
@@ -551,27 +548,6 @@ class HttpBackend:
             last.image = image
         return last.encoded
 
-    def _wire_message(self, message: Message) -> Iterator[bytes]:
-        # Roles come from a fixed set and need no JSON escape.
-        role = message.role.encode("ascii")
-        if not message.images:
-            yield b'{"role": "%s", "content": %s}' % (role, _json(message.text))
-            return
-        yield b'{"role": "%s", "content": [' % role
-        if message.text:
-            yield b'{"type": "text", "text": %s}' % _json(message.text)
-        for index, image in enumerate(message.images):
-            if index or message.text:
-                yield b", "
-            # Base64 and the allowed media types need no JSON escape, so the
-            # data URL goes into the body as it is encoded.
-            yield b'{"type": "image_url", "image_url": {"url": "data:%s;base64,' % (
-                image.media_type.encode("ascii")
-            )
-            yield self._base64(image)
-            yield b'"}}'
-        yield b"]}"
-
     def _body(self, request: ModelRequest) -> bytes:
         """The request body, byte for byte what `json.dumps` writes for the
         chat-completions payload, joined once from its pieces. No JSON encoder
@@ -579,17 +555,27 @@ class HttpBackend:
         applies, and no image goes through any, since escaping a data URL
         would cost about twice its base64."""
         chunks = [b'{"model": %s, "messages": [' % _json(request.model_id)]
-        for index, message in enumerate(request.messages):
-            if index:
-                chunks.append(b", ")
-            chunks.extend(self._wire_message(message))
-        chunks.append(
-            b'], "temperature": %s, "max_tokens": %s'
-            % (_json(request.temperature), _json(request.max_tokens))
+        for message in request.messages:
+            # Roles, the allowed media types and base64 need no JSON escape,
+            # so the data URL goes into the body as it is encoded.
+            role, text, image = message.role.encode("ascii"), _json(message.text), message.image
+            if image is None:
+                chunks.append(b'{"role": "%s", "content": %s}, ' % (role, text))
+            else:
+                chunks += (
+                    b'{"role": "%s", "content": [{"type": "text", "text": %s}, {"type": '
+                    b'"image_url", "image_url": {"url": "data:%s;base64,'
+                    % (role, text, image.media_type.encode("ascii")),
+                    self._base64(image),
+                    b'"}}]}, ',
+                )
+        seed = b"" if request.seed_hint is None else b', "seed": %s' % _json(request.seed_hint)
+        # The last message ends the list, so its ", " is cut.
+        chunks[-1] = chunks[-1][:-2] + b'], "temperature": %s, "max_tokens": %s%s}' % (
+            _json(request.temperature),
+            _json(request.max_tokens),
+            seed,
         )
-        if request.seed_hint is not None:
-            chunks.append(b', "seed": %s' % _json(request.seed_hint))
-        chunks.append(b"}")
         return b"".join(chunks)
 
     def complete(self, request: ModelRequest) -> str:

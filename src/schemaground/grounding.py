@@ -84,7 +84,7 @@ def _ground(
         clauses = {dep: descriptions[dep] for dep in deps}
         query = build_grounding_query(schema.concept, component_id, clauses)
         try:
-            reply = gateway.chat([Message("user", query, images=(image,))], seed_hint=seed_hint)
+            reply = gateway.chat([Message("user", query, image=image)], seed_hint=seed_hint)
         except GatewayError as err:
             raise type(err)(
                 f"while grounding component {component_id!r}: {err}"

@@ -220,7 +220,7 @@ def build_augmented_prompt(
     blocks.append(instance.question)
     if instance.options is not None:
         blocks.append("Answer with exactly one of: " + ", ".join(instance.options) + ".")
-    final = Message("user", "\n".join(blocks), images=(instance.image,))
+    final = Message("user", "\n".join(blocks), image=instance.image)
     if mode is AnswerMode.FULL_DSG:
         return [*resolved.transcript, final]
     return [final]

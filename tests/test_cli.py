@@ -15,8 +15,8 @@ import schemaground
 from schemaground import cli
 from schemaground.dsl import render_schema
 from schemaground.errors import EXIT_CODES
-from schemaground.extraction import load_canonical_schema
-from schemaground.gateway import ScriptedBackend
+from schemaground.extraction import build_extraction_prompt, load_canonical_schema
+from schemaground.gateway import Message, ModelGateway, ModelRequest, ScriptedBackend, cache_key
 from schemaground.toydata import TOY_BINDINGS, TOY_SEQUENTIAL_DRIFT, toy_fixture_rules
 
 from helpers import PassThrough, checkout_env
@@ -98,6 +98,20 @@ def test_extract_via_scripted_backend(toy, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert out.read_text() == render_schema(load_canonical_schema("maze"))
+
+
+# `--seed-hint` reaches the extraction request: the one cache entry is named
+# by the key of the request that carries the hint.
+def test_extract_sends_the_seed_hint(toy, tmp_path):
+    out, cache = tmp_path / "maze.schema", tmp_path / "cache"
+    argv = ["extract", "maze", "--out", str(out), *map(str, _backend_args(toy, tmp_path))]
+    assert cli.main([*argv, "--seed-hint", "5"]) == 0
+    assert out.read_text() == render_schema(load_canonical_schema("maze"))
+    gateway = ModelGateway.from_config(toy.backend_config_path)
+    prompt = Message("user", build_extraction_prompt("maze"))
+    request = ModelRequest(gateway.model_id, (prompt,), seed_hint=5)
+    key = cache_key(gateway.backend.backend_id, request)
+    assert [path.name for path in cache.iterdir()] == [f"{key}.json"]
 
 
 def test_extract_without_backend_or_canonical(tmp_path):

@@ -47,10 +47,10 @@ from helpers import memo_digests, record_reads, settle_images
 PNG = tiny_png((9, 9, 9))
 
 
-def _request(text="hello", images=(), seed_hint=None, temperature=0.0):
+def _request(text="hello", image=None, seed_hint=None, temperature=0.0):
     return ModelRequest(
         model_id="m1",
-        messages=(Message("user", text, images=tuple(images)),),
+        messages=(Message("user", text, image=image),),
         temperature=temperature,
         seed_hint=seed_hint,
     )
@@ -117,15 +117,18 @@ def test_image_digest_reads_the_file_once(tmp_path, monkeypatch):
 
 
 def test_message_role_and_content_invariants():
+    image = ImageRef("image/png", data=PNG)
     with pytest.raises(ValueError, match="role"):
         Message("narrator", "hi")
     with pytest.raises(ValueError, match="role"):
         Message("system", "s")
     with pytest.raises(ValueError, match="assistant"):
-        Message("assistant", "hi", images=(ImageRef("image/png", data=PNG),))
-    with pytest.raises(ValueError, match="empty"):
-        Message("user", "")
-    assert Message("user", "", images=(ImageRef("image/png", data=PNG),)).text == ""
+        Message("assistant", "hi", image=image)
+    # A message has text, with or without an image.
+    for message_image in (None, image):
+        with pytest.raises(ValueError, match="non-empty"):
+            Message("user", "", image=message_image)
+    assert Message("user", "look", image=image).image is image
 
 
 def test_request_requires_alternating_roles():
@@ -138,6 +141,10 @@ def test_request_requires_alternating_roles():
         ModelRequest(model_id="m", messages=(assistant,))
     with pytest.raises(ValueError, match="non-empty"):
         ModelRequest(model_id="m", messages=())
+    # A request ends on the user turn.
+    for messages in [(user, assistant), (user, assistant, user, assistant)]:
+        with pytest.raises(ValueError, match="end on a user message"):
+            ModelRequest(model_id="m", messages=messages)
     with pytest.raises(ValueError, match="temperature"):
         ModelRequest(model_id="m", messages=(user,), temperature=-0.5)
     with pytest.raises(ValueError, match="max_tokens"):
@@ -193,13 +200,13 @@ def test_cache_key_is_stable_and_sensitive():
 def test_cache_key_uses_image_digest_not_bytes(tmp_path):
     path = tmp_path / "x.png"
     path.write_bytes(PNG)
-    from_path = _request(images=[ImageRef.from_file(path)])
-    inline = _request(images=[ImageRef("image/png", data=PNG)])
+    from_path = _request(image=ImageRef.from_file(path))
+    inline = _request(image=ImageRef("image/png", data=PNG))
     assert cache_key("b", from_path) == cache_key("b", inline)
     # The key hashes the image's digest and nothing else of the image: the
     # reference key below names the image by its digest alone.
     assert cache_key("b", inline) == _reference_key("b", inline)
-    other = _request(images=[ImageRef("image/png", data=PNG + b"x")])
+    other = _request(image=ImageRef("image/png", data=PNG + b"x"))
     assert cache_key("b", inline) != cache_key("b", other)
 
 
@@ -214,10 +221,9 @@ def _reference_key(backend_id: str, request: ModelRequest) -> str:
             {
                 "role": message.role,
                 "text": message.text,
-                "images": [
-                    {"media_type": image.media_type, "sha256": image.digest()}
-                    for image in message.images
-                ],
+                "images": []
+                if message.image is None
+                else [{"media_type": message.image.media_type, "sha256": message.image.digest()}],
             }
             for message in request.messages
         ],
@@ -234,23 +240,22 @@ _KEY_TEXT = st.text(
 )
 
 
+# One or three messages, alternating from a user message, each with text;
+# a user message carries no image or one.
 @st.composite
 def _key_requests(draw):
     messages = []
-    for index in range(draw(st.integers(min_value=1, max_value=3))):
-        images = ()
+    for index in range(draw(st.sampled_from([1, 3]))):
+        image = None
         if index % 2 == 0:
-            images = tuple(
-                ImageRef(media_type, data=data)
-                for media_type, data in draw(
-                    st.lists(
-                        st.tuples(st.sampled_from(ALLOWED_MEDIA_TYPES), st.binary(max_size=8)),
-                        max_size=2,
-                    )
+            image = draw(
+                st.none()
+                | st.builds(
+                    ImageRef, st.sampled_from(ALLOWED_MEDIA_TYPES), data=st.binary(max_size=8)
                 )
             )
-        text = draw(_KEY_TEXT if images else _KEY_TEXT.filter(bool))
-        messages.append(Message("user" if index % 2 == 0 else "assistant", text, images))
+        text = draw(_KEY_TEXT.filter(bool))
+        messages.append(Message("user" if index % 2 == 0 else "assistant", text, image))
     temperature = draw(
         st.sampled_from([0, 0.0, 1e-7, 1e16, 0.1 + 0.2])
         | st.integers(min_value=0, max_value=2**70)
@@ -580,7 +585,7 @@ def test_http_backend_success_payload_shape():
     backend, adapter, _ = _http([_Reply()])
     request = ModelRequest(
         model_id="vlm-1",
-        messages=(Message("user", "look", images=(ImageRef("image/png", data=PNG),)),),
+        messages=(Message("user", "look", image=ImageRef("image/png", data=PNG)),),
         temperature=0.25,
         max_tokens=99,
         seed_hint=7,
@@ -628,7 +633,7 @@ def test_a_retry_sends_the_same_body_and_headers_with_the_timeout(monkeypatch):
     backend, adapter, _ = _http(
         [_Reply(503), requests.ConnectionError("reset"), _Reply()], api_key_env="TEST_GATEWAY_KEY"
     )
-    request = _request(images=[ImageRef("image/png", data=PNG)])
+    request = _request(image=ImageRef("image/png", data=PNG))
     assert backend.complete(request) == "ok"
     first, *retries = adapter.sent
     assert first.body == _reference_body(request)
@@ -763,18 +768,15 @@ def _reference_payload(request: ModelRequest) -> dict:
     """The chat-completions payload as a JSON-ready dict, images inline."""
     messages = []
     for message in request.messages:
-        if not message.images:
+        image = message.image
+        if image is None:
             messages.append({"role": message.role, "content": message.text})
             continue
-        parts = [{"type": "text", "text": message.text}] if message.text else []
-        for image in message.images:
-            encoded = base64.b64encode(image.load_bytes()).decode("ascii")
-            parts.append(
-                {
-                    "type": "image_url",
-                    "image_url": {"url": f"data:{image.media_type};base64,{encoded}"},
-                }
-            )
+        url = f"data:{image.media_type};base64,{base64.b64encode(image.load_bytes()).decode()}"
+        parts = [
+            {"type": "text", "text": message.text},
+            {"type": "image_url", "image_url": {"url": url}},
+        ]
         messages.append({"role": message.role, "content": parts})
     payload = {
         "model": request.model_id,
@@ -792,10 +794,9 @@ def _reference_body(request: ModelRequest) -> bytes:
 
 
 _EXTENSIONS = {"image/png": ".png", "image/jpeg": ".jpg", "image/webp": ".webp"}
-# (from_file?, media type, content) for each image of a user message.
-_IMAGE_SPECS = st.lists(
-    st.tuples(st.booleans(), st.sampled_from(sorted(_EXTENSIONS)), st.binary(max_size=64)),
-    max_size=2,
+# None, or (from_file?, media type, content) for the image of a user message.
+_IMAGE_SPEC = st.none() | st.tuples(
+    st.booleans(), st.sampled_from(sorted(_EXTENSIONS)), st.binary(max_size=64)
 )
 _AWKWARD_TEXT = 'say "hi" \\ a/b \x00 caf\u00e9 \U0001f600 </script>'
 
@@ -803,10 +804,9 @@ _AWKWARD_TEXT = 'say "hi" \\ a/b \x00 caf\u00e9 \U0001f600 </script>'
 @st.composite
 def _request_specs(draw):
     messages = []
-    for index in range(draw(st.integers(min_value=1, max_value=3))):
-        images = draw(_IMAGE_SPECS) if index % 2 == 0 else []
-        text = draw(st.text() | st.just(_AWKWARD_TEXT)) if images else draw(st.text(min_size=1))
-        messages.append((text, images))
+    for index in range(draw(st.sampled_from([1, 3]))):
+        image = draw(_IMAGE_SPEC) if index % 2 == 0 else None
+        messages.append((draw(st.text(min_size=1) | st.just(_AWKWARD_TEXT)), image))
     return (
         draw(st.text()),
         messages,
@@ -819,23 +819,32 @@ def _request_specs(draw):
 def _build_request(spec, directory) -> ModelRequest:
     model_id, message_specs, temperature, max_tokens, seed_hint = spec
     messages = []
-    for index, (text, image_specs) in enumerate(message_specs):
-        images = []
-        for number, (from_file, media_type, data) in enumerate(image_specs):
+    for index, (text, image_spec) in enumerate(message_specs):
+        image = None
+        if image_spec is not None:
+            from_file, media_type, data = image_spec
             if from_file:
-                path = directory / f"m{index}-{number}{_EXTENSIONS[media_type]}"
+                path = directory / f"m{index}{_EXTENSIONS[media_type]}"
                 path.write_bytes(data)
-                images.append(ImageRef.from_file(path))
+                image = ImageRef.from_file(path)
             else:
-                images.append(ImageRef(media_type, data=data))
+                image = ImageRef(media_type, data=data)
         role = "user" if index % 2 == 0 else "assistant"
-        messages.append(Message(role, text, images=tuple(images)))
+        messages.append(Message(role, text, image=image))
     return ModelRequest(model_id, tuple(messages), temperature, max_tokens, seed_hint)
 
 
 @settings(max_examples=200)
-@example(spec=("m", [("", [(False, "image/png", PNG)])], 0.0, 512, None))
-@example(spec=("m\"/", [(_AWKWARD_TEXT, [(True, "image/webp", b"\x00")]), ("\\", [])], 0.5, 9, 3))
+@example(spec=("m", [("look", (False, "image/png", PNG))], 0.0, 512, None))
+@example(
+    spec=(
+        "m\"/",
+        [(_AWKWARD_TEXT, (True, "image/webp", b"\x00")), ("\\", None), ("again", None)],
+        0.5,
+        9,
+        3,
+    )
+)
 @given(spec=_request_specs())
 def test_http_body_is_the_json_dumps_of_the_payload(spec, tmp_path_factory):
     directory = tmp_path_factory.getbasetemp() / "bodies"
@@ -863,9 +872,9 @@ def test_http_backend_sends_the_body_through_a_real_session(tiny_image):
     request = ModelRequest(
         model_id="vlm-1",
         messages=(
-            Message("user", 'a "quoted" / slashed\\ caf\u00e9', images=(tiny_image,)),
+            Message("user", 'a "quoted" / slashed\\ caf\u00e9', image=tiny_image),
             Message("assistant", "seen"),
-            Message("user", "", images=(ImageRef("image/webp", data=PNG),)),
+            Message("user", "and this one?", image=ImageRef("image/webp", data=PNG)),
         ),
         temperature=0.25,
         seed_hint=11,
@@ -1046,7 +1055,7 @@ def test_each_worker_task_encodes_its_image_once(toy_manifest, monkeypatch):
 
 
 def test_threads_alternating_two_images_each_get_their_own_bodies(tiny_image, monkeypatch):
-    pair = (_request(images=[tiny_image]), _request(images=[ImageRef("image/png", data=PNG)]))
+    pair = (_request(image=tiny_image), _request(image=ImageRef("image/png", data=PNG)))
     expected = [_reference_body(request) for request in pair]
     loads = []
     load_bytes = ImageRef.load_bytes
@@ -1266,7 +1275,7 @@ def test_gateway_logs_never_contain_image_bytes(tmp_path, caplog):
         ScriptedBackend([{"match": {"contains": "look"}, "reply": "seen"}]),
         cache=ResponseCache(tmp_path / "c"),
     )
-    request = _request("look", images=[ImageRef("image/png", data=PNG)])
+    request = _request("look", image=ImageRef("image/png", data=PNG))
     with caplog.at_level(logging.DEBUG, logger="schemaground.gateway"):
         gateway.complete(request)
         gateway.complete(request)

@@ -87,10 +87,10 @@ def test_hierarchical_transcript_shape(toy, toy_gateway):
     resolved = ground_hierarchical(MAZE, image, toy_gateway)
     assert len(resolved.transcript) == 2 * len(MAZE.nodes)
     for index, message in enumerate(resolved.transcript):
-        assert not message.images
+        assert message.image is None
         assert message.role == ("user" if index % 2 == 0 else "assistant")
     assert sent == [
-        [dataclasses.replace(query, images=(image,))] for query in resolved.transcript[::2]
+        [dataclasses.replace(query, image=image)] for query in resolved.transcript[::2]
     ]
     queries = [message.text for message in resolved.transcript[::2]]
     assert len(queries) == len(resolved.descriptions)

@@ -106,7 +106,7 @@ def test_an_image_rewritten_with_its_size_and_mtime_gets_its_new_digest(
     carrying = {
         cache_key(backend_id, request)
         for request in requests
-        if any(ref.path == image for message in request.messages for ref in message.images)
+        if request.messages[-1].image.path == image
     }
     assert 0 < len(carrying) < 72
     assert len(_replies(cache)) == 72
@@ -123,9 +123,7 @@ def test_an_image_rewritten_with_its_size_and_mtime_gets_its_new_digest(
     assert len(_replies(cache)) == 72 + len(carrying)
     new_digest = hashlib.sha256(image.read_bytes()).hexdigest()
     assert new_digest in memo_digests(cache)
-    assert new_digest in {
-        ref.digest() for request in calls for message in request.messages for ref in message.images
-    }
+    assert new_digest in {request.messages[-1].image.digest() for request in calls}
 
 
 def test_an_image_changed_while_it_is_hashed_is_not_recorded(dataset, tmp_path, monkeypatch):

@@ -269,8 +269,8 @@ def test_full_dsg_prepends_text_only_transcript(maze_binary, maze_resolved):
         maze_binary, AnswerMode.FULL_DSG, schema=MAZE, resolved=maze_resolved
     )
     assert messages[:-1] == list(maze_resolved.transcript)
-    assert all(prior.images == () for prior in messages[:-1])
-    assert messages[-1].images == (maze_binary.image,)
+    assert all(prior.image is None for prior in messages[:-1])
+    assert messages[-1].image is maze_binary.image
     single = build_augmented_prompt(
         maze_binary, AnswerMode.GROUNDING_HIERARCHICAL, schema=MAZE, resolved=maze_resolved
     )

@@ -108,11 +108,11 @@ def test_an_ablate_follows_from_the_schema_shape(tmp_path_factory, spec, questio
     for request in full_dsg:
         *prior, final = request.messages
         assert len(prior) == 2 * n
-        assert all(not message.images for message in prior)
+        assert all(message.image is None for message in prior)
         for query, reply in zip(prior[::2], prior[1::2]):
             assert (query.role, reply.role) == ("user", "assistant")
             assert reply.text == echo_reply(query.text)
-        assert final.role == "user" and len(final.images) == 1
+        assert final.role == "user" and final.image is not None
 
     expected = _files(root / "out-1")
     assert len(expected) == 11

@@ -35,28 +35,24 @@ from helpers import PassThrough, record_reads, scripted_gateway, settle_images
 # request reaches the backend once, whichever task asks for it first: the
 # gateway's single-flight memo makes every other asker wait for that reply.
 # The pass-through backend makes each worker let the turn go at its call, as
-# a live backend does, so above one worker the calls come from several
-# threads.
+# a live backend does. Above one worker, a `Gate` of width 2 holds the first
+# call, as a call waiting on I/O, until a second worker calls, so the calls
+# come from several threads.
 @pytest.mark.parametrize("concurrency", [1, 2, 16])
 @pytest.mark.parametrize("cached", [False, True])
 def test_backend_calls_per_command(toy, toy_manifest, tmp_path, cached, concurrency):
     gateway = ModelGateway.from_config(
         toy.backend_config_path, cache_dir=tmp_path / "cache" if cached else None
     )
-    backend = PassThrough(gateway)
+    backend = Gate(gateway, 2) if concurrency > 1 else PassThrough(gateway)
     calls = backend.calls
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        by_mode = run_predictions(
-            toy_manifest,
-            list(AnswerMode),
-            gateway,
-            load_schemas(toy_manifest),
-            concurrency=concurrency,
-        )
-    finally:
-        sys.setswitchinterval(interval)
+    by_mode = run_predictions(
+        toy_manifest,
+        list(AnswerMode),
+        gateway,
+        load_schemas(toy_manifest),
+        concurrency=concurrency,
+    )
     assert list(by_mode) == list(AnswerMode)
     assert all(len(predictions) == 12 for predictions in by_mode.values())
     assert len(calls) == len({cache_key("b", request) for request in calls}) == 72
@@ -64,10 +60,10 @@ def test_backend_calls_per_command(toy, toy_manifest, tmp_path, cached, concurre
 
 
 # Every prompt byte the five modes send, pinned: the SHA-256 of the sorted
-# per-request records (role, text and image count of each message). Each
-# distinct request is sent once, so the records are the distinct ones. Image
-# bytes do not enter it, so it moves only when prompt wording or turn
-# structure does.
+# per-request records (role, text and image count, 0 or 1, of each
+# message). Each distinct request is sent once, so the records are the
+# distinct ones. Image bytes do not enter it, so it moves only when prompt
+# wording or turn structure does.
 def test_prompt_fingerprint_of_the_five_modes(toy, toy_manifest):
     gateway = ModelGateway.from_config(toy.backend_config_path)
     records = []
@@ -75,7 +71,7 @@ def test_prompt_fingerprint_of_the_five_modes(toy, toy_manifest):
 
     def record(request):
         records.append(
-            json.dumps([[m.role, m.text, len(m.images)] for m in request.messages])
+            json.dumps([[m.role, m.text, int(m.image is not None)] for m in request.messages])
         )
         return complete(request)
 
@@ -129,22 +125,17 @@ def test_five_modes_read_each_image_once(toy, monkeypatch):
 
 def test_more_workers_than_cores_answer_each_instance_once_per_run(toy, toy_manifest):
     gateway = ModelGateway.from_config(toy.backend_config_path)
-    backend = PassThrough(gateway)
+    backend = Gate(gateway, 2)
     calls = backend.calls
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        predictions = run_predictions(
-            toy_manifest,
-            [AnswerMode.FULL_DSG],
-            gateway,
-            load_schemas(toy_manifest),
-            runs=3,
-            concurrency=8,
-            seed_hint=5,
-        )[AnswerMode.FULL_DSG]
-    finally:
-        sys.setswitchinterval(interval)
+    predictions = run_predictions(
+        toy_manifest,
+        [AnswerMode.FULL_DSG],
+        gateway,
+        load_schemas(toy_manifest),
+        runs=3,
+        concurrency=8,
+        seed_hint=5,
+    )[AnswerMode.FULL_DSG]
     ids = sorted(instance.id for instance in toy_manifest.instances)
     assert [(p.run_index, p.instance_id) for p in predictions] == [
         (run, instance_id) for run in range(3) for instance_id in ids
