@@ -1,8 +1,9 @@
 """Command-line entry point: extract | ground | answer | evaluate | ablate.
 
-Stages compose through plain files (schema text, resolved-schema JSON,
-prediction JSON-lines, report JSON), and every deliberate failure maps to a
-distinct exit code via the error taxonomy.
+A later stage reads only the schema file that `extract` writes (`ground
+--schema`, a `--schema-dir` file); `answer`, `evaluate` and `ablate` ground
+in-process, so the resolved-schema JSON, predictions and reports are records.
+Every deliberate failure maps to a distinct exit code via the error taxonomy.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from .dsl import IDENT_RE, parse_schema, render_schema
+from .dsl import IDENT_RE, parse_schema
 from .errors import BackendConfigError, MissingImageError, PipelineError, exit_code_for
 from .evaluate import (
     exact_match_accuracy,
@@ -173,7 +174,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             seed_hint=args.seed_hint,
         )
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_schema(program), encoding="utf-8")
+    out.write_text(program.text, encoding="utf-8")
     print(f"wrote {out}")
     return 0
 

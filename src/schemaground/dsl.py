@@ -51,15 +51,47 @@ class ComponentNode:
 
 @dataclass(frozen=True)
 class SchemaProgram:
-    """A parsed schema: the concept plus its components in declaration order."""
+    """A schema: its concept and its components in declaration order. One
+    that breaks a rule raises that rule's SchemaError when built: at most
+    MAX_COMPONENTS components, unique ids, one concept, and each dependency
+    listed once and declared earlier, so that no cycle can be built."""
 
     concept: str
     nodes: tuple[ComponentNode, ...]
 
+    def __post_init__(self):
+        if len(self.nodes) > MAX_COMPONENTS:
+            raise TooManyComponentsError(
+                f"{len(self.nodes)} components declared; at most {MAX_COMPONENTS} allowed"
+            )
+        declared: set[str] = set()
+        for node in self.nodes:
+            if node.id in declared:
+                raise DuplicateComponentError(f"component {node.id!r} declared twice")
+            if node.concept != self.concept:
+                raise ConceptMismatchError(
+                    f"component {node.id!r} declares concept {node.concept!r}, "
+                    f"expected {self.concept!r}"
+                )
+            for index, dep in enumerate(node.deps):
+                if dep in node.deps[:index]:
+                    raise DuplicateComponentError(
+                        f"component {node.id!r} lists dependency {dep!r} twice"
+                    )
+                if dep not in declared:
+                    raise UnknownDependencyError(
+                        f"component {node.id!r} depends on {dep!r}, which is not declared earlier"
+                    )
+            declared.add(node.id)
+
     @cached_property
     def text(self) -> str:
-        """What render_schema gives, rendered on first use and kept."""
-        return render_schema(self)
+        """The canonical source text, which parses back to a parsed program."""
+        lines = [f"gen(concept={self.concept}) ="]
+        for node in self.nodes:
+            deps = "".join(f", {dep}" for dep in node.deps)
+            lines.append(f"    gen({node.id} | concept={node.concept}{deps})")
+        return "\n".join(lines) + "\n"
 
 
 def _read_line(line: str, lineno: int, header: bool) -> tuple[str | None, str, tuple[str, ...]]:
@@ -122,7 +154,7 @@ def parse_schema(text: str) -> SchemaProgram:
     Raises:
         SchemaSyntaxError: malformed token/structure, with line and column.
         UnknownDependencyError, DuplicateComponentError, ConceptMismatchError,
-        TooManyComponentsError: semantic violations (see validate_program).
+        TooManyComponentsError: semantic violations (see SchemaProgram).
     """
     lines = text.splitlines()
     header_index = next((i for i, line in enumerate(lines) if _GEN_LINE_RE.match(line)), None)
@@ -148,63 +180,9 @@ def parse_schema(text: str) -> SchemaProgram:
     if not nodes:
         raise SchemaSyntaxError("program declares no components", header_index + 2, 1)
 
-    program = SchemaProgram(concept=concept, nodes=tuple(nodes))
-    validate_program(program)
-    return program
-
-
-def validate_program(program: SchemaProgram) -> None:
-    """Check the program invariants that the grammar leaves open; raise the
-    matching SchemaError if one is violated.
-
-    Covers: component cap, unique ids, concept agreement, deps declared
-    earlier (no forward/self references, hence no cycles), and no duplicate
-    deps. `parse_schema` has already checked identifier shapes and that there
-    is at least one component.
-    """
-    if len(program.nodes) > MAX_COMPONENTS:
-        raise TooManyComponentsError(
-            f"{len(program.nodes)} components declared; at most {MAX_COMPONENTS} allowed"
-        )
-
-    declared: set[str] = set()
-    for node in program.nodes:
-        if node.id in declared:
-            raise DuplicateComponentError(f"component {node.id!r} declared twice")
-        if node.concept != program.concept:
-            raise ConceptMismatchError(
-                f"component {node.id!r} declares concept {node.concept!r}, "
-                f"expected {program.concept!r}"
-            )
-        seen_deps: set[str] = set()
-        for dep in node.deps:
-            if dep in seen_deps:
-                raise DuplicateComponentError(
-                    f"component {node.id!r} lists dependency {dep!r} twice"
-                )
-            seen_deps.add(dep)
-            if dep not in declared:
-                raise UnknownDependencyError(
-                    f"component {node.id!r} depends on {dep!r}, which is not declared earlier"
-                )
-        declared.add(node.id)
+    return SchemaProgram(concept=concept, nodes=tuple(nodes))
 
 
 def topological_order(program: SchemaProgram) -> list[str]:
-    """Return component ids with every dependency before its dependents.
-
-    A valid program declares each dependency before its dependents, so this
-    is the declaration order; an invalid one raises as validate_program does.
-    """
-    validate_program(program)
+    """Component ids in declaration order, which puts each after its dependencies."""
     return [node.id for node in program.nodes]
-
-
-def render_schema(program: SchemaProgram) -> str:
-    """Render the canonical source text; parse(render(p)) == p structurally."""
-    lines = [f"gen(concept={program.concept}) ="]
-    for node in program.nodes:
-        deps = "".join(f", {dep}" for dep in node.deps)
-        lines.append(f"    gen({node.id} | concept={node.concept}{deps})")
-    return "\n".join(lines) + "\n"
-

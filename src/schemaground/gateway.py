@@ -20,7 +20,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from json.encoder import encode_basestring, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import (
@@ -28,6 +28,7 @@ from .errors import (
     BackendUnavailableError,
     FixtureMissError,
     MalformedReplyError,
+    MissingImageError,
 )
 
 log = logging.getLogger(__name__)
@@ -74,7 +75,10 @@ class ImageRef:
     def load_bytes(self) -> bytes:
         if self.data is not None:
             return self.data
-        return Path(self.path).read_bytes()
+        try:
+            return Path(self.path).read_bytes()
+        except OSError as err:
+            raise MissingImageError(f"cannot read image {self.path}: {err.strerror}") from err
 
     def digest(self) -> str:
         """SHA-256 of the image content; the only form that enters cache keys.
@@ -274,7 +278,10 @@ def _create_once(path: str, payload: bytes, holds_entry) -> None:
 def _stat_identity(path) -> tuple[int, ...]:
     """What the image-digest memo knows a file by: its device, inode, size,
     and mtime and ctime in nanoseconds."""
-    stat = os.stat(path)
+    try:
+        stat = os.stat(path)
+    except OSError as err:
+        raise MissingImageError(f"cannot read image {path}: {err.strerror}") from err
     return (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns)
 
 
@@ -335,8 +342,7 @@ class ResponseCache:
         return None
 
     def put(self, key: str, text: str) -> None:
-        # What `json.dumps({"text": text}, ensure_ascii=False)` writes.
-        payload = ('{"text": %s}' % encode_basestring(text)).encode("utf-8")
+        payload = json.dumps({"text": text}, ensure_ascii=False).encode("utf-8")
         _create_once(self._path(key), payload, lambda: self.get(key) is not None)
 
     def _memo_path(self, identity: tuple[int, ...]) -> str:

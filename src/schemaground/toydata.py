@@ -17,7 +17,6 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dsl import render_schema
 from .extraction import CONCEPT_CATEGORIES, load_canonical_schema
 from .gateway import json_text
 from .phrasing import concept_phrase, copula, display_name
@@ -286,7 +285,7 @@ def _qa_rules() -> tuple[list[dict], list[dict], list[dict]]:
 def _extraction_rules() -> list[dict]:
     rules = []
     for concept in TOY_CONCEPTS:
-        source = render_schema(load_canonical_schema(concept))
+        source = load_canonical_schema(concept).text
         if concept == "maze":
             source = "Here is the program:\n```\n" + source + "```\n"
         rules.append(

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from schemaground.dsl import parse_schema, render_schema, topological_order
+from schemaground.dsl import parse_schema, topological_order
 from schemaground.evaluate import (
     CellStats,
     DatasetManifest,
@@ -66,7 +66,7 @@ def test_c1_fixture_schemas_parse_validate_roundtrip():
         program = load_canonical_schema(concept)
         assert program.concept == concept
         assert 1 <= len(program.nodes) <= 4
-        assert parse_schema(render_schema(program)) == program
+        assert parse_schema(program.text) == program
         order = topological_order(program)
         positions = {cid: index for index, cid in enumerate(order)}
         for node in program.nodes:
@@ -95,7 +95,7 @@ def test_c2_thousand_random_programs_obey_dag_laws():
             for dep in node.deps:
                 assert positions[dep] < positions[node.id]
         assert order == brute_force_topological_order(program)
-        assert parse_schema(render_schema(program)) == program
+        assert parse_schema(program.text) == program
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"1000-program sweep took {elapsed:.3f}s"
     print(f"PASS: C2 1000 random programs satisfy ordering laws and round-trip in {elapsed:.2f}s")

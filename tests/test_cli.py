@@ -13,7 +13,6 @@ import pytest
 
 import schemaground
 from schemaground import cli
-from schemaground.dsl import render_schema
 from schemaground.errors import EXIT_CODES
 from schemaground.extraction import build_extraction_prompt, load_canonical_schema
 from schemaground.gateway import Message, ModelGateway, ModelRequest, ScriptedBackend, cache_key
@@ -82,7 +81,7 @@ def test_extract_canonical_matches_packaged_fixture(tmp_path):
     result = run_cli("extract", "tic-tac-toe", "--canonical", "--out", out, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert f"wrote {out}" in result.stdout
-    assert out.read_text() == render_schema(load_canonical_schema("tic-tac-toe"))
+    assert out.read_text() == load_canonical_schema("tic-tac-toe").text
 
 
 def test_extract_unknown_concept_exit_code(tmp_path):
@@ -97,7 +96,7 @@ def test_extract_via_scripted_backend(toy, tmp_path):
         "extract", "maze", "--out", out, *_backend_args(toy, tmp_path), cwd=tmp_path
     )
     assert result.returncode == 0, result.stderr
-    assert out.read_text() == render_schema(load_canonical_schema("maze"))
+    assert out.read_text() == load_canonical_schema("maze").text
 
 
 # `--seed-hint` reaches the extraction request: the one cache entry is named
@@ -106,7 +105,7 @@ def test_extract_sends_the_seed_hint(toy, tmp_path):
     out, cache = tmp_path / "maze.schema", tmp_path / "cache"
     argv = ["extract", "maze", "--out", str(out), *map(str, _backend_args(toy, tmp_path))]
     assert cli.main([*argv, "--seed-hint", "5"]) == 0
-    assert out.read_text() == render_schema(load_canonical_schema("maze"))
+    assert out.read_text() == load_canonical_schema("maze").text
     gateway = ModelGateway.from_config(toy.backend_config_path)
     prompt = Message("user", build_extraction_prompt("maze"))
     request = ModelRequest(gateway.model_id, (prompt,), seed_hint=5)
@@ -126,7 +125,7 @@ def test_extract_without_backend_or_canonical(tmp_path):
 @pytest.fixture()
 def maze_schema_file(tmp_path):
     path = tmp_path / "maze.schema"
-    path.write_text(render_schema(load_canonical_schema("maze")))
+    path.write_text(load_canonical_schema("maze").text)
     return path
 
 
@@ -195,6 +194,41 @@ def test_ground_missing_image(toy, tmp_path, maze_schema_file):
     )
     assert result.returncode == 51
     assert "MissingImageError" in result.stderr
+
+
+# An image that exists but cannot be read is a missing image too: its digest
+# is taken before the first request, so nothing reaches the backend. The read
+# is refused in-process, since file modes refuse nothing to the superuser.
+@pytest.mark.parametrize(
+    "command",
+    [("ablate",), ("ablate", "--cache-dir", "cache"), ("ground",)],
+    ids=["ablate", "ablate-cache-dir", "ground"],
+)
+def test_an_image_that_cannot_be_read_exits_51_before_any_backend_call(
+    toy, tmp_path, maze_schema_file, capsys, monkeypatch, command
+):
+    image = toy.image_paths["maze"]
+    read_bytes = Path.read_bytes
+
+    def refuse(path):
+        if path.name == image.name:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    calls = []
+    monkeypatch.setattr(ScriptedBackend, "complete", lambda self, request: calls.append(request))
+    monkeypatch.chdir(tmp_path)
+    if command[0] == "ground":
+        inputs = ["--schema", str(maze_schema_file), "--image", str(image)]
+    else:
+        inputs = ["--manifest", str(toy.manifest_path)]
+    argv = [*command, *inputs, "--backend-config", str(toy.backend_config_path)]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 51
+    err = capsys.readouterr().err
+    assert "MissingImageError: cannot read image " in err
+    assert f"{image.name}: Permission denied" in err
+    assert calls == []
 
 
 # ------------------------------------------------------------------- answer
@@ -642,7 +676,7 @@ def test_a_failure_in_a_later_mode_writes_no_predictions(toy, tmp_path):
 def test_schema_dir_override_for_another_concept(toy, tmp_path):
     schema_dir = tmp_path / "schemas"
     schema_dir.mkdir()
-    (schema_dir / "maze.schema").write_text(render_schema(load_canonical_schema("atom")))
+    (schema_dir / "maze.schema").write_text(load_canonical_schema("atom").text)
     result = run_cli(
         "ablate",
         "--manifest", toy.manifest_path,
@@ -722,7 +756,7 @@ def test_schema_dir_files_with_a_byte_order_mark_ablate_as_the_plain_files(toy, 
         schema_dir = tmp_path / f"{name}-schemas"
         schema_dir.mkdir()
         for concept in TOY_BINDINGS:
-            text = render_schema(load_canonical_schema(concept)).encode("utf-8")
+            text = load_canonical_schema(concept).text.encode("utf-8")
             (schema_dir / f"{concept}.schema").write_bytes(mark + text)
         outs.append(tmp_path / f"{name}-out")
         assert cli.main([
@@ -796,7 +830,7 @@ def test_usage_errors_exit_two(tmp_path):
         result = run_cli("extract", "", *extra, "--backend-config", "b.json", cwd=tmp_path)
         assert result.returncode == 2
         assert "must be an identifier, got ''" in result.stderr
-    (tmp_path / "maze.schema").write_text(render_schema(load_canonical_schema("maze")))
+    (tmp_path / "maze.schema").write_text(load_canonical_schema("maze").text)
     (tmp_path / "x.gif").write_bytes(b"GIF89a")
     for schema, image, message in (
         ("absent.schema", "x.png", "cannot read absent.schema"),
@@ -859,7 +893,7 @@ def _run_without_rules(toy, tmp_path, command, out):
         argv = ["extract", "maze"]
     elif command == "ground":
         schema = tmp_path / "ground.schema"
-        schema.write_text(render_schema(load_canonical_schema("maze")))
+        schema.write_text(load_canonical_schema("maze").text)
         argv = ["ground", "--schema", str(schema), "--image", str(toy.image_paths["maze"])]
     else:
         argv = [command, "--manifest", str(toy.manifest_path)]

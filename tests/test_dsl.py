@@ -10,13 +10,12 @@ from schemaground.dsl import (
     ComponentNode,
     SchemaProgram,
     parse_schema,
-    render_schema,
     topological_order,
-    validate_program,
 )
 from schemaground.errors import (
     ConceptMismatchError,
     DuplicateComponentError,
+    SchemaError,
     SchemaSyntaxError,
     TooManyComponentsError,
     UnknownDependencyError,
@@ -68,7 +67,7 @@ def test_fixture_set_is_exactly_the_twelve():
 @pytest.mark.parametrize("concept", sorted(EXPECTED_STRUCTURES))
 def test_fixture_roundtrip_and_canonical_bytes(concept):
     program = load_canonical_schema(concept)
-    rendered = render_schema(program)
+    rendered = program.text
     assert parse_schema(rendered) == program
     stored = (
         importlib.resources.files("schemaground")
@@ -89,17 +88,16 @@ def _ids(program: SchemaProgram) -> list[str]:
 
 
 def test_topological_order_on_out_of_order_declarations():
-    # Constructed directly (parse_schema would reject the forward reference):
-    # ordering refuses it as parsing does, instead of reordering it.
-    program = SchemaProgram(
-        concept="x",
-        nodes=(
-            ComponentNode("a", "x", ("b",)),
-            ComponentNode("b", "x", ()),
-        ),
-    )
+    # A program that declares a dependency after its dependent cannot be
+    # built by hand either: it is refused as parsing refuses it, not reordered.
     with pytest.raises(UnknownDependencyError, match="'b', which is not declared earlier"):
-        topological_order(program)
+        SchemaProgram(
+            concept="x",
+            nodes=(
+                ComponentNode("a", "x", ("b",)),
+                ComponentNode("b", "x", ()),
+            ),
+        )
 
 
 def test_topological_order_tie_break_prefers_declaration_index():
@@ -227,17 +225,42 @@ def test_a_header_cut_short_before_its_name_points_at_the_line_end():
 
 
 def test_independent_acyclicity_check():
-    # Unreachable through parse_schema, but ordering must still refuse a
-    # handcrafted cycle: its first node depends on one declared later.
-    cyclic = SchemaProgram(
-        concept="x",
-        nodes=(
-            ComponentNode("a", "x", ("b",)),
-            ComponentNode("b", "x", ("a",)),
-        ),
-    )
+    # A handcrafted cycle cannot be built: its first node depends on one
+    # declared later.
     with pytest.raises(UnknownDependencyError):
-        topological_order(cyclic)
+        SchemaProgram(
+            concept="x",
+            nodes=(
+                ComponentNode("a", "x", ("b",)),
+                ComponentNode("b", "x", ("a",)),
+            ),
+        )
+
+
+# A program that breaks one rule, as text and as the nodes that text declares.
+BROKEN_PROGRAMS = {
+    "forward dependency": ("x", [("a", "x", ("b",)), ("b", "x", ())]),
+    "cycle": ("x", [("a", "x", ("b",)), ("b", "x", ("a",))]),
+    "repeated id": ("x", [("a", "x", ()), ("a", "x", ())]),
+    "foreign concept": ("x", [("a", "x", ()), ("b", "y", ("a",))]),
+    "repeated dependency": ("x", [("a", "x", ()), ("b", "x", ("a", "a"))]),
+    "five components": ("x", [(f"c{i}", "x", ()) for i in range(5)]),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(BROKEN_PROGRAMS))
+def test_building_a_broken_program_raises_what_parsing_its_text_raises(rule):
+    concept, nodes = BROKEN_PROGRAMS[rule]
+    text = f"gen(concept={concept}) =\n" + "".join(
+        f"    gen({component} | concept={node_concept}{''.join(', ' + dep for dep in deps)})\n"
+        for component, node_concept, deps in nodes
+    )
+    with pytest.raises(SchemaError) as parsed:
+        parse_schema(text)
+    with pytest.raises(SchemaError) as built:
+        SchemaProgram(concept, tuple(ComponentNode(*node) for node in nodes))
+    assert type(built.value) is type(parsed.value)
+    assert str(built.value) == str(parsed.value)
 
 
 # What the reader says about each kind of malformed text, in full: `extract`

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_topological_order, program_specs, random_program_source
-from schemaground.dsl import parse_schema, render_schema, topological_order
+from schemaground.dsl import parse_schema, topological_order
 
 pad = st.text(alphabet=" ", max_size=2)
 
@@ -57,9 +57,9 @@ def test_topological_order_laws(case):
 def test_render_parse_roundtrip(case):
     source, _, _ = case
     program = parse_schema(source)
-    rendered = render_schema(program)
+    rendered = program.text
     assert parse_schema(rendered) == program
-    assert render_schema(parse_schema(rendered)) == rendered
+    assert parse_schema(rendered).text == rendered
 
 
 @settings(max_examples=30)

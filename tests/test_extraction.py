@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from schemaground.dsl import parse_schema, render_schema
+from schemaground.dsl import parse_schema
 from schemaground.errors import (
     ConceptMismatchError,
     ExtractionFailedError,
@@ -23,7 +23,7 @@ from schemaground.extraction import (
 
 from helpers import scripted_gateway
 
-MAZE_TEXT = render_schema(load_canonical_schema("maze"))
+MAZE_TEXT = load_canonical_schema("maze").text
 
 FIVE_COMPONENT_REPLY = """\
 gen(concept=maze) =
@@ -106,7 +106,7 @@ def test_unknown_concept_is_rejected():
 
 def test_scrape_drops_fences_and_leading_prose():
     reply = f"Sure, here you go:\n```\n{MAZE_TEXT}```\nHope this helps!"
-    assert render_schema(parse_schema(reply)) == MAZE_TEXT
+    assert parse_schema(reply).text == MAZE_TEXT
 
 
 def test_scrape_requires_a_header_line():
@@ -117,7 +117,7 @@ def test_scrape_requires_a_header_line():
 def test_scraped_block_with_trailing_prose_still_parses(toy_gateway):
     calls = _record_requests(toy_gateway)
     program = extract_schema("maze", toy_gateway)
-    assert render_schema(program) == MAZE_TEXT
+    assert program.text == MAZE_TEXT
     assert len(calls) == 1
 
 
@@ -142,7 +142,7 @@ def test_extract_corrective_retry_repairs_bad_reply():
     program = extract_schema("maze", gateway, max_retries=2)
     assert len(calls) == 2
     assert [m.role for m in calls[1].messages] == ["user", "assistant", "user"]
-    assert render_schema(program) == MAZE_TEXT
+    assert program.text == MAZE_TEXT
 
 
 def test_extract_exhausted_retries_without_fallback():
@@ -159,11 +159,11 @@ def test_extract_garbage_reply_with_fallback_uses_canonical(tmp_path):
     calls = _record_requests(gateway)
     program = extract_schema("maze", gateway, max_retries=0, fallback_to_canonical=True)
     assert len(calls) == 1
-    assert render_schema(program) == MAZE_TEXT
+    assert program.text == MAZE_TEXT
 
 
 def test_extract_detects_concept_mismatch():
-    atom_text = render_schema(load_canonical_schema("atom"))
+    atom_text = load_canonical_schema("atom").text
     gateway = scripted_gateway(_happy_rules(reply=atom_text))
     with pytest.raises(ExtractionFailedError) as info:
         extract_schema("maze", gateway, max_retries=0)

@@ -8,10 +8,12 @@ import io
 import json
 import logging
 import os
+import re
 import stat
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import requests
@@ -24,6 +26,7 @@ from schemaground.errors import (
     BackendUnavailableError,
     FixtureMissError,
     MalformedReplyError,
+    MissingImageError,
     exit_code_for,
 )
 from schemaground.gateway import (
@@ -111,6 +114,38 @@ def test_image_digest_reads_the_file_once(tmp_path, monkeypatch):
     assert len(reads) == 1
     assert image == ImageRef.from_file(path)
     assert hash(image) == hash(ImageRef.from_file(path))
+
+
+# A file that cannot be stat'ed or read is a missing image, whichever of the
+# digest, the memo or the request body reaches it.
+def test_an_image_file_that_cannot_be_read_is_a_missing_image(tmp_path, monkeypatch):
+    path = tmp_path / "x.png"
+    path.write_bytes(PNG)
+    read_bytes = Path.read_bytes
+
+    def refuse(file):
+        if file == path:
+            raise PermissionError(13, "Permission denied", str(file))
+        return read_bytes(file)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    denied = f"cannot read image {path}: Permission denied"
+    with pytest.raises(MissingImageError, match=re.escape(denied)):
+        ImageRef.from_file(path).digest()
+    with pytest.raises(MissingImageError, match=re.escape(denied)):
+        ResponseCache(tmp_path / "cache").image_digest(ImageRef.from_file(path))
+    monkeypatch.undo()
+
+    image = ImageRef.from_file(path)
+    image.digest()
+    path.unlink()
+    gone = f"cannot read image {path}: No such file or directory"
+    with pytest.raises(MissingImageError, match=re.escape(gone)):
+        ResponseCache(tmp_path / "cache").image_digest(ImageRef.from_file(path))
+    backend, adapter, _ = _http([])
+    with pytest.raises(MissingImageError, match=re.escape(gone)):
+        backend.complete(_request(image=image))
+    assert adapter.sent == []
 
 
 # ----------------------------------------------------------------- messages
@@ -308,26 +343,6 @@ def test_response_cache_reads_an_entry_longer_than_one_read(tmp_path):
     text = "é" * 100_000  # 200 KB of UTF-8, so several reads of 64 KiB
     cache.put("k", text)
     assert cache.get("k") == text
-
-
-# Text with non-ASCII characters, quotes, backslashes and control characters,
-# as `json.dumps` escapes them.
-_ENTRY_TEXT = st.text(
-    st.characters(blacklist_categories=("Cs",))
-    | st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\u2028", "\U0001f600"])
-)
-
-
-@settings(max_examples=200)
-@example(text='"quoted" \\ caf\u00e9 \x00\t\n \U0001f600')
-@given(text=_ENTRY_TEXT)
-def test_a_cache_entry_is_the_json_dumps_of_its_text(text, tmp_path_factory):
-    cache = ResponseCache(tmp_path_factory.getbasetemp() / "entries")
-    key = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    cache.put(key, text)
-    entry = cache.root / f"{key}.json"
-    assert entry.read_bytes() == json.dumps({"text": text}, ensure_ascii=False).encode("utf-8")
-    assert cache.get(key) == (text if text.strip() else None)
 
 
 def test_a_cached_reply_with_a_lone_surrogate_is_a_miss_that_the_next_fetch_replaces(tmp_path):

@@ -17,6 +17,7 @@ import shutil
 import pytest
 
 from schemaground import cli
+from schemaground.errors import MissingImageError
 from schemaground.gateway import (
     ImageRef,
     ModelGateway,
@@ -233,6 +234,6 @@ def test_the_digest_of_inline_or_hashed_images_is_known_and_a_missing_file_raise
     assert cache.image_digest(inline) == hashlib.sha256(inline.data).hexdigest()
     assert cache.image_digest(hashed) == digest
     assert stats == []
-    with pytest.raises(OSError):
+    with pytest.raises(MissingImageError, match="No such file or directory"):
         cache.image_digest(ImageRef.from_file(path))
     assert not (tmp_path / "cache" / "images").exists()

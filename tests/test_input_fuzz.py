@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemaground import cli
-from schemaground.dsl import render_schema
 from schemaground.errors import EXIT_CODES
 from schemaground.extraction import load_canonical_schema
 from schemaground.toydata import TOY_CONCEPTS, make_toy_dataset
@@ -157,7 +156,7 @@ def _schema_mutation(draw, text: str) -> bytes:
 
 
 def _mutated_schema(data, concept: str) -> bytes:
-    return data.draw(_schema_mutation(render_schema(load_canonical_schema(concept))))
+    return data.draw(_schema_mutation(load_canonical_schema(concept).text))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

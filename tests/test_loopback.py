@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -24,7 +25,7 @@ import pytest
 import requests
 
 from schemaground import cli
-from schemaground.dsl import render_schema
+from schemaground.errors import BackendUnavailableError, MalformedReplyError
 from schemaground.extraction import load_canonical_schema
 from schemaground.gateway import HttpBackend, Message, ModelRequest, ScriptedBackend
 from schemaground.toydata import toy_fixture_rules
@@ -55,7 +56,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.server.seen.append(_Seen(self.command, self.path, dict(self.headers), body))
         status = self.server.statuses[number] if number < len(self.server.statuses) else 200
         if status == 200:
-            payload = {"choices": [{"message": {"content": self.server.reply(body)}}]}
+            payload = self.server.payload(body)
         else:
             payload = {"error": {"message": "scripted failure"}}
         content = json.dumps(payload).encode("utf-8")
@@ -76,12 +77,15 @@ class _Handler(BaseHTTPRequestHandler):
 
 class _Server(ThreadingHTTPServer):
     """Answers the n-th request with `statuses[n]`, 200 past their end, and
-    a 200 with `reply(body)`. The first reply and each failure set the
+    a 200 with `reply(body)` as the completion's content, or with the JSON
+    that `payload(body)` gives. The first reply and each failure set the
     cookie `loopback=<n>`. Records every request and counts connections."""
 
-    def __init__(self, reply, statuses=()):
+    def __init__(self, reply, statuses=(), payload=None):
         super().__init__(("127.0.0.1", 0), _Handler)
-        self.reply = reply
+        self.payload = payload or (
+            lambda body: {"choices": [{"message": {"content": reply(body)}}]}
+        )
         self.statuses = list(statuses)
         self.lock = threading.Lock()
         self.seen: list[_Seen] = []
@@ -97,8 +101,8 @@ def serve(monkeypatch):
             monkeypatch.delenv(name)
     started = []
 
-    def start(reply, statuses=()):
-        server = _Server(reply, statuses)
+    def start(reply, statuses=(), payload=None):
+        server = _Server(reply, statuses, payload)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         started.append((server, thread))
@@ -191,7 +195,7 @@ def test_an_api_key_that_cannot_be_a_header_value_exits_20_and_sends_nothing(
         "api_key_env": "LOOPBACK_API_KEY",
     }))
     schema = tmp_path / "maze.schema"
-    schema.write_text(render_schema(load_canonical_schema("maze")), encoding="utf-8")
+    schema.write_text(load_canonical_schema("maze").text, encoding="utf-8")
     env = checkout_env()
     env["LOOPBACK_API_KEY"] = "sk-\u2014pasted"
     result = subprocess.run(
@@ -285,3 +289,68 @@ def test_a_loopback_ablate_opens_at_most_one_connection_per_worker(
     assert not [
         record for record in caplog.records if "Connection pool is full" in record.getMessage()
     ]
+
+
+# The retry contract over a real socket: a 5xx is tried again with the same
+# body, after a backoff, up to 3 attempts; a 4xx is terminal, and so is a 200
+# whose payload holds no reply.
+@pytest.mark.parametrize(
+    ("statuses", "payload", "error", "sent"),
+    [
+        ([503, 503], None, None, 3),
+        (
+            [503, 503, 503],
+            None,
+            (BackendUnavailableError, "backend unreachable after 3 attempts (server error 503)"),
+            3,
+        ),
+        ([400], None, (BackendUnavailableError, "request rejected with status 400"), 1),
+        ([], {"choices": []}, (MalformedReplyError, "unparseable completion payload"), 1),
+    ],
+    ids=["503-503-200", "503-503-503", "400", "no-choices"],
+)
+def test_a_failed_request_over_a_loopback_socket(serve, statuses, payload, error, sent):
+    server = serve(lambda body: "ok", statuses, None if payload is None else lambda body: payload)
+    sleeps = []
+    backend = HttpBackend(server.url, sleep=sleeps.append)
+    request = ModelRequest("m", (Message("user", "hello"),))
+    try:
+        if error is None:
+            assert backend.complete(request) == "ok"
+        else:
+            with pytest.raises(error[0], match=re.escape(error[1])):
+                backend.complete(request)
+    finally:
+        backend.session.close()
+    assert len(server.seen) == sent
+    assert len({seen.body for seen in server.seen}) == 1
+    assert sleeps == [1.0, 2.0][: sent - 1]
+
+
+# A reply whose content is null is no reply: the gateway refuses it as empty
+# (exit 22), with no retry.
+def test_a_null_reply_over_a_loopback_socket_exits_22(toy, tmp_path, serve, capsys):
+    server = serve(
+        lambda body: "unused",
+        payload=lambda body: {"choices": [{"message": {"content": None}}]},
+    )
+    config = tmp_path / "backend.json"
+    config.write_text(json.dumps({
+        "backend_id": "loopback",
+        "kind": "http",
+        "model_id": "m",
+        "base_url": server.url,
+    }))
+    schema = tmp_path / "maze.schema"
+    schema.write_text(load_canonical_schema("maze").text, encoding="utf-8")
+    assert cli.main([
+        "ground",
+        "--schema", str(schema),
+        "--image", str(toy.image_paths["maze"]),
+        "--backend-config", str(config),
+        "--out", str(tmp_path / "resolved.json"),
+    ]) == 22
+    assert "MalformedReplyError: while grounding component 'layout': backend returned an " \
+        "empty reply" in capsys.readouterr().err
+    assert len(server.seen) == 1
+    assert not (tmp_path / "resolved.json").exists()

@@ -17,7 +17,6 @@ import hashlib
 import pytest
 
 from schemaground import cli
-from schemaground.dsl import render_schema
 from schemaground.extraction import load_canonical_schema
 
 from helpers import memo_digests, settle_images
@@ -186,7 +185,7 @@ def test_toy_dataset_files_are_pinned(toy, name):
 )
 def test_ground_resolved_schema_is_pinned(toy, tmp_path, capsys, flags):
     schema = tmp_path / "maze.schema"
-    schema.write_text(render_schema(load_canonical_schema("maze")), encoding="utf-8")
+    schema.write_text(load_canonical_schema("maze").text, encoding="utf-8")
     out = tmp_path / "resolved.json"
     code = cli.main([
         "ground",

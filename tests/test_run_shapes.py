@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schemaground import cli
-from schemaground.dsl import ComponentNode, SchemaProgram, render_schema
+from schemaground.dsl import ComponentNode, SchemaProgram
 from schemaground.extraction import CONCEPT_CATEGORIES
 from schemaground.gateway import ModelGateway, cache_key
 from schemaground.toydata import tiny_png
@@ -31,7 +31,7 @@ def _write_inputs(root, concept, nodes, questions_per_image) -> None:
         concept, tuple(ComponentNode(cid, concept, tuple(deps)) for cid, deps in nodes)
     )
     (root / "schemas").mkdir()
-    (root / "schemas" / f"{concept}.schema").write_text(render_schema(schema))
+    (root / "schemas" / f"{concept}.schema").write_text(schema.text)
     instances = []
     for image_index, questions in enumerate(questions_per_image):
         (root / f"image-{image_index}.png").write_bytes(tiny_png((image_index, 9, 9)))
