@@ -119,7 +119,7 @@ def _add_backend_flags(parser: argparse.ArgumentParser, required: bool = True) -
     )
     parser.add_argument("--temperature", type=_non_negative_float, default=0.0)
     parser.add_argument("--max-tokens", type=_positive_int, default=512)
-    parser.add_argument("--seed-hint", type=int, default=None)
+    parser.add_argument("--seed-hint", type=int, default=0)
 
 
 def _add_choice_flags(parser: argparse.ArgumentParser) -> None:

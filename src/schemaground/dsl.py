@@ -52,14 +52,21 @@ class ComponentNode:
 @dataclass(frozen=True)
 class SchemaProgram:
     """A schema: its concept and its components in declaration order. One
-    that breaks a rule raises that rule's SchemaError when built: at most
+    that breaks a rule raises that rule's SchemaError when built: names that
+    IDENT_RE matches and at least one component (SchemaSyntaxError), at most
     MAX_COMPONENTS components, unique ids, one concept, and each dependency
-    listed once and declared earlier, so that no cycle can be built."""
+    listed once and declared earlier. So no cycle can be built, and the text
+    of every program that can be built parses back to it."""
 
     concept: str
     nodes: tuple[ComponentNode, ...]
 
     def __post_init__(self):
+        for name in (self.concept, *(node.id for node in self.nodes)):
+            if not IDENT_RE.match(name):
+                raise SchemaSyntaxError(f"{name!r} is not a lowercase kebab-case identifier")
+        if not self.nodes:
+            raise SchemaSyntaxError("program declares no components")
         if len(self.nodes) > MAX_COMPONENTS:
             raise TooManyComponentsError(
                 f"{len(self.nodes)} components declared; at most {MAX_COMPONENTS} allowed"

@@ -2,10 +2,10 @@
 
 Two backends share one request/response shape: an HTTP backend speaking the
 chat-completions wire format (base64 inline images), and a scripted backend
-that replays fixture rules for offline, fully deterministic runs. Responses
-are cached on disk in a content-addressed, write-once store keyed by a hash
-of the request; raw image bytes never enter keys or logs, only their digests,
-which the store also keeps, by file identity, for a later command.
+that replays fixture rules for offline, fully deterministic runs. Replies are
+cached on disk, write-once, in append-only logs keyed by a hash of the
+request; raw image bytes never enter keys or logs, only their digests, which
+the cache's logs also keep, by file identity, for a later command.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import os
 import re
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -85,8 +86,8 @@ class ImageRef:
 
         Computed on first use and kept on the instance, outside the dataclass
         fields, so equality and hashing are unchanged; `ResponseCache`'s
-        image-digest memo may set it first, from a digest recorded for the
-        file as it stands. A command hashes its images one at a time, on
+        image-digest memo may set it first, from a record of the file's stat
+        as it stands. A command hashes its images one at a time, on
         its calling thread, so a file is read whole; its bytes are not kept.
         """
         digest = self.__dict__.get("_digest")
@@ -251,30 +252,6 @@ def json_text(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
 
 
-def _create_once(path: str, payload: bytes, holds_entry) -> None:
-    """Create the file at `path` holding `payload` in place: one file create
-    and one write. Where `path` already exists, keep it if `holds_entry()`
-    is true, else remove it and create it once more. A file that cannot be
-    written logs a warning: only a later command pays for it."""
-    create = os.O_WRONLY | os.O_CREAT | os.O_EXCL
-    try:
-        try:
-            fd = os.open(path, create, 0o600)
-        except FileExistsError:
-            if holds_entry():
-                return
-            Path(path).unlink(missing_ok=True)
-            fd = os.open(path, create, 0o600)
-        try:
-            view = memoryview(payload)
-            while view:
-                view = view[os.write(fd, view):]
-        finally:
-            os.close(fd)
-    except OSError as err:
-        log.warning("cache entry %s not written: %s", path, err)
-
-
 def _stat_identity(path) -> tuple[int, ...]:
     """What the image-digest memo knows a file by: its device, inode, size,
     and mtime and ctime in nanoseconds."""
@@ -294,92 +271,108 @@ _SETTLED_S = 2.0
 _clock = time.time
 
 _HEX_DIGEST = re.compile("[0-9a-f]{64}")
+_CREATE_LOG = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND
 
 
 class ResponseCache:
-    """Content-addressed on-disk store: one JSON file per key, write-once.
+    """Write-once store of replies and image digests in append-only logs.
 
-    An entry that cannot be read, does not hold JSON with a string "text",
-    or whose text is blank or holds a lone surrogate escape reads as a miss,
-    and the next put replaces it; a readable entry is never overwritten. A
-    put creates its entry in place, one file create and one write; where the
-    path already holds an entry that reads as a miss (blank, corrupt, or cut
-    short by a crash), it removes that entry and creates it once more. A
-    reader that meets an entry still being written, or none, reads a miss,
-    never a torn reply. A put that cannot write its entry (the path is a
-    directory, or the root is gone, say) logs a warning and leaves the cache
-    as it was.
-
-    Beside the replies, `images/` holds the image-digest memo: each image
-    file's digest, as a JSON string, in an entry named by the SHA-256 of the
-    file's `_stat_identity`. Entries are written once, as replies are, and
-    one that is torn, corrupt or not 64 lowercase hex reads as a miss.
-    `image_digest` alone reads and writes the memo, and `get` and `put` see
-    replies only.
+    A cache creates one JSON-lines log in `root` on its first write, named
+    `<creation time in ns>-<pid>.jsonl` so that names sort by creation, and
+    appends each record to it as one line, with one write under a lock:
+    `{"key": <cache key>, "text": <reply>}`, or for the image-digest memo
+    `{"stat": <_stat_identity, space-separated>, "sha256": <digest>}`. It
+    reads every log when opened, so `get` and the memo lookup touch no file
+    and another command's records are seen only at the next open. The first
+    valid record for a key in log-name order wins; a put of a held key
+    writes nothing. A torn record (a log's cut-short last line), or one not
+    JSON, of the wrong types, a blank reply, one with a lone surrogate
+    escape or a digest not 64 lowercase hex, reads as a miss. A failed write
+    logs a warning and ends the log; the next write starts another. The
+    older one-file-per-entry layout is not read; one warning counts it.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        # An entry's path is this prefix and its file name: one string
-        # concatenation per read, not a `Path` join.
-        self._prefix = os.path.join(self.root, "")
-        self._memo_prefix = os.path.join(self.root, "images", "")
+        self._replies: dict[str, str] = {}
+        self._digests: dict[str, str] = {}
+        self._lock = threading.Lock()
+        self._fd: int | None = None  # this cache's log, once it writes
+        names = sorted(os.listdir(self.root))
+        if old := sum(1 for name in names if re.fullmatch(r"[0-9a-f]{64}\.json", name)):
+            log.warning("cache directory %s: %d entries of the old layout ignored", self.root, old)
+        for name in names:
+            if name.endswith(".jsonl"):
+                self._load(self.root / name)
 
-    def _path(self, key: str) -> str:
-        return self._prefix + key + ".json"
+    def _load(self, path: Path) -> None:
+        try:
+            lines = path.read_bytes().split(b"\n")
+        except OSError as err:
+            log.warning("cache log %s not read: %s", path, err)
+            return
+        for line in lines[:-1]:  # the last is empty, or a record cut short
+            try:
+                record = _DECODER.decode(line.decode("utf-8"))
+            except (ValueError, RecursionError):
+                continue
+            if not isinstance(record, dict):
+                continue
+            key, text, stat, sha = map(record.get, ("key", "text", "stat", "sha256"))
+            if isinstance(key, str) and isinstance(text, str):
+                if text.strip() and _is_unicode(text):
+                    self._replies.setdefault(key, text)
+            elif isinstance(stat, str) and isinstance(sha, str) and _HEX_DIGEST.fullmatch(sha):
+                self._digests.setdefault(stat, sha)
+
+    def _write(self, store: dict[str, str], key: str, value: str, record: str) -> None:
+        """Unless `store` holds `key`, append `record` to this cache's log,
+        created on the first write and closed when the cache is collected,
+        and then set `store[key]` to `value`."""
+        with self._lock:
+            if key in store:
+                return
+            try:
+                if self._fd is None:
+                    name = "%020d-%d.jsonl" % (time.time_ns(), os.getpid())
+                    self._fd = os.open(self.root / name, _CREATE_LOG, 0o600)
+                    self._close = weakref.finalize(self, os.close, self._fd)
+                view = memoryview(record.encode("utf-8"))
+                while view:
+                    view = view[os.write(self._fd, view):]
+            except OSError as err:
+                log.warning("cache record not written in %s: %s", self.root, err)
+                if self._fd is not None:  # a record cut short must tear no other
+                    self._close()
+                    self._fd = None
+                return
+            store[key] = value
 
     def get(self, key: str) -> str | None:
-        try:
-            payload = read_json(self._path(key))
-        except (OSError, ValueError):
-            return None
-        text = payload.get("text") if isinstance(payload, dict) else None
-        # A blank reply is no reply, nor one that UTF-8 cannot encode: the
-        # backend path rejects both.
-        if isinstance(text, str) and text.strip() and _is_unicode(text):
-            return text
-        return None
+        return self._replies.get(key)
 
     def put(self, key: str, text: str) -> None:
-        payload = json.dumps({"text": text}, ensure_ascii=False).encode("utf-8")
-        _create_once(self._path(key), payload, lambda: self.get(key) is not None)
-
-    def _memo_path(self, identity: tuple[int, ...]) -> str:
-        key = hashlib.sha256(b"%d %d %d %d %d" % identity).hexdigest()
-        return self._memo_prefix + key + ".json"
-
-    def _memo_get(self, path: str) -> str | None:
-        try:
-            digest = read_json(path)
-        except (OSError, ValueError):
-            return None
-        return digest if isinstance(digest, str) and _HEX_DIGEST.fullmatch(digest) else None
+        record = json.dumps({"key": key, "text": text}, ensure_ascii=False) + "\n"
+        self._write(self._replies, key, text, record)
 
     def image_digest(self, image: ImageRef) -> str:
-        """`image.digest()`. For a file not hashed yet, the memo's entry for
+        """`image.digest()`. For a file not hashed yet, the memo's record for
         the file as it stands gives it without a read; on a miss the file is
         hashed, and its digest recorded when its stat did not move while it
         was read and its ctime is at least _SETTLED_S seconds old."""
         if image.path is None or "_digest" in image.__dict__:
             return image.digest()
         identity = _stat_identity(image.path)
-        path = self._memo_path(identity)
-        digest = self._memo_get(path)
+        stat = "%d %d %d %d %d" % identity
+        digest = self._digests.get(stat)
         if digest is not None:
             object.__setattr__(image, "_digest", digest)
             return digest
         digest = image.digest()
-        if (
-            _stat_identity(image.path) == identity
-            and _clock() - identity[-1] / 1e9 >= _SETTLED_S
-        ):
-            try:
-                os.mkdir(self._memo_prefix)
-            except OSError:
-                pass  # it exists; if it is no directory, the create says so
-            payload = ('"%s"' % digest).encode("ascii")
-            _create_once(path, payload, lambda: self._memo_get(path) is not None)
+        if _stat_identity(image.path) == identity and _clock() - identity[-1] / 1e9 >= _SETTLED_S:
+            record = '{"stat": "%s", "sha256": "%s"}\n' % (stat, digest)
+            self._write(self._digests, stat, digest, record)
         return digest
 
 

@@ -29,7 +29,7 @@ for its workers in short joins, so it sees even an interrupt that is only
 flagged within 50 ms.
 
 Per-run requests carry seed_hint = base seed + run_index so repeated runs
-against a live backend are distinct cache entries rather than replays of
+against a live backend are distinct cache keys rather than replays of
 run 0.
 """
 
@@ -93,7 +93,7 @@ def run_predictions(
     schemas: dict[str, SchemaProgram],
     runs: int = 1,
     concurrency: int = 4,
-    seed_hint: int | None = None,
+    seed_hint: int = 0,
 ) -> dict[AnswerMode, list[Prediction]]:
     """Answer every manifest instance under each mode, `runs` times."""
     modes = list(dict.fromkeys(map(AnswerMode, modes)))
@@ -105,7 +105,7 @@ def run_predictions(
     def ground_then_answer(
         task_modes: tuple[AnswerMode, ...], run_index: int, instances: list[VqaInstance]
     ):
-        seed = (seed_hint or 0) + run_index
+        seed = seed_hint + run_index
         first = task_modes[0]
         schema = None if first is AnswerMode.BASELINE else schemas[instances[0].concept]
         resolved = None

@@ -220,9 +220,38 @@ def settle_images(monkeypatch, settled: bool = True) -> None:
     monkeypatch.setattr(gateway, "_clock", lambda: now)
 
 
+def cache_records(cache_dir, field: str) -> list[dict]:
+    """The whole records in the response cache's logs under `cache_dir` that
+    hold `field`: "key" for replies, "stat" for the image-digest memo. They
+    come in log-name order, then in write order; a line that is torn or does
+    not hold a JSON object is left out."""
+    records = []
+    for path in sorted(Path(cache_dir).glob("*.jsonl")):
+        if not path.is_file():
+            continue
+        for line in path.read_bytes().split(b"\n")[:-1]:
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError):
+                continue
+            if isinstance(record, dict) and field in record:
+                records.append(record)
+    return records
+
+
+def write_log(cache_dir, *lines: str | bytes, name: str = "00000000000000000000-0.jsonl") -> None:
+    """Write a response-cache log named `name` under `cache_dir`, made if it
+    does not exist, holding `lines`, each ended by a newline. The default
+    name sorts before that of any log a cache creates."""
+    Path(cache_dir).mkdir(parents=True, exist_ok=True)
+    Path(cache_dir, name).write_bytes(b"".join(
+        (line.encode("utf-8") if isinstance(line, str) else line) + b"\n" for line in lines
+    ))
+
+
 def memo_digests(cache_dir) -> list[str]:
     """The digests that the image-digest memo under `cache_dir` holds, sorted."""
-    return sorted(json.loads(path.read_text()) for path in Path(cache_dir, "images").iterdir())
+    return sorted(record["sha256"] for record in cache_records(cache_dir, "stat"))
 
 
 def checkout_env() -> dict[str, str]:

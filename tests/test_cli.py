@@ -18,7 +18,7 @@ from schemaground.extraction import build_extraction_prompt, load_canonical_sche
 from schemaground.gateway import Message, ModelGateway, ModelRequest, ScriptedBackend, cache_key
 from schemaground.toydata import TOY_BINDINGS, TOY_SEQUENTIAL_DRIFT, toy_fixture_rules
 
-from helpers import PassThrough, checkout_env
+from helpers import PassThrough, cache_records, checkout_env
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -99,18 +99,22 @@ def test_extract_via_scripted_backend(toy, tmp_path):
     assert out.read_text() == load_canonical_schema("maze").text
 
 
-# `--seed-hint` reaches the extraction request: the one cache entry is named
-# by the key of the request that carries the hint.
+# `--seed-hint` reaches the extraction request, and is 0 without the flag:
+# each extract writes one reply record, keyed by the request that carries
+# its hint.
 def test_extract_sends_the_seed_hint(toy, tmp_path):
     out, cache = tmp_path / "maze.schema", tmp_path / "cache"
     argv = ["extract", "maze", "--out", str(out), *map(str, _backend_args(toy, tmp_path))]
-    assert cli.main([*argv, "--seed-hint", "5"]) == 0
-    assert out.read_text() == load_canonical_schema("maze").text
     gateway = ModelGateway.from_config(toy.backend_config_path)
     prompt = Message("user", build_extraction_prompt("maze"))
-    request = ModelRequest(gateway.model_id, (prompt,), seed_hint=5)
-    key = cache_key(gateway.backend.backend_id, request)
-    assert [path.name for path in cache.iterdir()] == [f"{key}.json"]
+    for flags, seed_hint in (([], 0), (["--seed-hint", "5"], 5)):
+        assert cli.main([*argv, *flags]) == 0
+        assert out.read_text() == load_canonical_schema("maze").text
+        request = ModelRequest(gateway.model_id, (prompt,), seed_hint=seed_hint)
+        assert cache_records(cache, "key")[-1]["key"] == cache_key(
+            gateway.backend.backend_id, request
+        )
+    assert len(cache_records(cache, "key")) == 2
 
 
 def test_extract_without_backend_or_canonical(tmp_path):
@@ -182,6 +186,23 @@ def test_a_schema_with_a_byte_order_mark_grounds_as_the_plain_file(
             *map(str, _backend_args(toy, tmp_path)),
         ]) == 0
     assert (tmp_path / "marked.json").read_bytes() == (tmp_path / "maze.json").read_bytes()
+
+
+# A flagless `ground` sends seed hint 0, as run 0 of `ablate` does, so its
+# requests are among the ablate's and the two share their cache records.
+def test_a_ground_and_an_ablate_share_their_cache_records(toy, tmp_path, maze_schema_file, capsys):
+    cache = tmp_path / "cache"
+    backend = ["--backend-config", str(toy.backend_config_path), "--cache-dir", str(cache)]
+    assert cli.main([
+        "ground", "--schema", str(maze_schema_file), "--image", str(toy.image_paths["maze"]),
+        "--out", str(tmp_path / "resolved.json"), *backend,
+    ]) == 0
+    assert len(cache_records(cache, "key")) == 3
+    assert cli.main([
+        "ablate", "--manifest", str(toy.manifest_path), "--out", str(tmp_path / "out"), *backend,
+    ]) == 0
+    keys = [record["key"] for record in cache_records(cache, "key")]
+    assert len(keys) == len(set(keys)) == 72
 
 
 def test_ground_missing_image(toy, tmp_path, maze_schema_file):
@@ -947,6 +968,8 @@ def test_a_good_out_gets_as_far_as_the_backend(toy, tmp_path, capsys, command, o
     assert "FixtureMissError" in capsys.readouterr().err
 
 
+# A path in the cache directory named as a log but that cannot be read, a
+# directory here, is skipped with a warning and left alone.
 def test_a_cache_entry_that_is_a_directory_is_a_miss_and_is_left_alone(toy, tmp_path):
     def ablate(name):
         result = run_cli(
@@ -962,16 +985,15 @@ def test_a_cache_entry_that_is_a_directory_is_a_miss_and_is_left_alone(toy, tmp_
         return result, files, result.stdout.replace(str(tmp_path / name), "<OUT>")
 
     _, clean_files, clean_stdout = ablate("clean")
-    entry = tmp_path / "taken-cache" / min(path.name for path in tmp_path.glob("clean-cache/*"))
+    entry = tmp_path / "taken-cache" / "00000000000000000000-0.jsonl"
     entry.mkdir(parents=True)
     result, files, stdout = ablate("taken")
     assert files == clean_files
     assert stdout == clean_stdout
-    assert f"cache entry {entry} not written" in result.stderr
+    assert f"cache log {entry} not read" in result.stderr
     assert "Traceback" not in result.stderr
     assert entry.is_dir()
-    assert len(list(entry.parent.glob("*.json"))) == 72
-    assert not list(entry.parent.glob("*.tmp"))
+    assert len(cache_records(entry.parent, "key")) == 72
 
 
 def test_readme_exit_code_table_is_the_code_table():

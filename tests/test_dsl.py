@@ -19,6 +19,7 @@ from schemaground.errors import (
     SchemaSyntaxError,
     TooManyComponentsError,
     UnknownDependencyError,
+    exit_code_for,
 )
 from schemaground.extraction import CONCEPT_CATEGORIES, load_canonical_schema
 
@@ -357,3 +358,26 @@ def test_syntax_error_text_line_and_column(source, message, line, column):
         parse_schema(source)
     err = excinfo.value
     assert (str(err), err.line, err.column) == (message, line, column)
+
+
+# What no text can declare cannot be built either: a concept or component
+# id that is not a lowercase kebab-case identifier, or no component at all,
+# is the syntax error (exit 10) that such a text raises when parsed.
+@pytest.mark.parametrize(
+    "concept, ids, message",
+    [
+        ("x", [], "program declares no components"),
+        ("Maze", ["a"], "'Maze' is not a lowercase kebab-case identifier"),
+        ("../x", ["a"], "'../x' is not a lowercase kebab-case identifier"),
+        ("x", ["a", "Big Id"], "'Big Id' is not a lowercase kebab-case identifier"),
+        ("x", ["a-"], "'a-' is not a lowercase kebab-case identifier"),
+        ("x", ["a\n"], "'a\\n' is not a lowercase kebab-case identifier"),
+        ("", ["a"], "'' is not a lowercase kebab-case identifier"),
+    ],
+)
+def test_a_program_its_text_cannot_declare_is_refused(concept, ids, message):
+    nodes = tuple(ComponentNode(component, concept) for component in ids)
+    with pytest.raises(SchemaSyntaxError) as built:
+        SchemaProgram(concept, nodes)
+    assert str(built.value) == message
+    assert exit_code_for(built.value) == 10

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_topological_order, program_specs, random_program_source
-from schemaground.dsl import parse_schema, topological_order
+from schemaground.dsl import ComponentNode, SchemaProgram, parse_schema, topological_order
+from schemaground.errors import SchemaError
 
 pad = st.text(alphabet=" ", max_size=2)
 
@@ -70,3 +71,40 @@ def test_seeded_generator_agrees_with_oracles(seed):
     assert program.concept == concept
     assert [(node.id, list(node.deps)) for node in program.nodes] == nodes
     assert topological_order(program) == brute_force_topological_order(program)
+
+
+@given(program_specs())
+def test_the_text_of_a_built_program_parses_back_to_it(spec):
+    concept, nodes = spec
+    program = SchemaProgram(
+        concept, tuple(ComponentNode(component, concept, tuple(deps)) for component, deps in nodes)
+    )
+    assert parse_schema(program.text) == program
+
+
+# Programs from `program_specs` with about one name in eight, concept, id or
+# dependency, replaced by a string of a few identifier characters and a few
+# that no identifier holds: each either cannot be built, with a SchemaError,
+# or its text parses back to it.
+@st.composite
+def _mutated_programs(draw):
+    def name(value: str) -> str:
+        if draw(st.integers(0, 7)):
+            return value
+        return draw(st.text(alphabet="ab-A |\n", max_size=3))
+
+    concept, nodes = draw(program_specs())
+    return name(concept), [
+        (name(component), name(concept), tuple(map(name, deps))) for component, deps in nodes
+    ]
+
+
+@settings(max_examples=300)
+@given(_mutated_programs())
+def test_every_program_that_can_be_built_parses_back_from_its_text(spec):
+    concept, nodes = spec
+    try:
+        program = SchemaProgram(concept, tuple(ComponentNode(*node) for node in nodes))
+    except SchemaError:
+        return
+    assert parse_schema(program.text) == program

@@ -45,7 +45,7 @@ from schemaground.qa import AnswerMode
 from schemaground.runner import load_schemas, run_predictions
 from schemaground.toydata import tiny_png, toy_fixture_rules
 
-from helpers import memo_digests, record_reads, settle_images
+from helpers import cache_records, memo_digests, record_reads, settle_images, write_log
 
 PNG = tiny_png((9, 9, 9))
 
@@ -322,46 +322,60 @@ def test_response_cache_roundtrip_and_write_once(tmp_path):
     cache.put(key, "first")
     cache.put(key, "second attempt must not overwrite")
     assert cache.get(key) == "first"
-    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
-    assert not list((tmp_path / "cache").glob("*.tmp"))
+    assert ResponseCache(tmp_path / "cache").get(key) == "first"
+    assert cache_records(tmp_path / "cache", "key") == [{"key": key, "text": "first"}]
+    assert len(list((tmp_path / "cache").iterdir())) == 1
 
 
 @pytest.mark.parametrize("blank", ["", "   \n"])
 def test_a_blank_cached_reply_is_a_miss_that_the_next_fetch_replaces(tmp_path, blank):
-    cache = ResponseCache(tmp_path / "cache")
     backend = ScriptedBackend([{"match": {"contains": "q"}, "reply": "r"}])
     request = _request("q?")
     key = cache_key(backend.backend_id, request)
-    (tmp_path / "cache" / f"{key}.json").write_text(json.dumps({"text": blank}))
+    write_log(tmp_path / "cache", json.dumps({"key": key, "text": blank}))
+    cache = ResponseCache(tmp_path / "cache")
     assert cache.get(key) is None
     assert ModelGateway(backend, cache=cache).complete(request) == "r"
     assert cache.get(key) == "r"
+    assert ResponseCache(tmp_path / "cache").get(key) == "r"
 
 
 def test_response_cache_reads_an_entry_longer_than_one_read(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     text = "é" * 100_000  # 200 KB of UTF-8, so several reads of 64 KiB
     cache.put("k", text)
-    assert cache.get("k") == text
+    assert ResponseCache(tmp_path / "cache").get("k") == text
 
 
 def test_a_cached_reply_with_a_lone_surrogate_is_a_miss_that_the_next_fetch_replaces(tmp_path):
-    cache = ResponseCache(tmp_path / "cache")
     backend = ScriptedBackend([{"match": {"contains": "q"}, "reply": "r"}])
     request = _request("q?")
     key = cache_key(backend.backend_id, request)
-    entry = tmp_path / "cache" / f"{key}.json"
-    entry.write_text('{"text": "yes \\ud800"}')
+    write_log(tmp_path / "cache", '{"key": "%s", "text": "yes \\ud800"}' % key)
+    cache = ResponseCache(tmp_path / "cache")
     assert cache.get(key) is None
     assert ModelGateway(backend, cache=cache).complete(request) == "r"
-    assert entry.read_text() == '{"text": "r"}'
+    texts = [record["text"] for record in cache_records(tmp_path / "cache", "key")]
+    assert texts == ["yes \ud800", "r"]
+    assert ResponseCache(tmp_path / "cache").get(key) == "r"
 
 
+# A cache creates its one log on its first put, named by its creation time
+# and process id, and appends each later record to it.
 def test_a_put_creates_its_entry_in_place(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
+    assert list((tmp_path / "cache").iterdir()) == []
     cache.put("k", "r")
+    cache.put("k2", "é\u2028")
     assert cache.get("k") == "r"
-    assert [path.name for path in (tmp_path / "cache").iterdir()] == ["k.json"]
+    (log,) = (tmp_path / "cache").iterdir()
+    assert re.fullmatch(r"\d{20}-%d\.jsonl" % os.getpid(), log.name)
+    assert abs(int(log.name[:20]) - time.time_ns()) < 60e9
+    assert stat.S_IMODE(log.stat().st_mode) == 0o600
+    assert log.read_bytes() == (
+        b'{"key": "k", "text": "r"}\n{"key": "k2", "text": "\xc3\xa9\xe2\x80\xa8"}\n'
+    )
+    assert ResponseCache(tmp_path / "cache").get("k2") == "é\u2028"
 
 
 def test_a_put_into_a_removed_cache_root_logs_a_warning_and_raises_nothing(
@@ -372,15 +386,17 @@ def test_a_put_into_a_removed_cache_root_logs_a_warning_and_raises_nothing(
     root.rmdir()
     with caplog.at_level(logging.WARNING, logger="schemaground.gateway"):
         cache.put("k", "r")
-    assert f"cache entry {root / 'k.json'} not written" in caplog.text
+        cache.put("k", "r")
+    assert caplog.text.count(f"cache record not written in {root}") == 2
+    assert cache.get("k") is None
     assert not root.exists()
 
 
-# Two gateways with their own memos stand for two processes sharing one
-# cache. For each request both backends reply at once, each with its own
-# text, so the two puts of one key race; half the entries start blank, as a
-# crash mid-write leaves them, so the puts race on removing and creating
-# it again too.
+# Two gateways with their own caches stand for two processes sharing one
+# cache directory. For each request both backends reply at once, each with
+# its own text, so the two puts of one key race, each into its own log. Half
+# the keys start with a blank record, as a bad write leaves one, in a log
+# that sorts first. Every later command gets the first valid record.
 def test_racing_puts_of_one_key_leave_one_entry_that_stays(tmp_path):
     barrier = threading.Barrier(2, timeout=TIMEOUT_S)
 
@@ -395,10 +411,10 @@ def test_racing_puts_of_one_key_leave_one_entry_that_stays(tmp_path):
             return self.reply
 
     root = tmp_path / "cache"
-    gateways = [ModelGateway(Racing(reply), cache=ResponseCache(root)) for reply in "ab"]
     requests_ = [_request(f"q{index}") for index in range(20)]
-    for request in requests_[::2]:
-        (root / f"{cache_key('racing', request)}.json").write_bytes(b"")
+    keys = [cache_key("racing", request) for request in requests_]
+    write_log(root, *(json.dumps({"key": key, "text": ""}) for key in keys[::2]))
+    gateways = [ModelGateway(Racing(reply), cache=ResponseCache(root)) for reply in "ab"]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -415,18 +431,22 @@ def test_racing_puts_of_one_key_leave_one_entry_that_stays(tmp_path):
             assert sorted(replies) == ["a", "b"]
     finally:
         sys.setswitchinterval(interval)
-    assert not list(root.glob("*.tmp"))
-    entries = sorted(root.iterdir())
-    assert len(entries) == len(requests_)
+    logs = sorted(root.iterdir())
+    assert len(logs) == 3
+    assert all(stat.S_IMODE(log.stat().st_mode) == 0o600 for log in logs[1:])
+    records = cache_records(root, "key")
+    assert len(records) == 10 + 2 * 20
     won = {}
-    for request in requests_:
-        path = root / f"{cache_key('racing', request)}.json"
-        assert stat.S_IMODE(path.stat().st_mode) == 0o600
-        won[path] = json.loads(path.read_text())["text"]
-        assert won[path] in ("a", "b")
-        ResponseCache(root).put(path.stem, "c")
-        assert ModelGateway(Racing("c"), cache=ResponseCache(root)).complete(request) == won[path]
-    assert {path: json.loads(path.read_text())["text"] for path in entries} == won
+    for record in records:
+        if record["text"]:
+            won.setdefault(record["key"], record["text"])
+    assert sorted(won) == sorted(keys)
+    assert set(won.values()) <= {"a", "b"}
+    for key, request in zip(keys, requests_):
+        ResponseCache(root).put(key, "c")
+        assert ModelGateway(Racing("c"), cache=ResponseCache(root)).complete(request) == won[key]
+    assert sorted(root.iterdir()) == logs
+    assert cache_records(root, "key") == records
 
 
 def test_read_json_reads_json_and_lets_os_errors_through(tmp_path):
@@ -1209,14 +1229,16 @@ def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, corrupt):
         return ModelGateway(backend, cache=ResponseCache(tmp_path / "c")).complete(request)
 
     complete(_request("q1"))
-    (entry,) = (tmp_path / "c").glob("*.json")
-    if isinstance(corrupt, bytes):
-        entry.write_bytes(corrupt)
-    else:
-        entry.write_text(corrupt)
+    (log,) = (tmp_path / "c").iterdir()
+    key = cache_key(backend.backend_id, _request("q1"))
+    if isinstance(corrupt, str):
+        # A record of the right key whose reply is torn, of the wrong type,
+        # or beside a number that JSON cannot hold.
+        corrupt = corrupt.replace('{"text"', '{"key": "%s", "text"' % key).encode("utf-8")
+    log.write_bytes(corrupt + b"\n")
     assert complete(_request("q1")) == "r"
     assert len(calls) == 2
-    assert json.loads(entry.read_text()) == {"text": "r"}
+    assert cache_records(tmp_path / "c", "key")[-1] == {"key": key, "text": "r"}
     assert complete(_request("q1")) == "r"
     assert len(calls) == 2
 
@@ -1423,6 +1445,6 @@ def test_a_cold_scripted_ablate_and_its_warm_replay_make_no_event(
             "--concurrency", "4",
             "--out", str(tmp_path / name),
         ]) == 0
-        assert len(list((tmp_path / "cache").glob("*.json"))) == 72
+        assert len(cache_records(tmp_path / "cache", "key")) == 72
         assert len(memo_digests(tmp_path / "cache")) == 4
     assert package_events == []

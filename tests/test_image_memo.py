@@ -27,7 +27,7 @@ from schemaground.gateway import (
 )
 from schemaground.toydata import make_toy_dataset, tiny_png
 
-from helpers import memo_digests, record_reads, settle_images
+from helpers import cache_records, memo_digests, record_reads, settle_images, write_log
 
 
 @pytest.fixture()
@@ -58,7 +58,7 @@ def _file_digests(paths) -> list[str]:
 
 
 def _replies(cache) -> list[str]:
-    return sorted(path.name for path in cache.glob("*.json"))
+    return sorted(record["key"] for record in cache_records(cache, "key"))
 
 
 def _count_backend_calls(monkeypatch) -> list:
@@ -157,32 +157,53 @@ def test_a_corrupt_memo_entry_is_a_miss_and_is_replaced(dataset, tmp_path, monke
     settle_images(monkeypatch)
     cache = tmp_path / "cache"
     _ablate(dataset, cache, tmp_path / "cold")
-    entries = sorted((cache / "images").iterdir())
-    assert len(entries) == 4
-    for path in entries:
-        path.write_bytes(entry)
+    records = cache_records(cache, "stat")
+    assert len(records) == 4
+    # The same log, with `entry` as the JSON text of each recorded digest.
+    replies = [json.dumps(record) for record in cache_records(cache, "key")]
+    for log in cache.iterdir():
+        log.unlink()
+    write_log(
+        cache,
+        *replies,
+        *(b'{"stat": "%s", "sha256": %s}' % (record["stat"].encode(), entry) for record in records),
+    )
     images = list(dataset.image_paths.values())
     reads = record_reads(monkeypatch, images)
     _ablate(dataset, cache, tmp_path / "warm")
     assert len(reads) == 4
-    assert sorted((cache / "images").iterdir()) == entries
-    assert memo_digests(cache) == _file_digests(images)
+    replaced = cache_records(cache, "stat")[-4:]
+    assert sorted(record["stat"] for record in replaced) == sorted(
+        record["stat"] for record in records
+    )
+    assert sorted(record["sha256"] for record in replaced) == _file_digests(images)
     assert _same_files(tmp_path / "cold", tmp_path / "warm")
 
 
-def test_an_images_path_that_is_a_file_logs_a_warning_and_the_command_goes_on(
+# A cache root where no log can be created (read-only, say) costs one
+# warning per record not written, replies and digests alike, and the
+# command writes what it writes without a cache.
+def test_a_cache_root_that_cannot_be_written_logs_a_warning_per_write_and_the_command_goes_on(
     dataset, tmp_path, monkeypatch, caplog
 ):
     settle_images(monkeypatch)
     cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "images").write_text("not a directory")
+    _ablate(dataset, tmp_path / "clean-cache", tmp_path / "clean")
+    os_open = os.open
+
+    def refuse_creates(path, flags, *args, **kwargs):
+        if flags & os.O_CREAT and os.path.dirname(path) == str(cache):
+            raise PermissionError(13, "Permission denied", path)
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refuse_creates)
     with caplog.at_level(logging.WARNING, logger="schemaground.gateway"):
         _ablate(dataset, cache, tmp_path / "out")
-    warnings = [record for record in caplog.records if "not written" in record.getMessage()]
-    assert len(warnings) == 4
-    assert len(_replies(cache)) == 72
-    assert (cache / "images").read_text() == "not a directory"
+    warnings = [record.getMessage() for record in caplog.records]
+    assert len(warnings) == 72 + 4
+    assert all(warning.startswith(f"cache record not written in {cache}") for warning in warnings)
+    assert list(cache.iterdir()) == []
+    assert _same_files(tmp_path / "clean", tmp_path / "out")
 
 
 # ROADMAP item 18: an image copied, or renamed, has the same bytes, so the
@@ -236,4 +257,4 @@ def test_the_digest_of_inline_or_hashed_images_is_known_and_a_missing_file_raise
     assert stats == []
     with pytest.raises(MissingImageError, match="No such file or directory"):
         cache.image_digest(ImageRef.from_file(path))
-    assert not (tmp_path / "cache" / "images").exists()
+    assert list((tmp_path / "cache").iterdir()) == []

@@ -1,7 +1,7 @@
 """No input file makes `evaluate` or `ground` fail outside their exit codes.
 
 Each example copies the toy dataset and a warm response cache, mutates one
-file (the manifest, `backend.json`, `fixtures.json`, one cache entry or a
+file (the manifest, `backend.json`, `fixtures.json`, one cache record or a
 `--schema-dir` schema file) and runs `evaluate` in-process; or it mutates a
 `ground --schema` file and runs `ground`. Whatever the mutation, the command
 returns 0, a usage error or a deliberate error's code, and no exception
@@ -132,10 +132,16 @@ def test_no_mutated_input_file_escapes_the_exit_codes(warm, data):
         shutil.copytree(dataset, root)
         shutil.copytree(warm_cache, cache)
         name = data.draw(st.sampled_from(["manifest.json", "backend.json", "fixtures.json", ""]))
-        # A reply entry: the image-digest memo, once it is there, is a directory.
-        entries = sorted(cache.glob("*.json"))
-        target = root / name if name else data.draw(st.sampled_from(entries))
-        target.write_bytes(data.draw(_mutation(target.read_text(encoding="utf-8"))))
+        if name:
+            target = root / name
+            target.write_bytes(data.draw(_mutation(target.read_text(encoding="utf-8"))))
+        else:
+            # One record of the cache's one log, a line holding a JSON object.
+            (log,) = cache.glob("*.jsonl")
+            records = log.read_bytes().split(b"\n")
+            index = data.draw(st.integers(0, len(records) - 2))
+            records[index] = data.draw(_mutation(records[index].decode("utf-8")))
+            log.write_bytes(b"\n".join(records))
         assert _evaluate(root, cache) in ALLOWED_CODES
 
 

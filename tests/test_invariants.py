@@ -3,7 +3,7 @@ it writes or which requests it sends.
 
 Each test runs scripted `ablate`s over the toy dataset, writing reordered or
 split manifests beside the toy one so their image paths resolve as its do.
-The image-digest memo records every image (`settle_images`), so the names
+The image-digest memo records every image (`settle_images`), so the records
 under a cache directory do not depend on how old the toy files are.
 """
 
@@ -17,7 +17,7 @@ import pytest
 from schemaground import cli
 from schemaground.toydata import make_toy_dataset
 
-from helpers import settle_images
+from helpers import cache_records, settle_images
 
 
 @pytest.fixture()
@@ -56,7 +56,12 @@ def _files(root) -> dict[str, bytes]:
 
 
 def _replies(cache) -> set[str]:
-    return {path.name for path in cache.glob("*.json")}
+    return {record["key"] for record in cache_records(cache, "key")}
+
+
+def _cache_names(cache) -> list[str]:
+    """The keys of the cache's replies and the files its memo knows, sorted."""
+    return sorted([*_replies(cache), *(record["stat"] for record in cache_records(cache, "stat"))])
 
 
 # Grouping, task order and the order of the cache's writes follow the
@@ -74,9 +79,9 @@ def test_a_shuffled_manifest_writes_the_same_files_and_cache_names(dataset, tmp_
     out = _files(tmp_path / "out")
     assert len(out) == 11
     assert _files(tmp_path / "shuffled-out") == out
-    cache_names = sorted(_files(tmp_path / "cache"))
+    cache_names = _cache_names(tmp_path / "cache")
     assert len(cache_names) == 72 + 4
-    assert sorted(_files(tmp_path / "shuffled-cache")) == cache_names
+    assert _cache_names(tmp_path / "shuffled-cache") == cache_names
 
 
 # Split and merge: the two halves of a manifest, run against one cache, send

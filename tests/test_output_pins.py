@@ -1,13 +1,13 @@
 """Pins of the toy `ablate` outputs: the SHA-256 of each of the 11 `--out`
-files and of stdout, under three flag sets; of the names of the reply
-entries it writes to the cache, and of the image digests its memo there
+files and of stdout, under three flag sets; of the keys of the reply
+records it writes to the cache, and of the image digests its memo there
 holds; of the toy dataset's JSON files; and of the resolved schema that
 `ground` writes for the toy maze image, hierarchical and sequential.
 
 A change that must leave outputs byte-identical keeps every pin. A change
 that alters outputs on purpose updates the pins here and says why in
-CHANGES.md. The cache file names are the request keys: a change that moves
-them orphans every cache that a live run has paid for.
+CHANGES.md. The reply keys are the request keys: a change that moves them
+orphans every cache that a live run has paid for.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from schemaground import cli
 from schemaground.extraction import load_canonical_schema
 
-from helpers import memo_digests, settle_images
+from helpers import cache_records, memo_digests, settle_images
 
 OUT_TOKEN = "<OUT>"
 
@@ -105,7 +105,9 @@ PINS = {
 }
 
 
-# SHA-256 of the sorted cache file names, joined by newlines.
+# SHA-256 of the sorted names `<key>.json` of the cache's reply records, joined
+# by newlines: the file names of the one-file-per-reply layout that the cache
+# kept before its logs, so the pin still holds the same 72 keys.
 CACHE_NAMES_PIN = "6e2697e1fa67ae865053a5a3c8432af796651daa854c33e74925ff51137814c1"
 # SHA-256 of the sorted values of the image-digest memo, joined by newlines:
 # the SHA-256 of each of the 4 toy image files.
@@ -163,7 +165,7 @@ def test_toy_ablate_cache_file_names_are_pinned(toy, tmp_path, capsys, monkeypat
         "--out", str(tmp_path / "out"),
     ])
     assert code == 0
-    names = sorted(path.name for path in (tmp_path / "cache").glob("*.json"))
+    names = sorted(f"{record['key']}.json" for record in cache_records(tmp_path / "cache", "key"))
     assert len(names) == 72
     assert _sha256("\n".join(names).encode("utf-8")) == CACHE_NAMES_PIN
     values = memo_digests(tmp_path / "cache")

@@ -26,7 +26,7 @@ from schemaground.gateway import (
 from schemaground.qa import AnswerMode, answer
 from schemaground.runner import load_schemas, run_predictions
 
-from helpers import PassThrough, record_reads, scripted_gateway, settle_images
+from helpers import PassThrough, memo_digests, record_reads, scripted_gateway, settle_images
 
 
 # Backend calls per command on the 12-instance toy manifest: all five modes
@@ -237,7 +237,7 @@ def test_a_warm_ablate_hashes_every_image_before_the_first_request(
     assert set(reads) == {threading.current_thread()}
     first_request = events.index("complete")
     assert events[:first_request] == ["hashed"] * len(paths)
-    assert not (tmp_path / "cache" / "images").exists()
+    assert memo_digests(tmp_path / "cache") == []
 
 
 # A scripted backend never waits, so a call to it keeps the turn, and a cold
