@@ -1,7 +1,7 @@
-"""Command-line entry point: extract | ground | answer | evaluate | ablate.
+"""Command-line entry point: extract | ground | evaluate | ablate.
 
 A later stage reads only the schema file that `extract` writes (`ground
---schema`, a `--schema-dir` file); `answer`, `evaluate` and `ablate` ground
+--schema`, a `--schema-dir` file); `evaluate` and `ablate` ground and answer
 in-process, so the resolved-schema JSON, predictions and reports are records.
 Every deliberate failure maps to a distinct exit code via the error taxonomy.
 """
@@ -122,23 +122,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser, required: bool = True) -
     parser.add_argument("--seed-hint", type=int, default=0)
 
 
-def _add_choice_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--multiple-choice",
-        dest="multiple_choice",
-        action="store_true",
-        default=True,
-        help="instances must carry options; replies resolve to one (default)",
-    )
-    group.add_argument(
-        "--free-response",
-        dest="multiple_choice",
-        action="store_false",
-        help="drop options; replies are scored as normalized text",
-    )
-
-
 def _gateway(args: argparse.Namespace) -> ModelGateway:
     return ModelGateway.from_config(
         args.backend_config,
@@ -191,34 +174,18 @@ def cmd_ground(args: argparse.Namespace) -> int:
     return 0
 
 
-def _predict(args: argparse.Namespace, modes: list[AnswerMode | str]):
-    """Load the manifest, gateway and schemas, and answer the manifest under
-    every mode in one run; return the manifest and the predictions by mode."""
+def cmd_evaluate(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest, multiple_choice=args.multiple_choice)
-    return manifest, run_predictions(
+    # run_predictions answers a repeated --mode once; `ablate` sets every mode.
+    by_mode = run_predictions(
         manifest,
-        modes,
+        args.mode or [AnswerMode.FULL_DSG],
         _gateway(args),
         load_schemas(manifest, args.schema_dir),
         runs=args.runs,
         concurrency=args.concurrency,
         seed_hint=args.seed_hint,
     )
-
-
-def cmd_answer(args: argparse.Namespace) -> int:
-    mode = AnswerMode(args.mode)
-    predictions = _predict(args, [mode])[1][mode]
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"{mode.value}.predictions.jsonl"
-    write_predictions_jsonl(predictions, path)
-    print(f"wrote {path} ({len(predictions)} predictions)")
-    return 0
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    # run_predictions answers a repeated --mode once; `ablate` sets every mode.
-    manifest, by_mode = _predict(args, args.mode or [AnswerMode.FULL_DSG])
     score = graded_accuracy if args.metric == "graded" else exact_match_accuracy
     human = human_leave_one_out(manifest) if args.human_row else None
     args.out.mkdir(parents=True, exist_ok=True)
@@ -271,17 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flags(p_ground)
     p_ground.set_defaults(func=cmd_ground)
 
-    p_answer = sub.add_parser("answer", help="produce predictions for a manifest")
-    p_answer.add_argument("--manifest", type=Path, required=True)
-    p_answer.add_argument("--mode", choices=MODE_CHOICES, default=AnswerMode.FULL_DSG.value)
-    p_answer.add_argument("--runs", type=_positive_int, default=1)
-    p_answer.add_argument("--concurrency", type=_positive_int, default=4)
-    p_answer.add_argument("--schema-dir", type=_schema_dir, default=None)
-    p_answer.add_argument("--out", type=_output_dir, default="out")
-    _add_choice_flags(p_answer)
-    _add_backend_flags(p_answer)
-    p_answer.set_defaults(func=cmd_answer)
-
     for name, help_text in (
         ("evaluate", "answer a manifest and score the predictions"),
         ("ablate", "evaluate across all five answer modes"),
@@ -307,7 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
             help="add leave-one-annotator-out accuracy to each report",
         )
         p_eval.add_argument("--out", type=_output_dir, default="out")
-        _add_choice_flags(p_eval)
+        choice = p_eval.add_mutually_exclusive_group()
+        choice.add_argument(
+            "--multiple-choice",
+            dest="multiple_choice",
+            action="store_true",
+            default=True,
+            help="instances must carry options; replies resolve to one (default)",
+        )
+        choice.add_argument(
+            "--free-response",
+            dest="multiple_choice",
+            action="store_false",
+            help="drop options; replies are scored as normalized text",
+        )
         _add_backend_flags(p_eval)
         p_eval.set_defaults(func=cmd_evaluate)
 

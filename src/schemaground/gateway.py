@@ -218,18 +218,8 @@ def read_json(path: str | Path):
     """The JSON value in the UTF-8 file at `path`. A file that does not hold
     JSON, or nests too deeply to decode, raises ValueError; one that cannot
     be read raises OSError."""
-    # Plain os calls, four for a small file: each system call is a point
-    # where another thread can take the GIL, and `Path.read_text` makes
-    # about ten.
-    fd = os.open(path, os.O_RDONLY)
     try:
-        chunks = []
-        while chunk := os.read(fd, 1 << 16):
-            chunks.append(chunk)
-    finally:
-        os.close(fd)
-    try:
-        return _DECODER.decode(b"".join(chunks).decode("utf-8"))
+        return _DECODER.decode(Path(path).read_bytes().decode("utf-8"))
     except RecursionError as err:
         raise ValueError("JSON nested too deeply to decode") from err
 

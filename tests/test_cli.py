@@ -21,6 +21,7 @@ from schemaground.toydata import TOY_BINDINGS, TOY_SEQUENTIAL_DRIFT, toy_fixture
 from helpers import PassThrough, cache_records, checkout_env
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 LADDER = {
     "baseline": 1 / 12,
@@ -252,26 +253,6 @@ def test_an_image_that_cannot_be_read_exits_51_before_any_backend_call(
     assert calls == []
 
 
-# ------------------------------------------------------------------- answer
-
-
-def test_answer_writes_predictions(toy, tmp_path):
-    result = run_cli(
-        "answer",
-        "--manifest", toy.manifest_path,
-        "--mode", "baseline",
-        "--out", tmp_path / "out",
-        *_backend_args(toy, tmp_path),
-        cwd=tmp_path,
-    )
-    assert result.returncode == 0, result.stderr
-    path = tmp_path / "out" / "baseline.predictions.jsonl"
-    lines = path.read_text().splitlines()
-    assert len(lines) == 12
-    ids = [json.loads(line)["instance_id"] for line in lines]
-    assert ids == sorted(ids)
-
-
 # ----------------------------------------------------------------- evaluate
 
 
@@ -376,9 +357,9 @@ def test_evaluate_human_row(toy, tmp_path):
     assert len(report["human"]["per_run"]) == 5
 
 
-def test_answer_free_response_flag(toy, tmp_path):
+def test_evaluate_free_response_flag(toy, tmp_path):
     result = run_cli(
-        "answer",
+        "evaluate",
         "--manifest", toy.manifest_path,
         "--mode", "baseline",
         "--free-response",
@@ -456,9 +437,10 @@ def test_ablate_calls_and_files_do_not_depend_on_concurrency(toy, tmp_path, monk
     assert outputs[1] == outputs[2] == outputs[16]
 
 
-# `full_dsg` answers from the hierarchical walk whether that walk also
-# serves `grounding_hierarchical` or not: alone or beside it, `evaluate`
-# writes the ablate's full_dsg predictions byte for byte.
+# `evaluate --mode m` on its own writes the ablate's predictions for m byte
+# for byte, for each of the five modes. `full_dsg` answers from the
+# hierarchical walk whether that walk also serves `grounding_hierarchical` or
+# not, so beside it too it writes the same predictions.
 def test_full_dsg_predictions_do_not_depend_on_the_other_modes(toy, tmp_path):
     common = [
         "--manifest", str(toy.manifest_path),
@@ -466,14 +448,15 @@ def test_full_dsg_predictions_do_not_depend_on_the_other_modes(toy, tmp_path):
         "--concurrency", "2",
     ]
     assert cli.main(["ablate", *common, "--out", str(tmp_path / "ablate")]) == 0
-    expected = (tmp_path / "ablate" / "full_dsg.predictions.jsonl").read_bytes()
     for name, modes in [
-        ("alone", ["full_dsg"]),
+        *((mode, [mode]) for mode in LADDER),
         ("pair", ["full_dsg", "grounding_hierarchical"]),
     ]:
         flags = [flag for mode in modes for flag in ("--mode", mode)]
         assert cli.main(["evaluate", *common, *flags, "--out", str(tmp_path / name)]) == 0
-        assert (tmp_path / name / "full_dsg.predictions.jsonl").read_bytes() == expected
+        for mode in modes:
+            expected = (tmp_path / "ablate" / f"{mode}.predictions.jsonl").read_bytes()
+            assert (tmp_path / name / f"{mode}.predictions.jsonl").read_bytes() == expected
 
 
 def test_readme_quick_start_script(tmp_path):
@@ -569,18 +552,16 @@ def test_invalid_manifest_exit_code(toy, tmp_path):
 def test_a_manifest_without_instances_exits_50(toy, tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"subset": True, "instances": []}))
-    for command in ("evaluate", "answer"):
-        out = tmp_path / command
-        result = run_cli(
-            command,
-            "--manifest", manifest,
-            *_backend_args(toy, tmp_path),
-            "--out", out,
-            cwd=tmp_path,
-        )
-        assert result.returncode == 50, result.stderr
-        assert "no instances" in result.stderr
-        assert not out.exists()
+    result = run_cli(
+        "evaluate",
+        "--manifest", manifest,
+        *_backend_args(toy, tmp_path),
+        "--out", tmp_path / "out",
+        cwd=tmp_path,
+    )
+    assert result.returncode == 50, result.stderr
+    assert "no instances" in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_fixture_miss_exit_code(toy, tmp_path):
@@ -827,17 +808,21 @@ def test_unreadable_schema_dir_file_exits_ten(toy, tmp_path, kind):
 def test_usage_errors_exit_two(tmp_path):
     assert run_cli(cwd=tmp_path).returncode == 2
     assert run_cli("evaporate", cwd=tmp_path).returncode == 2
+    # `answer` was `evaluate --mode` without the score, and is gone.
+    result = run_cli("answer", "--manifest", "m.json", "--backend-config", "b.json", cwd=tmp_path)
+    assert result.returncode == 2
+    assert "invalid choice: 'answer'" in result.stderr
     assert run_cli("evaluate", "--manifest", "m.json", "--mode", "psychic",
                    "--backend-config", "b.json", cwd=tmp_path).returncode == 2
-    for command, flag in (("evaluate", "--concurrency"), ("answer", "--runs")):
-        result = run_cli(command, "--manifest", "m.json", flag, "0",
+    for flag in ("--concurrency", "--runs"):
+        result = run_cli("evaluate", "--manifest", "m.json", flag, "0",
                          "--backend-config", "b.json", cwd=tmp_path)
         assert result.returncode == 2
         assert "must be at least 1" in result.stderr
     for command, flag, value, floor in (
-        ("answer", "--max-tokens", "0", "1"),
+        ("evaluate", "--max-tokens", "0", "1"),
         ("ablate", "--max-tokens", "0", "1"),
-        ("answer", "--temperature", "-1", "0.0"),
+        ("evaluate", "--temperature", "-1", "0.0"),
     ):
         result = run_cli(command, "--manifest", "m.json", flag, value,
                          "--backend-config", "b.json", cwd=tmp_path)
@@ -862,7 +847,7 @@ def test_usage_errors_exit_two(tmp_path):
         assert result.returncode == 2
         assert message in result.stderr
     # A mistyped --schema-dir would otherwise score the canonical schemas.
-    for command in ("answer", "evaluate", "ablate"):
+    for command in ("evaluate", "ablate"):
         for schema_dir in ("no/such/dir", "maze.schema"):
             result = run_cli(command, "--manifest", "m.json", "--schema-dir", schema_dir,
                              "--backend-config", "b.json", cwd=tmp_path)
@@ -933,7 +918,6 @@ def _run_without_rules(toy, tmp_path, command, out):
     [
         (command, out)
         for command, outs in (
-            ("answer", ("taken", "taken/sub")),
             ("evaluate", ("taken", "taken/sub")),
             ("ablate", ("taken", "taken/sub")),
             ("extract", ("made", "taken/sub", None)),
@@ -996,8 +980,60 @@ def test_a_cache_entry_that_is_a_directory_is_a_miss_and_is_left_alone(toy, tmp_
     assert len(cache_records(entry.parent, "key")) == 72
 
 
+# A published cache proves its numbers by a strict replay: a scripted config
+# with the cache's backend_id and model_id and no rules, so that a request the
+# cache lacks fails (exit 21) and no reply can be made up for it.
+def test_a_strict_replay_of_a_cache_writes_the_cold_files_and_fails_on_a_miss(
+    toy, tmp_path, capsys
+):
+    cache = tmp_path / "cache"
+    common = ["ablate", "--manifest", str(toy.manifest_path), "--cache-dir", str(cache)]
+    assert cli.main([
+        *common, "--backend-config", str(toy.backend_config_path), "--out", str(tmp_path / "cold"),
+    ]) == 0
+    (tmp_path / "rules.json").write_text("[]")
+    config = json.loads(toy.backend_config_path.read_text(encoding="utf-8"))
+    (tmp_path / "strict.json").write_text(json.dumps({**config, "fixture_path": "rules.json"}))
+    strict = [*common, "--backend-config", str(tmp_path / "strict.json")]
+    replies = cache_records(cache, "key")
+    assert len(replies) == 72
+    assert cli.main([*strict, "--out", str(tmp_path / "replay")]) == 0
+    cold = {path.name: path.read_bytes() for path in (tmp_path / "cold").iterdir()}
+    assert len(cold) == 11
+    assert {path.name: path.read_bytes() for path in (tmp_path / "replay").iterdir()} == cold
+    capsys.readouterr()
+    assert cli.main([*strict, "--runs", "2", "--out", str(tmp_path / "two-runs")]) == 21
+    err = capsys.readouterr().err
+    assert "FixtureMissError" in err
+    assert "while grounding component" in err
+    assert cache_records(cache, "key") == replies
+    assert not (tmp_path / "two-runs").exists()
+
+
+# Each `schemaground` command in a fenced block of the README names a
+# subcommand and flags that the parser defines, so an example cannot outlive
+# the command or flag it shows.
+def test_readme_commands_use_only_defined_subcommands_and_flags(capsys):
+    readme = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    commands = [
+        line.split()
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("schemaground ")
+    ]
+    assert commands
+    for words in commands:
+        with pytest.raises(SystemExit) as exit_:
+            cli.build_parser().parse_args([words[1], "--help"])
+        help_text = capsys.readouterr().out
+        assert exit_.value.code == 0, " ".join(words)
+        for flag in (word.split("=")[0] for word in words if word.startswith("--")):
+            assert re.search(rf"(?<![\w-]){flag}(?![\w-])", help_text), (words[1], flag)
+
+
 def test_readme_exit_code_table_is_the_code_table():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     section = readme.split("## Exit codes\n", 1)[1].split("\n## ", 1)[0]
     rows = [
         [cell.strip() for cell in line.strip("|").split("|")]
