@@ -2,9 +2,10 @@
 
 Two backends share one request/response shape: an HTTP backend speaking the
 chat-completions wire format (base64 inline images), and a scripted backend
-that replays fixture rules for offline, fully deterministic runs. Replies are
-cached on disk, write-once, in append-only logs keyed by a hash of the
-request; raw image bytes never enter keys or logs, only their digests, which
+that replays fixture rules for offline, fully deterministic runs. A gateway
+holds its replies, loaded or fetched, in one map keyed by a hash of the
+request, and with a cache directory also on disk, write-once, in append-only
+logs; raw image bytes never enter keys or logs, only their digests, which
 the cache's logs also keep, by file identity, for a later command.
 """
 
@@ -267,6 +268,10 @@ _CREATE_LOG = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND
 class ResponseCache:
     """Write-once store of replies and image digests in append-only logs.
 
+    Its reply map also holds the gateway's requests in flight, under its
+    lock. With no `root`, a cache reads and appends no log, and keeps no
+    image digest.
+
     A cache creates one JSON-lines log in `root` on its first write, named
     `<creation time in ns>-<pid>.jsonl` so that names sort by creation, and
     appends each record to it as one line, with one write under a lock:
@@ -278,17 +283,20 @@ class ResponseCache:
     writes nothing. A torn record (a log's cut-short last line), or one not
     JSON, of the wrong types, a blank reply, one with a lone surrogate
     escape or a digest not 64 lowercase hex, reads as a miss. A failed write
-    logs a warning and ends the log; the next write starts another. The
-    older one-file-per-entry layout is not read; one warning counts it.
+    logs a warning and ends the log; the next write starts another, and the
+    record it failed to write is still held for this command. The older
+    one-file-per-entry layout is not read; one warning counts it.
     """
 
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._replies: dict[str, str] = {}
+    def __init__(self, root: str | Path | None = None):
+        self.root = None if root is None else Path(root)
+        self._replies: dict[str, str | _Flight] = {}
         self._digests: dict[str, str] = {}
         self._lock = threading.Lock()
         self._fd: int | None = None  # this cache's log, once it writes
+        if self.root is None:
+            return
+        self.root.mkdir(parents=True, exist_ok=True)
         names = sorted(os.listdir(self.root))
         if old := sum(1 for name in names if re.fullmatch(r"[0-9a-f]{64}\.json", name)):
             log.warning("cache directory %s: %d entries of the old layout ignored", self.root, old)
@@ -316,12 +324,15 @@ class ResponseCache:
             elif isinstance(stat, str) and isinstance(sha, str) and _HEX_DIGEST.fullmatch(sha):
                 self._digests.setdefault(stat, sha)
 
-    def _write(self, store: dict[str, str], key: str, value: str, record: str) -> None:
-        """Unless `store` holds `key`, append `record` to this cache's log,
-        created on the first write and closed when the cache is collected,
-        and then set `store[key]` to `value`."""
+    def _write(self, store: dict, key: str, value: str, record: str) -> None:
+        """Unless `store` holds a string at `key`, set `store[key]` to `value`
+        and, with a root, append `record` to this cache's log, created on the
+        first write and closed when the cache is collected."""
         with self._lock:
-            if key in store:
+            if isinstance(store.get(key), str):
+                return
+            store[key] = value
+            if self.root is None:
                 return
             try:
                 if self._fd is None:
@@ -336,10 +347,8 @@ class ResponseCache:
                 if self._fd is not None:  # a record cut short must tear no other
                     self._close()
                     self._fd = None
-                return
-            store[key] = value
 
-    def get(self, key: str) -> str | None:
+    def get(self, key: str) -> str | _Flight | None:
         return self._replies.get(key)
 
     def put(self, key: str, text: str) -> None:
@@ -347,11 +356,11 @@ class ResponseCache:
         self._write(self._replies, key, text, record)
 
     def image_digest(self, image: ImageRef) -> str:
-        """`image.digest()`. For a file not hashed yet, the memo's record for
-        the file as it stands gives it without a read; on a miss the file is
-        hashed, and its digest recorded when its stat did not move while it
-        was read and its ctime is at least _SETTLED_S seconds old."""
-        if image.path is None or "_digest" in image.__dict__:
+        """`image.digest()`. With a root, for a file not hashed yet, the memo's
+        record for the file as it stands gives it without a read; on a miss the
+        file is hashed, and its digest recorded when its stat did not move while
+        it was read and its ctime is at least _SETTLED_S seconds old."""
+        if self.root is None or image.path is None or "_digest" in image.__dict__:
             return image.digest()
         identity = _stat_identity(image.path)
         stat = "%d %d %d %d %d" % identity
@@ -640,8 +649,10 @@ class _Flight:
 class ModelGateway:
     """Front door for model calls: caching and reply validation.
 
-    Safe for concurrent use: backends are read-only after construction, the
-    cache is write-once per key, and the reply memo is single-flight.
+    Safe for concurrent use: backends are read-only after construction, and
+    the cache's reply map is single-flight: the first caller of a key puts a
+    _Flight there and later callers wait on it; the reply replaces it, and a
+    failure removes it. A gateway built without a cache gets one with no root.
 
     The gateway also owns a turn, which callers that share it take to run
     their local work one at a time. A caller holding the turn lets it go
@@ -662,17 +673,10 @@ class ModelGateway:
         max_tokens: int = 512,
     ):
         self.backend = backend
-        self.cache = cache
+        self.cache = cache or ResponseCache()
         self.model_id = model_id
         self.temperature = temperature
         self.max_tokens = max_tokens
-        # Every reply this gateway returned, by cache key, so each distinct
-        # request reaches the backend at most once. Single-flight: the first
-        # caller of a key puts a _Flight there and later callers wait on it. On
-        # success the reply string replaces the flight; a failure removes it,
-        # so a later call sends the request again.
-        self._lock = threading.Lock()
-        self._replies: dict[str, str | _Flight] = {}
         self._turn = threading.Lock()
         self._holds_turn = threading.local()
 
@@ -727,10 +731,9 @@ class ModelGateway:
             backend = ScriptedBackend.from_file(fixture, backend_id=backend_id)
         else:
             raise BackendConfigError(f"unknown backend kind {kind!r}")
-        cache = ResponseCache(cache_dir) if cache_dir is not None else None
         return cls(
             backend,
-            cache=cache,
+            cache=ResponseCache(cache_dir),
             model_id=fields["model_id"],
             temperature=temperature,
             max_tokens=max_tokens,
@@ -749,13 +752,14 @@ class ModelGateway:
             self._turn.release()
 
     def complete(self, request: ModelRequest) -> str:
-        """The reply text: from this gateway's earlier or in-flight replies,
-        else from the cache when present, else from the backend."""
+        """The reply text: from the cache's map, loaded or fetched, or from
+        a request in flight, else from the backend."""
         key = cache_key(self.backend.backend_id, request)
-        with self._lock:
-            entry = self._replies.get(key)
+        cache = self.cache
+        with cache._lock:
+            entry = cache.get(key)
             if entry is None:
-                flight = self._replies[key] = _Flight()
+                flight = cache._replies[key] = _Flight()
             elif not isinstance(entry, str) and entry.done is None:
                 entry.done = threading.Event()
         if entry is not None:
@@ -769,33 +773,27 @@ class ModelGateway:
                 raise entry.error
             return entry.text
         try:
-            text = self.cache.get(key) if self.cache is not None else None
-            if text is not None:
-                log.debug("cache hit %s model=%s", key[:12], request.model_id)
-            else:
-                if not isinstance(self.backend, ScriptedBackend):
-                    self.give_turn()
-                text = self.backend.complete(request)
-                if not text.strip():
-                    raise MalformedReplyError("backend returned an empty reply")
-                if not _is_unicode(text):
-                    raise MalformedReplyError(
-                        "backend returned a reply that is not valid Unicode text "
-                        "(a lone surrogate)"
-                    )
-                if self.cache is not None:
-                    self.cache.put(key, text)
-                log.debug("completed %s model=%s", key[:12], request.model_id)
+            if not isinstance(self.backend, ScriptedBackend):
+                self.give_turn()
+            text = self.backend.complete(request)
+            if not text.strip():
+                raise MalformedReplyError("backend returned an empty reply")
+            if not _is_unicode(text):
+                raise MalformedReplyError(
+                    "backend returned a reply that is not valid Unicode text "
+                    "(a lone surrogate)"
+                )
+            # Once the reply replaces it in the map, the flight gains no waiter.
+            cache.put(key, text)
+            log.debug("completed %s model=%s", key[:12], request.model_id)
         except BaseException as err:
-            with self._lock:
-                del self._replies[key]
+            with cache._lock:
+                del cache._replies[key]
                 flight.error, done = err, flight.done
             if done is not None:
                 done.set()
             raise
-        with self._lock:
-            self._replies[key] = text
-            flight.text, done = text, flight.done
+        flight.text, done = text, flight.done
         if done is not None:
             done.set()
         return text

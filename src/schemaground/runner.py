@@ -5,8 +5,8 @@ Before the first task, instances are grouped by (concept, image digest).
 Each image gets its digest on the calling thread, in manifest order, and a
 read that fails raises there. The manifest gives each image file one
 `ImageRef`, which keeps its digest, so an image is read for its digest at
-most once per command; with a cache, a file that the cache's image-digest
-memo knows as it stands is not read at all. One task per (grounding walk,
+most once per command; one that the image-digest memo of a cache directory
+knows as it stands is not read at all. One task per (grounding walk,
 run, group) grounds its image (grounded modes only) and then answers the
 group's instances under each mode that the walk serves:
 `grounding_hierarchical` and `full_dsg` answer from one
@@ -43,7 +43,7 @@ from .dsl import SchemaProgram, parse_schema
 from .errors import ConceptMismatchError, SchemaSyntaxError
 from .evaluate import DatasetManifest
 from .extraction import load_canonical_schema
-from .gateway import ImageRef, ModelGateway
+from .gateway import ModelGateway
 from .grounding import ground_hierarchical, ground_sequential
 from .qa import GROUNDED_MODES, AnswerMode, Prediction, VqaInstance, answer
 
@@ -97,7 +97,7 @@ def run_predictions(
 ) -> dict[AnswerMode, list[Prediction]]:
     """Answer every manifest instance under each mode, `runs` times."""
     modes = list(dict.fromkeys(map(AnswerMode, modes)))
-    digest = ImageRef.digest if gateway.cache is None else gateway.cache.image_digest
+    digest = gateway.cache.image_digest
     groups: dict[tuple[str, str], list[VqaInstance]] = {}
     for instance in manifest.instances:
         groups.setdefault((instance.concept, digest(instance.image)), []).append(instance)

@@ -158,8 +158,7 @@ def fixture_grounding_rules(reply_for=None) -> list[dict]:
 
 
 def scripted_gateway(rules: list[dict], cache_dir=None, **gateway_kwargs) -> ModelGateway:
-    cache = ResponseCache(cache_dir) if cache_dir is not None else None
-    return ModelGateway(ScriptedBackend(rules), cache=cache, **gateway_kwargs)
+    return ModelGateway(ScriptedBackend(rules), cache=ResponseCache(cache_dir), **gateway_kwargs)
 
 
 class PassThrough:

@@ -386,10 +386,46 @@ def test_a_put_into_a_removed_cache_root_logs_a_warning_and_raises_nothing(
     root.rmdir()
     with caplog.at_level(logging.WARNING, logger="schemaground.gateway"):
         cache.put("k", "r")
+        # The reply is still held, so a second put of its key writes nothing.
+        assert cache.get("k") == "r"
         cache.put("k", "r")
+        assert caplog.text.count(f"cache record not written in {root}") == 1
+        cache.put("k2", "r")
     assert caplog.text.count(f"cache record not written in {root}") == 2
-    assert cache.get("k") is None
     assert not root.exists()
+
+
+# A cache with no root holds its records in memory only.
+def test_a_rootless_cache_round_trips_in_memory_and_makes_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cache = ResponseCache()
+    assert cache.root is None
+    assert cache.get("k") is None
+    cache.put("k", "r")
+    cache.put("k", "again")
+    assert cache.get("k") == "r"
+    assert list(tmp_path.iterdir()) == []
+
+
+# A cacheless run keeps no image-digest memo, so it stats no image: it only
+# hashes each one, in one read.
+def test_a_rootless_cache_takes_an_image_digest_in_one_read_and_no_stat(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "x.png"
+    path.write_bytes(PNG)
+    stats = []
+    real_stat = os.stat
+    monkeypatch.setattr(
+        os, "stat", lambda *args, **kwargs: (stats.append(args[0]), real_stat(*args, **kwargs))[1]
+    )
+    reads = record_reads(monkeypatch, [path])
+    image = ImageRef.from_file(path)
+    cache = ResponseCache()
+    digest = hashlib.sha256(PNG).hexdigest()
+    assert cache.image_digest(image) == cache.image_digest(image) == digest
+    assert len(reads) == 1
+    assert stats == []
 
 
 # Two gateways with their own caches stand for two processes sharing one
@@ -1224,8 +1260,8 @@ def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, corrupt):
     backend.complete = lambda req: (calls.append(1), original(req))[1]
 
     def complete(request):
-        # A fresh gateway each time stands for a new process: the reply memo
-        # of one gateway would otherwise answer before the cache is read.
+        # A fresh gateway each time stands for a new process: one cache's
+        # map would otherwise answer with the reply it fetched.
         return ModelGateway(backend, cache=ResponseCache(tmp_path / "c")).complete(request)
 
     complete(_request("q1"))
@@ -1272,6 +1308,38 @@ def test_gateway_does_not_memoize_a_failure():
         gateway.complete(_request("q1"))
     assert gateway.complete(_request("q1")) == "r"
     assert gateway.complete(_request("q1")) == "r"
+    assert len(calls) == 2
+
+
+# The put of a fetched reply is inside the flight's guard: a put that
+# raises fails its call, and leaves no flight that a later call would wait on.
+@pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+def test_a_put_that_raises_leaves_no_flight_and_a_later_call_resends(
+    tmp_path, monkeypatch, cached
+):
+    backend = ScriptedBackend([{"match": {"contains": "q"}, "reply": "r"}])
+    calls = []
+    original = backend.complete
+    backend.complete = lambda req: (calls.append(1), original(req))[1]
+    cache = ResponseCache(tmp_path / "cache") if cached else None
+    gateway = ModelGateway(backend, cache=cache)
+
+    def broken(*args):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ResponseCache, "_write", broken)
+        with pytest.raises(KeyboardInterrupt):
+            gateway.complete(_request("q"))
+    assert gateway.cache.get(cache_key(backend.backend_id, _request("q"))) is None
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(gateway.complete(_request("q"))), daemon=True
+    )
+    thread.start()
+    thread.join(TIMEOUT_S)
+    assert not thread.is_alive(), "the second call waits on a stale flight"
+    assert results == ["r"]
     assert len(calls) == 2
 
 

@@ -248,16 +248,23 @@ def test_a_cold_scripted_ablate_runs_on_one_thread(toy, tmp_path, monkeypatch):
     assert len(threads) == 1
 
 
-# A miss reads the store once: the put that follows creates its entry
-# without reading the key again.
-def test_a_cold_ablate_reads_each_cache_entry_once(toy, tmp_path, monkeypatch):
-    keys = []
-    get = ResponseCache.get
+# The cache's map is the one place a reply is looked up: each `complete`
+# reads its key there once, whether the reply is held, in flight or still to
+# fetch, and the put that follows a miss does not read it again.
+def test_each_complete_looks_its_key_up_once(toy, tmp_path, monkeypatch):
+    keys, requests = [], []
+    get, complete = ResponseCache.get, ModelGateway.complete
     monkeypatch.setattr(
         ResponseCache, "get", lambda self, key: (keys.append(key), get(self, key))[1]
     )
+    monkeypatch.setattr(
+        ModelGateway,
+        "complete",
+        lambda self, request: (requests.append(request), complete(self, request))[1],
+    )
     assert cli.main([*ablate_argv(toy, tmp_path), "--out", str(tmp_path / "out")]) == 0
-    assert len(keys) == len(set(keys)) == 72
+    assert len(keys) == len(requests) == 84
+    assert len(set(keys)) == 72
 
 
 class Gate(PassThrough):
