@@ -69,7 +69,7 @@ def extract_schema(
     gateway: ModelGateway,
     max_retries: int = 2,
     fallback_to_canonical: bool = False,
-    seed_hint: int | None = None,
+    seed_hint: int = 0,
 ) -> SchemaProgram:
     """Ask the backend for a schema program and validate the reply.
 

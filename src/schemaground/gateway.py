@@ -2,11 +2,13 @@
 
 Two backends share one request/response shape: an HTTP backend speaking the
 chat-completions wire format (base64 inline images), and a scripted backend
-that replays fixture rules for offline, fully deterministic runs. A gateway
-holds its replies, loaded or fetched, in one map keyed by a hash of the
-request, and with a cache directory also on disk, write-once, in append-only
-logs; raw image bytes never enter keys or logs, only their digests, which
-the cache's logs also keep, by file identity, for a later command.
+that replays fixture rules for offline, fully deterministic runs. Every
+request carries an integer seed, 0 unless its caller gives another, in its
+key and in its HTTP body. A gateway holds its replies, loaded or fetched, in
+one map keyed by a hash of the request, and with a cache directory also on
+disk, write-once, in append-only logs; raw image bytes never enter keys or
+logs, only their digests, which the cache's logs also keep, by file
+identity, for a later command.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ class ModelRequest:
     messages: tuple[Message, ...]
     temperature: float = 0.0
     max_tokens: int = 512
-    seed_hint: int | None = None
+    seed_hint: int = 0
 
     def __post_init__(self):
         if not isinstance(self.model_id, str):
@@ -141,8 +143,8 @@ class ModelRequest:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not _is_number(self.max_tokens, int) or self.max_tokens <= 0:
             raise ValueError(f"max_tokens must be a positive integer, got {self.max_tokens!r}")
-        if self.seed_hint is not None and not _is_number(self.seed_hint, int):
-            raise ValueError(f"seed_hint must be an integer or None, got {self.seed_hint!r}")
+        if not _is_number(self.seed_hint, int):
+            raise ValueError(f"seed_hint must be an integer, got {self.seed_hint!r}")
         for index, message in enumerate(self.messages):
             expected = "user" if index % 2 == 0 else "assistant"
             if message.role != expected:
@@ -186,7 +188,6 @@ def cache_key(backend_id: str, request: ModelRequest) -> str:
         )
         for message in request.messages
     ])
-    seed_hint = "null" if request.seed_hint is None else _json_number(request.seed_hint)
     material = (
         '{"backend_id":%s,"max_tokens":%s,"messages":[%s],"model_id":%s,'
         '"seed_hint":%s,"temperature":%s}'
@@ -195,7 +196,7 @@ def cache_key(backend_id: str, request: ModelRequest) -> str:
             _json_number(request.max_tokens),
             messages,
             encode_basestring_ascii(request.model_id),
-            seed_hint,
+            _json_number(request.seed_hint),
             _json_number(request.temperature),
         )
     )
@@ -567,12 +568,11 @@ class HttpBackend:
                     self._base64(image),
                     b'"}}]}, ',
                 )
-        seed = b"" if request.seed_hint is None else b', "seed": %s' % _json(request.seed_hint)
         # The last message ends the list, so its ", " is cut.
-        chunks[-1] = chunks[-1][:-2] + b'], "temperature": %s, "max_tokens": %s%s}' % (
+        chunks[-1] = chunks[-1][:-2] + b'], "temperature": %s, "max_tokens": %s, "seed": %s}' % (
             _json(request.temperature),
             _json(request.max_tokens),
-            seed,
+            _json(request.seed_hint),
         )
         return b"".join(chunks)
 
@@ -635,13 +635,14 @@ class HttpBackend:
 
 
 class _Flight:
-    """A request in flight: its outcome, and the Event that its waiters wait
-    on, made only once a second caller of the request waits."""
+    """A request in flight: its outcome, and a lock held until the outcome is
+    set, which a waiter takes and lets go before it reads the outcome."""
 
-    __slots__ = ("done", "text", "error")
+    __slots__ = ("lock", "text", "error")
 
     def __init__(self):
-        self.done: threading.Event | None = None
+        self.lock = threading.Lock()
+        self.lock.acquire()
         self.text: str | None = None
         self.error: BaseException | None = None
 
@@ -651,8 +652,9 @@ class ModelGateway:
 
     Safe for concurrent use: backends are read-only after construction, and
     the cache's reply map is single-flight: the first caller of a key puts a
-    _Flight there and later callers wait on it; the reply replaces it, and a
-    failure removes it. A gateway built without a cache gets one with no root.
+    _Flight there and later callers wait on its lock; the reply replaces it,
+    and a failure removes it. A gateway built without a cache gets one with
+    no root.
 
     The gateway also owns a turn, which callers that share it take to run
     their local work one at a time. A caller holding the turn lets it go
@@ -760,15 +762,14 @@ class ModelGateway:
             entry = cache.get(key)
             if entry is None:
                 flight = cache._replies[key] = _Flight()
-            elif not isinstance(entry, str) and entry.done is None:
-                entry.done = threading.Event()
+        if isinstance(entry, str):
+            return entry
         if entry is not None:
-            if isinstance(entry, str):
-                return entry
             # Its fetcher never waits on another flight or on the turn, so
             # this wait ends.
             self.give_turn()
-            entry.done.wait()
+            with entry.lock:
+                pass
             if entry.error is not None:
                 raise entry.error
             return entry.text
@@ -783,25 +784,22 @@ class ModelGateway:
                     "backend returned a reply that is not valid Unicode text "
                     "(a lone surrogate)"
                 )
-            # Once the reply replaces it in the map, the flight gains no waiter.
             cache.put(key, text)
             log.debug("completed %s model=%s", key[:12], request.model_id)
         except BaseException as err:
             with cache._lock:
                 del cache._replies[key]
-                flight.error, done = err, flight.done
-            if done is not None:
-                done.set()
+            flight.error = err
+            flight.lock.release()
             raise
-        flight.text, done = text, flight.done
-        if done is not None:
-            done.set()
+        flight.text = text
+        flight.lock.release()
         return text
 
     def chat(
         self,
         messages: list[Message] | tuple[Message, ...],
-        seed_hint: int | None = None,
+        seed_hint: int = 0,
     ) -> str:
         request = ModelRequest(
             model_id=self.model_id,

@@ -74,7 +74,7 @@ def _ground(
     image: ImageRef,
     gateway: ModelGateway,
     include_deps: bool,
-    seed_hint: int | None,
+    seed_hint: int,
 ) -> ResolvedSchema:
     descriptions: dict[str, str] = {}
     transcript: list[Message] = []
@@ -104,7 +104,7 @@ def ground_hierarchical(
     schema: SchemaProgram,
     image: ImageRef,
     gateway: ModelGateway,
-    seed_hint: int | None = None,
+    seed_hint: int = 0,
 ) -> ResolvedSchema:
     """Ground components in dependency order, conditioning each query on the
     descriptions already bound to its dependencies."""
@@ -115,7 +115,7 @@ def ground_sequential(
     schema: SchemaProgram,
     image: ImageRef,
     gateway: ModelGateway,
-    seed_hint: int | None = None,
+    seed_hint: int = 0,
 ) -> ResolvedSchema:
     """Ground components in the same order but without dependency clauses:
     every component is queried in isolation."""

@@ -233,7 +233,7 @@ def answer(
     schema: SchemaProgram | None = None,
     resolved: ResolvedSchema | None = None,
     run_index: int = 0,
-    seed_hint: int | None = None,
+    seed_hint: int = 0,
 ) -> Prediction:
     """Issue the prompt for one instance and normalize the reply."""
     messages = build_augmented_prompt(instance, mode, schema=schema, resolved=resolved)

@@ -14,8 +14,20 @@ import pytest
 import schemaground
 from schemaground import cli
 from schemaground.errors import EXIT_CODES
-from schemaground.extraction import build_extraction_prompt, load_canonical_schema
-from schemaground.gateway import Message, ModelGateway, ModelRequest, ScriptedBackend, cache_key
+from schemaground.extraction import (
+    build_extraction_prompt,
+    extract_schema,
+    load_canonical_schema,
+)
+from schemaground.gateway import (
+    ImageRef,
+    Message,
+    ModelGateway,
+    ModelRequest,
+    ScriptedBackend,
+    cache_key,
+)
+from schemaground.grounding import ground_hierarchical, ground_sequential
 from schemaground.toydata import TOY_BINDINGS, TOY_SEQUENTIAL_DRIFT, toy_fixture_rules
 
 from helpers import PassThrough, cache_records, checkout_env
@@ -204,6 +216,30 @@ def test_a_ground_and_an_ablate_share_their_cache_records(toy, tmp_path, maze_sc
     ]) == 0
     keys = [record["key"] for record in cache_records(cache, "key")]
     assert len(keys) == len(set(keys)) == 72
+
+
+# A Python caller that passes no seed sends 0, as a command without
+# `--seed-hint` does: once the library calls have filled the cache, the
+# flagless `ground`, `ground --sequential` and `extract` find every reply
+# there and write no record.
+def test_the_python_defaults_build_the_flagless_commands_requests(
+    toy, tmp_path, maze_schema_file
+):
+    cache = tmp_path / "cache"
+    gateway = ModelGateway.from_config(toy.backend_config_path, cache_dir=cache)
+    schema = load_canonical_schema("maze")
+    image = ImageRef.from_file(toy.image_paths["maze"])
+    ground_hierarchical(schema, image, gateway)
+    ground_sequential(schema, image, gateway)
+    assert extract_schema("maze", gateway) == schema
+    records = cache_records(cache, "key")
+    assert len(records) == 5
+    backend = ["--backend-config", str(toy.backend_config_path), "--cache-dir", str(cache)]
+    ground = ["ground", "--schema", str(maze_schema_file), "--image", str(image.path)]
+    assert cli.main([*ground, "--out", str(tmp_path / "h.json"), *backend]) == 0
+    assert cli.main([*ground, "--sequential", "--out", str(tmp_path / "s.json"), *backend]) == 0
+    assert cli.main(["extract", "maze", "--out", str(tmp_path / "maze.out"), *backend]) == 0
+    assert cache_records(cache, "key") == records
 
 
 def test_ground_missing_image(toy, tmp_path, maze_schema_file):
