@@ -9,8 +9,6 @@ Every deliberate failure maps to a distinct exit code via the error taxonomy.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -122,6 +120,14 @@ def _add_backend_flags(parser: argparse.ArgumentParser, required: bool = True) -
     parser.add_argument("--seed-hint", type=int, default=0)
 
 
+def _print(text: str) -> None:
+    """Print text to stdout, each character that its encoding cannot hold as
+    a backslash escape (`±` as `\\xb1` under ASCII), as Python writes
+    stderr: a command that has written its files does not then fail."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def _gateway(args: argparse.Namespace) -> ModelGateway:
     return ModelGateway.from_config(
         args.backend_config,
@@ -158,7 +164,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         )
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(program.text, encoding="utf-8")
-    print(f"wrote {out}")
+    _print(f"wrote {out}")
     return 0
 
 
@@ -170,7 +176,7 @@ def cmd_ground(args: argparse.Namespace) -> int:
     resolved = ground(schema, args.image, _gateway(args), seed_hint=args.seed_hint)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(resolved.to_json(), encoding="utf-8")
-    print(f"wrote {args.out} ({len(resolved.descriptions)} bindings)")
+    _print(f"wrote {args.out} ({len(resolved.descriptions)} bindings)")
     return 0
 
 
@@ -189,22 +195,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     score = graded_accuracy if args.metric == "graded" else exact_match_accuracy
     human = human_leave_one_out(manifest) if args.human_row else None
     args.out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    reports_json: dict[str, object] = {}
+    reports: dict[str, dict] = {}
     for mode, predictions in by_mode.items():
-        report = dataclasses.replace(score(predictions, manifest), human=human)
+        report = reports[mode.value] = score(predictions, manifest)
+        report["human"] = human
         write_predictions_jsonl(predictions, args.out / f"{mode.value}.predictions.jsonl")
-        report_json = report_to_json(report)
-        (args.out / f"{mode.value}.report.json").write_text(report_json, encoding="utf-8")
-        reports_json[mode.value] = json.loads(report_json)
-        rows.append((mode.value, report))
-    summary = {"metric": report.metric, "runs": args.runs, "modes": reports_json}
+        (args.out / f"{mode.value}.report.json").write_text(
+            report_to_json(report), encoding="utf-8"
+        )
+    summary = {"metric": report["metric"], "runs": args.runs, "modes": reports}
     summary_path = args.out / "summary.json"
     summary_path.write_text(json_text(summary), encoding="utf-8")
-    print(format_report_table(rows, by="question_type"))
-    print()
-    print(format_report_table(rows, by="category"))
-    print(f"wrote {summary_path}")
+    rows = list(reports.items())
+    _print(format_report_table(rows, by="question_type"))
+    _print("")
+    _print(format_report_table(rows, by="category"))
+    _print(f"wrote {summary_path}")
     return 0
 
 

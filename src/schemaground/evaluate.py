@@ -1,8 +1,13 @@
 """Evaluation harness: manifest loading, exact-match and graded scoring,
 and per-question-type and per-category breakdowns over one or more runs.
 
-Scoring is pure: the same predictions and manifest always produce the same
-report bytes. Uncertainty is population standard deviation over runs.
+A report is the plain object that a `<mode>.report.json` file holds, and
+that `summary.json` holds as `modes.<mode>`: `metric`, `runs`, `std_kind`,
+`overall`, `by_question_type`, `by_category` and `human` (null, or the
+leave-one-annotator-out cell). A cell holds `count`, `per_run`, `mean` and
+`std`. Scoring is pure: the same predictions and manifest always produce
+the same report bytes. Uncertainty is population standard deviation over
+runs.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import json
 import statistics
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -19,8 +24,6 @@ from .errors import IncompletePredictionsError, ManifestInvalidError, MissingIma
 from .extraction import CATEGORIES, CONCEPT_CATEGORIES
 from .gateway import ImageRef, _is_unicode, json_text, read_json
 from .qa import NO_MATCH, QUESTION_TYPES, Prediction, VqaInstance, normalize_answer
-
-METRIC_KINDS = ("exact_match", "graded")
 
 COMPLETE_INSTANCE_COUNT = 540
 COMPLETE_CONCEPT_COUNT = 12
@@ -177,49 +180,15 @@ def load_manifest(path: str | Path, multiple_choice: bool = True) -> DatasetMani
     return manifest
 
 
-@dataclass(frozen=True)
-class CellStats:
-    """Accuracy of one report cell: per-run values plus their mean/std."""
-
-    count: int
-    per_run: tuple[float, ...]
-    mean: float
-    std: float
-
-    @classmethod
-    def from_per_run(cls, count: int, per_run: tuple[float, ...]) -> CellStats:
-        if not per_run:
-            raise ValueError("per_run must be non-empty")
-        if any(not 0.0 <= value <= 1.0 for value in per_run):
-            raise ValueError("accuracies must lie in [0, 1]")
-        return cls(
-            count=count,
-            per_run=per_run,
-            mean=statistics.fmean(per_run),
-            std=statistics.pstdev(per_run),
-        )
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    metric: str
-    runs: int
-    overall: CellStats
-    by_question_type: dict[str, CellStats]
-    by_category: dict[str, CellStats]
-    human: CellStats | None = None
-
-    def __post_init__(self):
-        if self.metric not in METRIC_KINDS:
-            raise ValueError(f"unknown metric kind {self.metric!r}")
-        if self.runs != len(self.overall.per_run):
-            raise ValueError("runs must equal the number of per-run accuracies")
-        for breakdown in (self.by_question_type, self.by_category):
-            total = sum(cell.count for cell in breakdown.values())
-            if breakdown and total != self.overall.count:
-                raise ValueError(
-                    f"breakdown counts sum to {total}, expected {self.overall.count}"
-                )
+def _cell(count: int, per_run: list[float]) -> dict:
+    """One report cell: the accuracy of each run, and their mean and
+    population standard deviation."""
+    return {
+        "count": count,
+        "per_run": per_run,
+        "mean": statistics.fmean(per_run),
+        "std": statistics.pstdev(per_run),
+    }
 
 
 def _agreement(normalized: str, references: list[str]) -> float:
@@ -264,7 +233,7 @@ def _score_report(
     manifest: DatasetManifest,
     references: Callable[[VqaInstance], tuple[str, ...]],
     metric: str,
-) -> EvalReport:
+) -> dict:
     by_run = _group_by_run(predictions, manifest)
     run_indices = sorted(by_run)
     scores: dict[str, list[float]] = {}
@@ -275,51 +244,50 @@ def _score_report(
             for run_index in run_indices
         ]
 
-    def cell(instances: tuple[VqaInstance, ...]) -> CellStats:
-        per_run = tuple(
+    def cell(instances: tuple[VqaInstance, ...]) -> dict:
+        per_run = [
             statistics.fmean(scores[instance.id][run] for instance in instances)
             for run in range(len(run_indices))
-        )
-        return CellStats.from_per_run(len(instances), per_run)
+        ]
+        return _cell(len(instances), per_run)
 
-    by_question_type = {
-        qtype: cell(tuple(i for i in manifest.instances if i.question_type == qtype))
-        for qtype in manifest.question_types
+    return {
+        "metric": metric,
+        "runs": len(run_indices),
+        "std_kind": "population",
+        "overall": cell(manifest.instances),
+        "by_question_type": {
+            qtype: cell(tuple(i for i in manifest.instances if i.question_type == qtype))
+            for qtype in manifest.question_types
+        },
+        "by_category": {
+            category: cell(tuple(i for i in manifest.instances if i.category == category))
+            for category in manifest.categories
+        },
+        "human": None,
     }
-    by_category = {
-        category: cell(tuple(i for i in manifest.instances if i.category == category))
-        for category in manifest.categories
-    }
-    return EvalReport(
-        metric=metric,
-        runs=len(run_indices),
-        overall=cell(manifest.instances),
-        by_question_type=by_question_type,
-        by_category=by_category,
-    )
 
 
-def exact_match_accuracy(
-    predictions: list[Prediction], manifest: DatasetManifest
-) -> EvalReport:
+def exact_match_accuracy(predictions: list[Prediction], manifest: DatasetManifest) -> dict:
     """Accuracy against the modal annotator answer, both sides normalized."""
     return _score_report(
         predictions, manifest, lambda instance: (instance.modal_answer,), "exact_match"
     )
 
 
-def graded_accuracy(predictions: list[Prediction], manifest: DatasetManifest) -> EvalReport:
+def graded_accuracy(predictions: list[Prediction], manifest: DatasetManifest) -> dict:
     """Per-instance score K/5 where K annotators agree with the prediction."""
     return _score_report(
         predictions, manifest, lambda instance: instance.annotator_answers, "graded"
     )
 
 
-def human_leave_one_out(manifest: DatasetManifest) -> CellStats:
+def human_leave_one_out(manifest: DatasetManifest) -> dict:
     """Accuracy of each held-out annotator against the modal of the other four.
 
-    Returned as a CellStats whose five per-run entries are the five held-out
-    positions; modal ties break by first occurrence in annotator order.
+    Returned as a report cell whose five per-run entries are the five
+    held-out positions; modal ties break by first occurrence in annotator
+    order.
     """
     per_position: list[list[float]] = [[] for _ in range(5)]
     for instance in manifest.instances:
@@ -329,27 +297,17 @@ def human_leave_one_out(manifest: DatasetManifest) -> CellStats:
             # Counter keeps first-occurrence order, so a tie goes to the earliest.
             modal = Counter(answers[:position] + answers[position + 1 :]).most_common(1)[0][0]
             per_position[position].append(_agreement(held, [forms[answers.index(modal)]]))
-    return CellStats.from_per_run(
-        len(manifest.instances), tuple(statistics.fmean(scores) for scores in per_position)
-    )
+    return _cell(len(manifest.instances), [statistics.fmean(scores) for scores in per_position])
 
 
-def report_to_json(report: EvalReport) -> str:
-    payload = {
-        "metric": report.metric,
-        "runs": report.runs,
-        "std_kind": "population",
-        "overall": asdict(report.overall),
-        "by_question_type": {
-            name: asdict(cell) for name, cell in report.by_question_type.items()
-        },
-        "by_category": {name: asdict(cell) for name, cell in report.by_category.items()},
-        "human": None if report.human is None else asdict(report.human),
-    }
-    return json_text(payload)
+def report_to_json(report: dict) -> str:
+    """The text of a `<mode>.report.json` file: `json_text` of the report,
+    under a name of its own so that a tracer can time the reports apart
+    from the other JSON files a command writes."""
+    return json_text(report)
 
 
-def format_report_table(rows: list[tuple[str, EvalReport]], by: str = "question_type") -> str:
+def format_report_table(rows: list[tuple[str, dict]], by: str = "question_type") -> str:
     """Render labeled reports as a fixed-width table.
 
     Rows are systems/modes; columns are All plus either question types or
@@ -357,19 +315,16 @@ def format_report_table(rows: list[tuple[str, EvalReport]], by: str = "question_
     """
     if by not in ("question_type", "category"):
         raise ValueError("by must be 'question_type' or 'category'")
-    breakdowns = [
-        report.by_question_type if by == "question_type" else report.by_category
-        for _, report in rows
-    ]
+    breakdowns = [report[f"by_{by}"] for _, report in rows]
     ordering = QUESTION_TYPES if by == "question_type" else CATEGORIES
     column_keys = [key for key in ordering if any(key in breakdown for breakdown in breakdowns)]
     headers = ["mode", "all"] + column_keys
 
-    def fmt(cell: CellStats) -> str:
-        return f"{cell.mean:.3f} ± {cell.std:.3f}"
+    def fmt(cell: dict) -> str:
+        return f"{cell['mean']:.3f} ± {cell['std']:.3f}"
 
     table_rows = [
-        [label, fmt(report.overall)] + [fmt(breakdown[key]) for key in column_keys]
+        [label, fmt(report["overall"])] + [fmt(breakdown[key]) for key in column_keys]
         for (label, report), breakdown in zip(rows, breakdowns)
     ]
     widths = [max(map(len, column)) for column in zip(headers, *table_rows)]

@@ -15,7 +15,6 @@ import pytest
 
 from schemaground.dsl import parse_schema, topological_order
 from schemaground.evaluate import (
-    CellStats,
     DatasetManifest,
     exact_match_accuracy,
     graded_accuracy,
@@ -189,22 +188,39 @@ def test_c5_metric_oracles_match_hand_computation():
         instance_id: graded_accuracy(
             [p for p in predictions if p.instance_id == instance_id],
             DatasetManifest((instance_by_id(manifest, instance_id),)),
-        ).overall.mean
+        )["overall"]["mean"]
         for instance_id in ("k0", "k2", "k4", "k5")
     }
     assert per_instance["k0"] == pytest.approx(0.0, abs=1e-9)
     assert per_instance["k2"] == pytest.approx(0.4, abs=1e-9)
     assert per_instance["k4"] == pytest.approx(0.8, abs=1e-9)
     assert per_instance["k5"] == pytest.approx(1.0, abs=1e-9)
-    assert graded.overall.mean == pytest.approx(0.62, abs=1e-9)
+    assert graded["overall"]["mean"] == pytest.approx(0.62, abs=1e-9)
 
     exact = exact_match_accuracy(predictions, manifest)
-    assert exact.overall.mean == pytest.approx(0.6, abs=1e-9)
+    assert exact["overall"]["mean"] == pytest.approx(0.6, abs=1e-9)
 
-    merged = CellStats.from_per_run(10, (0.6, 0.6, 0.7, 0.7, 0.65))
-    assert merged.mean == pytest.approx(0.65, abs=1e-6)
-    assert merged.std == pytest.approx(math.sqrt(0.002), abs=1e-6)
-    assert round(merged.std, 4) == 0.0447
+    # Five runs over 20 instances, answering 12, 12, 14, 14 and 13 right.
+    aggregate = DatasetManifest(
+        tuple(_metric_instance(f"a{index}", ["blue"] * 5, "blue") for index in range(20))
+    )
+
+    def prediction(run, index, right):
+        answer = "blue" if index < right else "red"
+        return Prediction(f"a{index}", AnswerMode.BASELINE, answer, answer, run)
+
+    merged = exact_match_accuracy(
+        [
+            prediction(run, index, right)
+            for run, right in enumerate((12, 12, 14, 14, 13))
+            for index in range(20)
+        ],
+        aggregate,
+    )["overall"]
+    assert merged["per_run"] == [0.6, 0.6, 0.7, 0.7, 0.65]
+    assert merged["mean"] == pytest.approx(0.65, abs=1e-6)
+    assert merged["std"] == pytest.approx(math.sqrt(0.002), abs=1e-6)
+    assert round(merged["std"], 4) == 0.0447
     print(
         "PASS: C5 metric oracles — K/5 {0,2,4,5} -> {0.0,0.4,0.8,1.0}, exact 6/10, "
         "5-run aggregate 0.65 ± 0.0447"
@@ -328,7 +344,7 @@ def test_c7_live_five_instance_smoke(toy, tmp_path):
     elapsed = time.perf_counter() - started
     assert elapsed < 180.0, f"live smoke took {elapsed:.1f}s"
     assert len(predictions) == 5
-    assert report.overall.count == 5
+    assert report["overall"]["count"] == 5
 
     cached_files = len(list(cache_dir.glob("*.json")))
     assert cached_files > 0

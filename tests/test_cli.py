@@ -44,13 +44,15 @@ LADDER = {
 }
 
 
-def run_cli(*argv, cwd):
+def run_cli(*argv, cwd, **env):
+    """Run the CLI in a subprocess, with env's variables set on top of
+    `checkout_env()`."""
     return subprocess.run(
         [sys.executable, "-m", "schemaground.cli", *map(str, argv)],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=checkout_env(),
+        env={**checkout_env(), **env},
     )
 
 
@@ -95,6 +97,18 @@ def test_extract_canonical_matches_packaged_fixture(tmp_path):
     assert result.returncode == 0, result.stderr
     assert f"wrote {out}" in result.stdout
     assert out.read_text() == load_canonical_schema("tic-tac-toe").text
+
+
+# A character that stdout's encoding cannot hold prints as a backslash
+# escape, as Python writes stderr: the file is written, so the command exits 0.
+def test_extract_to_a_path_that_stdout_cannot_encode_exits_0(tmp_path):
+    out = tmp_path / "é.schema"
+    result = run_cli(
+        "extract", "maze", "--canonical", "--out", out, cwd=tmp_path, PYTHONIOENCODING="ascii"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"wrote {out}\n".replace("é", "\\xe9")
+    assert out.read_text(encoding="utf-8") == load_canonical_schema("maze").text
 
 
 def test_extract_unknown_concept_exit_code(tmp_path):
@@ -430,6 +444,31 @@ def test_ablate_covers_all_five_modes(toy, tmp_path):
     assert ordered == sorted(ordered)
     first_table = result.stdout.split("\n\n")[0].splitlines()
     assert [line.split()[0] for line in first_table[2:]] == list(LADDER)
+
+
+# Under a stdout that cannot encode `±` the tables print it as `\xb1`, and the
+# run writes the same 11 files and exits 0.
+def test_an_ablate_whose_stdout_cannot_encode_its_tables_exits_0(toy, tmp_path):
+    out = tmp_path / "out"
+
+    def ablate(encoding):
+        result = run_cli(
+            "ablate",
+            "--manifest", toy.manifest_path,
+            "--backend-config", toy.backend_config_path,
+            "--out", out,
+            cwd=tmp_path,
+            PYTHONIOENCODING=encoding,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout, {path.name: path.read_bytes() for path in out.iterdir()}
+
+    utf8_stdout, utf8_files = ablate("utf-8")
+    ascii_stdout, ascii_files = ablate("ascii")
+    assert "0.083 ± 0.000" in utf8_stdout
+    assert ascii_stdout == utf8_stdout.replace("±", "\\xb1")
+    assert len(ascii_files) == 11
+    assert ascii_files == utf8_files
 
 
 # One ablate sends each of its 72 distinct requests once, with a cache or

@@ -18,9 +18,7 @@ from schemaground.errors import (
     exit_code_for,
 )
 from schemaground.evaluate import (
-    CellStats,
     DatasetManifest,
-    EvalReport,
     exact_match_accuracy,
     format_report_table,
     graded_accuracy,
@@ -87,15 +85,15 @@ def test_graded_scores_are_fifths():
     )
     predictions = [_pred(i, "blue") for i in ("k0", "k2", "k4", "k5")]
     report = graded_accuracy(predictions, manifest)
-    assert report.metric == "graded"
-    assert report.overall.per_run == (pytest.approx((0.0 + 0.4 + 0.8 + 1.0) / 4, abs=1e-9),)
+    assert report["metric"] == "graded"
+    assert report["overall"]["per_run"] == [pytest.approx((0.0 + 0.4 + 0.8 + 1.0) / 4, abs=1e-9)]
 
     for instance_id, expected in [("k0", 0.0), ("k2", 0.4), ("k4", 0.8), ("k5", 1.0)]:
         single = graded_accuracy(
             [_pred(instance_id, "blue")],
             _manifest(instance_by_id(manifest, instance_id)),
         )
-        assert single.overall.mean == pytest.approx(expected, abs=1e-9)
+        assert single["overall"]["mean"] == pytest.approx(expected, abs=1e-9)
 
 
 def test_graded_pair_averages_to_point_seven():
@@ -104,7 +102,7 @@ def test_graded_pair_averages_to_point_seven():
         _instance("k2", ["blue", "blue", "red", "red", "red"], "red"),
     )
     report = graded_accuracy([_pred("k5", "blue"), _pred("k2", "blue")], manifest)
-    assert report.overall.mean == pytest.approx(0.7, abs=1e-9)
+    assert report["overall"]["mean"] == pytest.approx(0.7, abs=1e-9)
 
 
 def test_graded_is_invariant_under_annotator_permutation():
@@ -113,7 +111,7 @@ def test_graded_is_invariant_under_annotator_permutation():
     assert Counter(answers) == Counter(shuffled)
     score = lambda anns: graded_accuracy(  # noqa: E731
         [_pred("x", "blue")], _manifest(_instance("x", anns, "red"))
-    ).overall.mean
+    )["overall"]["mean"]
     assert score(answers) == pytest.approx(score(shuffled), abs=1e-12)
 
 
@@ -128,10 +126,10 @@ def test_exact_two_of_three():
     )
     predictions = [_pred("a", "blue"), _pred("b", "blue"), _pred("c", "blue")]
     report = exact_match_accuracy(predictions, manifest)
-    assert report.overall.mean == pytest.approx(2 / 3, abs=1e-9)
-    assert report.overall.count == 3
-    assert report.runs == 1
-    assert report.overall.std == 0.0
+    assert report["overall"]["mean"] == pytest.approx(2 / 3, abs=1e-9)
+    assert report["overall"]["count"] == 3
+    assert report["runs"] == 1
+    assert report["overall"]["std"] == 0.0
 
 
 def test_exact_normalizes_both_sides():
@@ -139,15 +137,15 @@ def test_exact_normalizes_both_sides():
         _instance("n1", ["Two"] * 5, "Two", options=None, question_type="open")
     )
     report = exact_match_accuracy([_pred("n1", "2")], manifest)
-    assert report.overall.mean == 1.0
+    assert report["overall"]["mean"] == 1.0
 
 
 def test_no_match_scores_zero_under_both_metrics():
     instance = _instance("x", ["blue"] * 5, "blue")
     manifest = _manifest(instance)
     predictions = [_pred("x", NO_MATCH)]
-    assert exact_match_accuracy(predictions, manifest).overall.mean == 0.0
-    assert graded_accuracy(predictions, manifest).overall.mean == 0.0
+    assert exact_match_accuracy(predictions, manifest)["overall"]["mean"] == 0.0
+    assert graded_accuracy(predictions, manifest)["overall"]["mean"] == 0.0
 
 
 _WORDS = st.sampled_from(["red", "blue", "green", "Two", "2"])
@@ -166,9 +164,9 @@ def test_modal_match_implies_some_annotator_agreement(annotators):
         report = exact_match_accuracy([_pred("x", predicted)], manifest)
         graded = graded_accuracy([_pred("x", predicted)], manifest)
         if predicted == NO_MATCH:
-            assert report.overall.mean == 0.0
-        elif report.overall.mean == 1.0:
-            assert graded.overall.mean >= 0.2 - 1e-12
+            assert report["overall"]["mean"] == 0.0
+        elif report["overall"]["mean"] == 1.0:
+            assert graded["overall"]["mean"] >= 0.2 - 1e-12
 
 
 _ANSWERS = ["red", "blue", "Two", "2", "two", "green"]
@@ -228,20 +226,20 @@ def test_reports_match_a_per_instance_oracle(case):
         ]
 
     def check(cell, score, instances):
-        assert cell.count == len(instances)
-        assert list(cell.per_run) == pytest.approx(expected_cell(score, instances), abs=1e-12)
+        assert cell["count"] == len(instances)
+        assert cell["per_run"] == pytest.approx(expected_cell(score, instances), abs=1e-12)
 
     for report, score in (
         (exact_match_accuracy(predictions, manifest), exact),
         (graded_accuracy(predictions, manifest), graded),
     ):
-        assert report.runs == len(runs)
-        check(report.overall, score, manifest.instances)
-        assert list(report.by_question_type) == list(manifest.question_types)
-        for qtype, cell in report.by_question_type.items():
+        assert report["runs"] == len(runs)
+        check(report["overall"], score, manifest.instances)
+        assert list(report["by_question_type"]) == list(manifest.question_types)
+        for qtype, cell in report["by_question_type"].items():
             check(cell, score, [i for i in manifest.instances if i.question_type == qtype])
-        assert list(report.by_category) == list(manifest.categories)
-        for category, cell in report.by_category.items():
+        assert list(report["by_category"]) == list(manifest.categories)
+        for category, cell in report["by_category"].items():
             check(cell, score, [i for i in manifest.instances if i.category == category])
 
 
@@ -282,54 +280,57 @@ def test_breakdowns_partition_the_overall_cell():
         _pred("q1", "blue"), _pred("q2", "red"), _pred("q3", "blue"), _pred("q4", "red"),
     ]
     report = exact_match_accuracy(predictions, manifest)
-    for breakdown in (report.by_question_type, report.by_category):
-        weighted = sum(cell.count * cell.mean for cell in breakdown.values())
-        assert weighted == pytest.approx(report.overall.count * report.overall.mean, abs=1e-9)
-    assert list(report.by_question_type) == ["counting", "binary", "open"]
-    assert list(report.by_category) == ["strategic", "scientific"]
-    assert report.by_question_type["open"].count == 2
-    assert report.by_question_type["open"].mean == pytest.approx(0.5, abs=1e-9)
+    for breakdown in (report["by_question_type"], report["by_category"]):
+        weighted = sum(cell["count"] * cell["mean"] for cell in breakdown.values())
+        overall = report["overall"]
+        assert weighted == pytest.approx(overall["count"] * overall["mean"], abs=1e-9)
+    assert list(report["by_question_type"]) == ["counting", "binary", "open"]
+    assert list(report["by_category"]) == ["strategic", "scientific"]
+    assert report["by_question_type"]["open"]["count"] == 2
+    assert report["by_question_type"]["open"]["mean"] == pytest.approx(0.5, abs=1e-9)
 
 
 # ------------------------------------------------------------- aggregation
 
 
 def _report_with(values):
-    return EvalReport(
-        metric="exact_match",
-        runs=len(values),
-        overall=CellStats.from_per_run(20, tuple(values)),
-        by_question_type={},
-        by_category={},
-    )
+    """The exact-match report of 20 instances over len(values) runs, run r
+    answering a share values[r] of them right."""
+    manifest = _manifest(*(_instance(f"i{index}", ["blue"] * 5, "blue") for index in range(20)))
+    predictions = [
+        _pred(instance.id, "blue" if index < round(value * 20) else "red", run_index=run)
+        for run, value in enumerate(values)
+        for index, instance in enumerate(manifest.instances)
+    ]
+    return exact_match_accuracy(predictions, manifest)
 
 
 def test_aggregate_five_runs_population_std():
     report = _report_with([0.6, 0.6, 0.7, 0.7, 0.65])
-    assert report.runs == 5
-    assert report.overall.mean == pytest.approx(0.65, abs=1e-9)
-    assert report.overall.std == pytest.approx(math.sqrt(0.002), abs=1e-6)
-    assert report.overall.per_run == (0.6, 0.6, 0.7, 0.7, 0.65)
+    assert report["runs"] == 5
+    assert report["overall"]["mean"] == pytest.approx(0.65, abs=1e-9)
+    assert report["overall"]["std"] == pytest.approx(math.sqrt(0.002), abs=1e-6)
+    assert report["overall"]["per_run"] == [0.6, 0.6, 0.7, 0.7, 0.65]
 
 
 def test_aggregate_two_runs_half_spread():
     report = _report_with([1.0, 0.0])
-    assert report.overall.mean == pytest.approx(0.5, abs=1e-9)
-    assert report.overall.std == pytest.approx(0.5, abs=1e-9)
+    assert report["overall"]["mean"] == pytest.approx(0.5, abs=1e-9)
+    assert report["overall"]["std"] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_single_run_has_zero_std():
-    assert _report_with([0.25]).overall.std == 0.0
+    assert _report_with([0.25])["overall"]["std"] == 0.0
 
 
 def test_multi_run_scoring_via_run_index():
     manifest = _manifest(_instance("x", ["blue"] * 5, "blue"))
     predictions = [_pred("x", "blue", run_index=0), _pred("x", "red", run_index=1)]
     report = exact_match_accuracy(predictions, manifest)
-    assert report.runs == 2
-    assert report.overall.per_run == (1.0, 0.0)
-    assert report.overall.mean == pytest.approx(0.5)
-    assert report.overall.std == pytest.approx(0.5)
+    assert report["runs"] == 2
+    assert report["overall"]["per_run"] == [1.0, 0.0]
+    assert report["overall"]["mean"] == pytest.approx(0.5)
+    assert report["overall"]["std"] == pytest.approx(0.5)
 
 
 # ------------------------------------------------------ prediction hygiene
@@ -364,9 +365,9 @@ def test_human_leave_one_out_hand_case():
         _instance("h", ["a", "a", "a", "b", "b"], "a", options=None, question_type="open")
     )
     cell = human_leave_one_out(manifest)
-    assert cell.per_run == (1.0, 1.0, 1.0, 0.0, 0.0)
-    assert cell.mean == pytest.approx(0.6, abs=1e-9)
-    assert cell.count == 1
+    assert cell["per_run"] == [1.0, 1.0, 1.0, 0.0, 0.0]
+    assert cell["mean"] == pytest.approx(0.6, abs=1e-9)
+    assert cell["count"] == 1
 
 
 def test_human_leave_one_out_normalizes_answers():
@@ -375,7 +376,7 @@ def test_human_leave_one_out_normalizes_answers():
                   question_type="open")
     )
     cell = human_leave_one_out(manifest)
-    assert cell.per_run[:3] == (1.0, 1.0, 1.0)
+    assert cell["per_run"][:3] == [1.0, 1.0, 1.0]
 
 
 def test_human_leave_one_out_no_match_scores_zero():
@@ -383,32 +384,7 @@ def test_human_leave_one_out_no_match_scores_zero():
         _instance("h", ["zebra"] * 5, "zebra", options=("x", "y"))
     )
     cell = human_leave_one_out(manifest)
-    assert cell.per_run == (0.0,) * 5
-
-
-# ----------------------------------------------------------- cell validity
-
-
-def test_cell_stats_validation():
-    with pytest.raises(ValueError, match="non-empty"):
-        CellStats.from_per_run(1, ())
-    with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        CellStats.from_per_run(1, (1.5,))
-    cell = CellStats.from_per_run(3, (0.5, 1.0))
-    assert cell.mean == pytest.approx(0.75)
-
-
-def test_report_validation():
-    good = CellStats.from_per_run(4, (0.5,))
-    with pytest.raises(ValueError, match="metric"):
-        EvalReport("bleu", 1, good, {}, {})
-    with pytest.raises(ValueError, match="runs"):
-        EvalReport("graded", 2, good, {}, {})
-    with pytest.raises(ValueError, match="breakdown counts"):
-        EvalReport(
-            "graded", 1, good,
-            {"counting": CellStats.from_per_run(3, (0.5,))}, {},
-        )
+    assert cell["per_run"] == [0.0] * 5
 
 
 # ------------------------------------------------------- manifest loading

@@ -18,6 +18,8 @@ import pytest
 
 from schemaground import cli
 from schemaground.extraction import load_canonical_schema
+from schemaground.gateway import read_json
+from schemaground.qa import AnswerMode
 
 from helpers import cache_records, memo_digests, settle_images
 
@@ -151,6 +153,17 @@ def test_toy_ablate_outputs_are_pinned(toy, tmp_path, capsys, flags):
     digests = _ablate_digests(toy, tmp_path / "out", flags, capsys)
     assert len(digests) == 12  # 11 files and stdout
     assert digests == PINS[flags]
+
+
+# summary.json holds each mode's report as the mode's own report file does.
+@pytest.mark.parametrize("flags", list(PINS), ids=lambda flags: " ".join(flags) or "defaults")
+def test_summary_holds_each_report_file(toy, tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    _ablate_digests(toy, out, flags, capsys)
+    modes = read_json(out / "summary.json")["modes"]
+    assert list(modes) == sorted(mode.value for mode in AnswerMode)
+    for mode in modes:
+        assert read_json(out / f"{mode}.report.json") == modes[mode]
 
 
 def test_toy_ablate_cache_file_names_are_pinned(toy, tmp_path, capsys, monkeypatch):
