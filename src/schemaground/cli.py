@@ -4,12 +4,16 @@ A later stage reads only the schema file that `extract` writes (`ground
 --schema`, a `--schema-dir` file); `evaluate` and `ablate` ground and answer
 in-process, so the resolved-schema JSON, predictions and reports are records.
 Every deliberate failure maps to a distinct exit code via the error taxonomy.
+A command returns the text that it reports, and `main` alone writes it to
+stdout, once the command's files are written: so a character that stdout
+cannot encode, or a reader that has gone, does not fail the command.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -120,14 +124,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser, required: bool = True) -
     parser.add_argument("--seed-hint", type=int, default=0)
 
 
-def _print(text: str) -> None:
-    """Print text to stdout, each character that its encoding cannot hold as
-    a backslash escape (`±` as `\\xb1` under ASCII), as Python writes
-    stderr: a command that has written its files does not then fail."""
-    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
-    print(text.encode(encoding, "backslashreplace").decode(encoding))
-
-
 def _gateway(args: argparse.Namespace) -> ModelGateway:
     return ModelGateway.from_config(
         args.backend_config,
@@ -139,7 +135,7 @@ def _gateway(args: argparse.Namespace) -> ModelGateway:
     )
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
+def cmd_extract(args: argparse.Namespace) -> str:
     # The default --out names the concept, so argparse cannot type it: check
     # it here, before any backend call, as the usage error it would have been.
     out = args.out
@@ -150,11 +146,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
             args.usage_error(f"argument --out: {err}")
     if args.canonical:
         program = load_canonical_schema(args.concept)
+    elif args.backend_config is None:
+        raise BackendConfigError("extract requires --backend-config unless --canonical is given")
     else:
-        if args.backend_config is None:
-            raise BackendConfigError(
-                "extract requires --backend-config unless --canonical is given"
-            )
         program = extract_schema(
             args.concept,
             _gateway(args),
@@ -164,11 +158,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
         )
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(program.text, encoding="utf-8")
-    _print(f"wrote {out}")
-    return 0
+    return f"wrote {out}"
 
 
-def cmd_ground(args: argparse.Namespace) -> int:
+def cmd_ground(args: argparse.Namespace) -> str:
     schema = parse_schema(args.schema)
     if not args.image.path.is_file():
         raise MissingImageError(f"image not found: {args.image.path}")
@@ -176,18 +169,20 @@ def cmd_ground(args: argparse.Namespace) -> int:
     resolved = ground(schema, args.image, _gateway(args), seed_hint=args.seed_hint)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(resolved.to_json(), encoding="utf-8")
-    _print(f"wrote {args.out} ({len(resolved.descriptions)} bindings)")
-    return 0
+    return f"wrote {args.out} ({len(resolved.descriptions)} bindings)"
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> str:
     manifest = load_manifest(args.manifest, multiple_choice=args.multiple_choice)
     # run_predictions answers a repeated --mode once; `ablate` sets every mode.
+    modes = args.mode or [AnswerMode.FULL_DSG]
+    # A baseline prompt quotes no schema, so a baseline-only run reads none.
+    baseline_only = set(map(AnswerMode, modes)) == {AnswerMode.BASELINE}
     by_mode = run_predictions(
         manifest,
-        args.mode or [AnswerMode.FULL_DSG],
+        modes,
         _gateway(args),
-        load_schemas(manifest, args.schema_dir),
+        {} if baseline_only else load_schemas(manifest, args.schema_dir),
         runs=args.runs,
         concurrency=args.concurrency,
         seed_hint=args.seed_hint,
@@ -207,11 +202,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     summary_path = args.out / "summary.json"
     summary_path.write_text(json_text(summary), encoding="utf-8")
     rows = list(reports.items())
-    _print(format_report_table(rows, by="question_type"))
-    _print("")
-    _print(format_report_table(rows, by="category"))
-    _print(f"wrote {summary_path}")
-    return 0
+    tables = [format_report_table(rows, by=by) for by in ("question_type", "category")]
+    return f"{tables[0]}\n\n{tables[1]}\nwrote {summary_path}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,15 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="add leave-one-annotator-out accuracy to each report",
         )
         p_eval.add_argument("--out", type=_output_dir, default="out")
-        choice = p_eval.add_mutually_exclusive_group()
-        choice.add_argument(
-            "--multiple-choice",
-            dest="multiple_choice",
-            action="store_true",
-            default=True,
-            help="instances must carry options; replies resolve to one (default)",
-        )
-        choice.add_argument(
+        p_eval.add_argument(
             "--free-response",
             dest="multiple_choice",
             action="store_false",
@@ -292,10 +276,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
     except PipelineError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return exit_code_for(err)
+    # Unencodable characters become backslash escapes, as on stderr; after a
+    # broken pipe, fd 1 is os.devnull, so the flush at exit cannot fail again.
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    try:
+        print(report.encode(encoding, "backslashreplace").decode(encoding), flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return 0
 
 
 if __name__ == "__main__":

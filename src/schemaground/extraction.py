@@ -8,6 +8,7 @@ one per benchmark concept, grouped into four categories.
 from __future__ import annotations
 
 import importlib.resources
+import logging
 
 from .dsl import SchemaProgram, parse_schema
 from .errors import (
@@ -18,6 +19,8 @@ from .errors import (
     UnknownConceptError,
 )
 from .gateway import Message, ModelGateway
+
+log = logging.getLogger(__name__)
 
 EXTRACTION_PROMPT = """\
 Can you give me a program representing the schema for a concept? For example,
@@ -78,9 +81,9 @@ def extract_schema(
 
     On a parse/validation failure the validator's message is appended as a
     corrective user turn and the exchange retried, up to max_retries extra
-    rounds. Exhausted retries fall back to the canonical fixture when
-    fallback_to_canonical is set, else raise ExtractionFailed carrying the
-    last reason. Every request of the exchange carries seed_hint.
+    rounds. Exhausted retries fall back to the canonical fixture, with a
+    warning, when fallback_to_canonical is set, else raise ExtractionFailed
+    carrying the last reason. Every request of the exchange carries seed_hint.
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
@@ -110,5 +113,7 @@ def extract_schema(
                 )
             )
     if fallback_to_canonical:
+        reason = f"{type(last_reason).__name__}: {last_reason}"
+        log.warning("no valid schema for %r, using the canonical one: %s", concept, reason)
         return load_canonical_schema(concept)
     raise ExtractionFailedError(concept, last_reason)

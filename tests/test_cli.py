@@ -4,6 +4,7 @@ deliberate failures mapped to their exit codes."""
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -44,12 +45,13 @@ LADDER = {
 }
 
 
-def run_cli(*argv, cwd, **env):
+def run_cli(*argv, cwd, stdout=subprocess.PIPE, **env):
     """Run the CLI in a subprocess, with env's variables set on top of
-    `checkout_env()`."""
+    `checkout_env()`, its stdout captured unless another is given."""
     return subprocess.run(
         [sys.executable, "-m", "schemaground.cli", *map(str, argv)],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         cwd=cwd,
         env={**checkout_env(), **env},
@@ -148,6 +150,29 @@ def test_extract_without_backend_or_canonical(tmp_path):
     result = run_cli("extract", "maze", cwd=tmp_path)
     assert result.returncode == 23
     assert "BackendConfigError" in result.stderr
+
+
+# A fixture that matches nothing fails the request as a 401 or a 5xx after
+# retries does. `--fallback-to-canonical` then writes the packaged schema,
+# and one warning on stderr says so and why.
+def test_extract_fallback_to_canonical_warns_on_stderr(tmp_path):
+    (tmp_path / "rules.json").write_text("[]")
+    (tmp_path / "backend.json").write_text(json.dumps(
+        {"backend_id": "b", "kind": "scripted", "model_id": "m", "fixture_path": "rules.json"}
+    ))
+    out = tmp_path / "maze.schema"
+    result = run_cli(
+        "extract", "maze", "--fallback-to-canonical",
+        "--backend-config", tmp_path / "backend.json", "--out", out,
+        cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"wrote {out}\n"
+    assert out.read_text(encoding="utf-8") == load_canonical_schema("maze").text
+    [warning] = result.stderr.splitlines()
+    assert "'maze'" in warning
+    assert "canonical" in warning
+    assert "FixtureMissError: no fixture rule matches the request" in warning
 
 
 # ------------------------------------------------------------------- ground
@@ -469,6 +494,68 @@ def test_an_ablate_whose_stdout_cannot_encode_its_tables_exits_0(toy, tmp_path):
     assert ascii_stdout == utf8_stdout.replace("±", "\\xb1")
     assert len(ascii_files) == 11
     assert ascii_files == utf8_files
+
+
+# A command whose stdout reader has gone (`| head`, `| true`) has written
+# its files by then, so it exits 0, with no traceback and no "Exception
+# ignored" line at shutdown.
+@pytest.mark.parametrize(
+    ("command", "files"), [("ablate", 11), ("evaluate", 3), ("extract", 1), ("ground", 1)]
+)
+def test_a_command_whose_stdout_reader_has_gone_exits_0(
+    toy, tmp_path, maze_schema_file, command, files
+):
+    out = tmp_path / "out"
+    manifest = ("--manifest", toy.manifest_path)
+    argv = {
+        "ablate": ("ablate", *manifest, "--out", out),
+        "evaluate": ("evaluate", "--mode", "full_dsg", *manifest, "--out", out),
+        "extract": ("extract", "maze", "--canonical", "--out", out / "maze.schema"),
+        "ground": (
+            "ground", "--schema", maze_schema_file, "--image", toy.image_paths["maze"],
+            "--out", out / "resolved.json",
+        ),
+    }[command]
+    backend = () if command == "extract" else _backend_args(toy, tmp_path)
+    # The read end is closed before the command starts, so its write fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_cli(*argv, *backend, cwd=tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
+    assert len(list(out.iterdir())) == files
+
+
+# A baseline prompt quotes no schema, so a baseline-only run reads none: it
+# answers a concept that has no canonical schema, and one whose --schema-dir
+# file does not parse. Any other mode still needs each concept's schema.
+def test_a_baseline_only_run_reads_no_schema(toy, tmp_path, capsys):
+    payload = json.loads(toy.manifest_path.read_text(encoding="utf-8"))
+    for instance in payload["instances"]:
+        instance["image"] = str(toy.manifest_path.parent / instance["image"])
+        if instance["concept"] == "maze":
+            instance["concept"] = "labyrinth"
+    renamed = tmp_path / "renamed.json"
+    renamed.write_text(json.dumps(payload), encoding="utf-8")
+    schema_dir = tmp_path / "schemas"
+    schema_dir.mkdir()
+    (schema_dir / "maze.schema").write_text("not a schema")
+    backend = ("--backend-config", str(toy.backend_config_path))
+    for name, flags in (
+        ("renamed", ("--manifest", str(renamed))),
+        ("bad-schema", ("--manifest", str(toy.manifest_path), "--schema-dir", str(schema_dir))),
+    ):
+        out = tmp_path / name
+        argv = ["evaluate", "--mode", "baseline", *flags, *backend, "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert len((out / "baseline.predictions.jsonl").read_text().splitlines()) == 12
+    argv = ["evaluate", "--mode", "schema_only", "--manifest", str(renamed), *backend]
+    assert cli.main([*argv, "--out", str(tmp_path / "schema-only")]) == 31
+    assert "UnknownConceptError: no canonical schema for 'labyrinth'" in capsys.readouterr().err
 
 
 # One ablate sends each of its 72 distinct requests once, with a cache or
@@ -867,7 +954,7 @@ def test_unreadable_schema_dir_file_exits_ten(toy, tmp_path, kind):
     result = run_cli(
         "evaluate",
         "--manifest", toy.manifest_path,
-        "--mode", "baseline",
+        "--mode", "schema_only",
         "--schema-dir", schema_dir,
         *_backend_args(toy, tmp_path),
         "--out", tmp_path / "out",
@@ -887,6 +974,12 @@ def test_usage_errors_exit_two(tmp_path):
     result = run_cli("answer", "--manifest", "m.json", "--backend-config", "b.json", cwd=tmp_path)
     assert result.returncode == 2
     assert "invalid choice: 'answer'" in result.stderr
+    # `--multiple-choice` only restated the default, and is gone.
+    for command in ("evaluate", "ablate"):
+        result = run_cli(command, "--manifest", "m.json", "--multiple-choice",
+                         "--backend-config", "b.json", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "unrecognized arguments: --multiple-choice" in result.stderr
     assert run_cli("evaluate", "--manifest", "m.json", "--mode", "psychic",
                    "--backend-config", "b.json", cwd=tmp_path).returncode == 2
     for flag in ("--concurrency", "--runs"):
@@ -1085,26 +1178,47 @@ def test_a_strict_replay_of_a_cache_writes_the_cold_files_and_fails_on_a_miss(
     assert not (tmp_path / "two-runs").exists()
 
 
-# Each `schemaground` command in a fenced block of the README names a
-# subcommand and flags that the parser defines, so an example cannot outlive
-# the command or flag it shows.
-def test_readme_commands_use_only_defined_subcommands_and_flags(capsys):
-    readme = README.read_text(encoding="utf-8")
-    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+def _flags_the_parser_lacks(readme: str, capsys) -> list[str]:
+    """The flags that the README names and the parser lacks: in each
+    `schemaground` command of a fenced block, those that its subcommand does
+    not define; in the inline code spans of the prose, each `--flag` that no
+    subcommand defines."""
+    helps = {}
+    for command in ("extract", "ground", "evaluate", "ablate"):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"])
+        helps[command] = capsys.readouterr().out
+
+    def lacks(flag: str, command: str) -> bool:
+        return not re.search(rf"(?<![\w-]){flag}(?![\w-])", helps[command])
+
+    fence = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
     commands = [
         line.split()
-        for block in blocks
+        for block in fence.findall(readme)
         for line in block.replace("\\\n", " ").splitlines()
         if line.startswith("schemaground ")
     ]
-    assert commands
-    for words in commands:
-        with pytest.raises(SystemExit) as exit_:
-            cli.build_parser().parse_args([words[1], "--help"])
-        help_text = capsys.readouterr().out
-        assert exit_.value.code == 0, " ".join(words)
-        for flag in (word.split("=")[0] for word in words if word.startswith("--")):
-            assert re.search(rf"(?<![\w-]){flag}(?![\w-])", help_text), (words[1], flag)
+    spans = re.findall(r"`([^`]+)`", fence.sub("", readme))
+    prose_flags = sorted({flag for span in spans for flag in re.findall(r"--[a-z][a-z-]*", span)})
+    assert commands and prose_flags
+    assert {words[1] for words in commands} <= helps.keys()
+    return [
+        flag
+        for words in commands
+        for flag in (word.split("=")[0] for word in words if word.startswith("--"))
+        if lacks(flag, words[1])
+    ] + [flag for flag in prose_flags if all(lacks(flag, command) for command in helps)]
+
+
+# Each flag that the README names in a command or in an inline code span is
+# one that the parser defines, so no text can outlive the command or flag it
+# shows; a README that still lists `--multiple-choice` fails.
+def test_readme_commands_use_only_defined_subcommands_and_flags(capsys):
+    readme = README.read_text(encoding="utf-8")
+    assert _flags_the_parser_lacks(readme, capsys) == []
+    stale = readme + "\nFlags: `--multiple-choice` (default) / `--free-response`.\n"
+    assert _flags_the_parser_lacks(stale, capsys) == ["--multiple-choice"]
 
 
 def test_readme_exit_code_table_is_the_code_table():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from schemaground.dsl import parse_schema
@@ -160,6 +162,22 @@ def test_extract_garbage_reply_with_fallback_uses_canonical(tmp_path):
     program = extract_schema("maze", gateway, max_retries=0, fallback_to_canonical=True)
     assert len(calls) == 1
     assert program.text == MAZE_TEXT
+
+
+# A fallback says so: one warning names the concept and the last reason,
+# here a request that no fixture rule matches, which takes the path of a 401
+# or of a 5xx after retries.
+def test_a_fallback_to_the_canonical_schema_logs_one_warning(caplog):
+    gateway = scripted_gateway([])
+    with caplog.at_level(logging.WARNING, logger="schemaground"):
+        program = extract_schema("maze", gateway, fallback_to_canonical=True)
+    assert program.text == MAZE_TEXT
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert record.name == "schemaground.extraction"
+    message = record.getMessage()
+    assert "'maze'" in message
+    assert "FixtureMissError: no fixture rule matches the request" in message
 
 
 def test_extract_detects_concept_mismatch():

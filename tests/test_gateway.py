@@ -1467,17 +1467,27 @@ def test_concurrent_callers_all_get_the_failure_and_a_later_call_resends():
     assert gateway.backend.calls == 2
 
 
-def test_the_waiters_on_one_flight_get_its_reply():
-    gateway = ModelGateway(_GatedBackend("r"))
-    results = _complete_in_threads(gateway, _request("q"), 8)
+# The 8 callers of one fetch into a cache directory leave one reply record,
+# written by the fetcher, not one per caller.
+def test_the_waiters_on_one_flight_get_its_reply(tmp_path):
+    gateway = ModelGateway(_GatedBackend("r"), cache=ResponseCache(tmp_path))
+    request = _request("q")
+    results = _complete_in_threads(gateway, request, 8)
     assert results == ["r"] * 8
+    key = cache_key("gated", request)
+    assert cache_records(tmp_path, "key") == [{"key": key, "text": "r"}]
 
 
-def test_the_waiters_on_one_flight_all_get_the_backends_exception():
+# A failed fetch leaves no record, and no flight in the map for a later
+# caller to wait on.
+def test_the_waiters_on_one_flight_all_get_the_backends_exception(tmp_path):
     failure = BackendUnavailableError("down")
-    gateway = ModelGateway(_GatedBackend(failure))
-    results = _complete_in_threads(gateway, _request("q"), 8)
+    gateway = ModelGateway(_GatedBackend(failure), cache=ResponseCache(tmp_path))
+    request = _request("q")
+    results = _complete_in_threads(gateway, request, 8)
     assert all(result is failure for result in results)
+    assert cache_records(tmp_path, "key") == []
+    assert gateway.cache.get(cache_key("gated", request)) is None
 
 
 def test_a_cold_scripted_ablate_and_its_warm_replay_record_72_replies_and_4_digests(
